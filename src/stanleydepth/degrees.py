@@ -8,7 +8,30 @@ variable numbering.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
+
+from .errors import InputFormatError
+
+
+def as_int(value) -> int:
+    """An integer read from input.  Floats (even 2.0), strings and
+    booleans raise InputFormatError instead of being converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputFormatError(f"expected an integer, got {value!r}")
+
+
+def as_degree(value) -> tuple:
+    """A degree read from input: a list of integers."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise InputFormatError(f"expected a list of integers, got {value!r}") from None
+    return tuple(as_int(x) for x in items)
 
 
 def leq(a: tuple, b: tuple) -> bool:

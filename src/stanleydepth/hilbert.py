@@ -238,49 +238,174 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int, g: tuple | Non
     lexicographically.  Runs of covers at one lower endpoint are forced
     to be non-decreasing in that order, so each partition multiset is
     emitted exactly once.  Consumers may stop iterating at any time.
+
+    Subtrees whose residual has no partition are skipped, so the output is
+    unchanged.  That existence test tries at a only covers of contact
+    max(min_depth, #{j : a_j = g_j}): a wider interval splits along a
+    touching j with a_j < g_j into two that keep contact >= min_depth.
     """
     g = series.g if g is None else tuple(g)
     n = len(g)
     if not 0 <= min_depth <= n:
         raise PreconditionError(f"min_depth must be within [0, {n}], got {min_depth}")
-    residual = dict(series.coefficients)
-    degrees_lex = sorted(residual)
+    search = _CoverSearch(series, g, min_depth)
+    if not search.feasible(0):
+        return
     chosen: list[Interval] = []
-    cover_cache: dict[tuple, list] = {}
+    # One frame per lower endpoint being covered: [cell index, position of
+    # the next cover to try, cover applied by this frame or None].
+    frames = [[search.first_positive(0), 0, None]]
+    while frames:
+        frame = frames[-1]
+        element, pos, applied = frame
+        if element is None:
+            frames.pop()
+            yield HilbertPartition(chosen)
+            continue
+        if applied is not None:
+            chosen.pop()
+            search.restore(applied)
+        covers = search.covers(element)
+        applied = None
+        while pos < len(covers):
+            cover = covers[pos]
+            pos += 1
+            if search.fits(cover):
+                search.apply(cover)
+                if search.feasible(element):
+                    applied = cover
+                    break
+                search.restore(cover)
+        if applied is None:
+            frames.pop()
+            continue
+        frame[1], frame[2] = pos, applied
+        chosen.append(Interval(search.cells[element], applied[0]))
+        following = search.first_positive(element)
+        # Later covers at the same endpoint resume at this cover's position.
+        frames.append([following, pos - 1 if following == element else 0, None])
 
-    def covers(a):
-        cached = cover_cache.get(a)
+
+class _CoverSearch:
+    """The residual of a series under a set of applied interval covers.
+
+    Cells are indexed in lexicographic order.  The residual is also kept
+    as one integer key in mixed radix (weight[i] is the product of
+    (coefficient + 1) over the cells before i), so applying a cover
+    subtracts its interval's weight and the key names the residual
+    exactly.  Residuals proved to have no partition are remembered in
+    `dead` by that key, and those on the path of a partition found in
+    `alive`.
+    """
+
+    def __init__(self, series: TruncatedSeries, g: tuple, min_depth: int):
+        self.g = g
+        self.min_depth = min_depth
+        self.cells = sorted(series.coefficients)
+        self.index = {c: i for i, c in enumerate(self.cells)}
+        self.residual = [series.coefficients[c] for c in self.cells]
+        self.weights = []
+        weight = 1
+        for count in self.residual:
+            self.weights.append(weight)
+            weight *= count + 1
+        self.key = sum(w * count for w, count in zip(self.weights, self.residual))
+        self.dead: set[int] = set()
+        self.alive: set[int] = {0}
+        self._covers: dict[int, list] = {}
+        self._tight: dict[int, list] = {}
+
+    def _cover(self, a: tuple, b: tuple) -> tuple:
+        """(b, cell indices of [a, b], summed weight)."""
+        members = tuple(self.index[c] for c in dg.box(a, b))
+        return b, members, sum(self.weights[i] for i in members)
+
+    def _contact(self, b: tuple) -> int:
+        return sum(1 for x, y in zip(b, self.g) if x == y)
+
+    def covers(self, element: int) -> list:
+        """Covers at a cell of contact >= min_depth, by descending contact,
+        then lexicographically."""
+        cached = self._covers.get(element)
         if cached is None:
-            cached = []
-            for b in dg.box(a, g):
-                rho = sum(1 for j in range(n) if b[j] == g[j])
-                if rho >= min_depth:
-                    cached.append(((-rho, b), b))
-            cached.sort()
-            cover_cache[a] = cached
+            a = self.cells[element]
+            ranked = sorted((-self._contact(b), b) for b in dg.box(a, self.g))
+            cached = [self._cover(a, b) for rho, b in ranked if -rho >= self.min_depth]
+            self._covers[element] = cached
         return cached
 
-    def rec(prev_element, prev_key):
-        element = next((a for a in degrees_lex if residual[a] > 0), None)
-        if element is None:
-            yield HilbertPartition(chosen)
-            return
-        min_key = prev_key if element == prev_element else None
-        for key, b in covers(element):
-            if min_key is not None and key < min_key:
-                continue
-            cells = list(dg.box(element, b))
-            if any(residual[c] < 1 for c in cells):
-                continue
-            for c in cells:
-                residual[c] -= 1
-            chosen.append(Interval(element, b))
-            yield from rec(element, key)
-            chosen.pop()
-            for c in cells:
-                residual[c] += 1
+    def tight_covers(self, element: int) -> list:
+        """Covers at a cell of contact exactly max(min_depth, forced)."""
+        cached = self._tight.get(element)
+        if cached is None:
+            a = self.cells[element]
+            contact = max(self.min_depth, self._contact(a))
+            cached = [self._cover(a, b) for b in dg.box(a, self.g) if self._contact(b) == contact]
+            self._tight[element] = cached
+        return cached
 
-    yield from rec(None, None)
+    def fits(self, cover: tuple) -> bool:
+        residual = self.residual
+        return all(residual[i] for i in cover[1])
+
+    def apply(self, cover: tuple) -> None:
+        residual = self.residual
+        for i in cover[1]:
+            residual[i] -= 1
+        self.key -= cover[2]
+
+    def restore(self, cover: tuple) -> None:
+        residual = self.residual
+        for i in cover[1]:
+            residual[i] += 1
+        self.key += cover[2]
+
+    def first_positive(self, start: int):
+        """Index of the first cell at or after start with positive residual."""
+        if self.key == 0:
+            return None
+        residual = self.residual
+        while not residual[start]:
+            start += 1
+        return start
+
+    def feasible(self, start: int) -> bool:
+        """Whether the residual, positive only at cells >= start, has a
+        partition of depth >= min_depth.  Backtracks over tight covers
+        with an explicit stack; leaves the residual as it found it."""
+        dead = self.dead
+        if self.key in self.alive:
+            return True
+        if self.key in dead:
+            return False
+        # [key, cell index, position of the next cover, applied cover or None]
+        frames = [[self.key, self.first_positive(start), 0, None]]
+        while frames:
+            frame = frames[-1]
+            key, element, pos, applied = frame
+            if applied is not None:
+                self.restore(applied)
+            covers = self.tight_covers(element)
+            applied = None
+            while pos < len(covers):
+                cover = covers[pos]
+                pos += 1
+                if self.key - cover[2] not in dead and self.fits(cover):
+                    applied = cover
+                    break
+            if applied is None:
+                dead.add(key)
+                frames.pop()
+                continue
+            frame[2], frame[3] = pos, applied
+            self.apply(applied)
+            if self.key in self.alive:
+                for frame in reversed(frames):
+                    self.restore(frame[3])
+                    self.alive.add(frame[0])
+                return True
+            frames.append([self.key, self.first_positive(element), 0, None])
+        return False
 
 
 def require_g_determined(gm: GradedModule) -> None:
@@ -326,13 +451,13 @@ def decomposition_from_json(obj, g: tuple):
         summands = []
         for item in obj["summands"]:
             try:
-                zset = frozenset(int(j) - 1 for j in item["vars"])
-                shift = tuple(int(x) for x in item["shift"])
-            except (KeyError, TypeError, ValueError) as exc:
+                zset = frozenset(j - 1 for j in dg.as_degree(item["vars"]))
+                shift = dg.as_degree(item["shift"])
+                mult = dg.as_int(item.get("mult", 1))
+            except (KeyError, TypeError, InputFormatError) as exc:
                 raise InputFormatError(f"bad summand entry {item!r}") from exc
             if any(j < 0 for j in zset):
                 raise InputFormatError(f"summand vars must be >= 1 in {item!r}")
-            mult = int(item.get("mult", 1))
             if mult < 0:
                 raise InputFormatError(f"negative multiplicity in {item!r}")
             summands.extend([(zset, shift)] * mult)
@@ -341,11 +466,11 @@ def decomposition_from_json(obj, g: tuple):
         intervals = []
         for item in obj["intervals"]:
             try:
-                a = tuple(int(x) for x in item["a"])
-                b = tuple(int(x) for x in item["b"])
-            except (KeyError, TypeError, ValueError) as exc:
+                a = dg.as_degree(item["a"])
+                b = dg.as_degree(item["b"])
+                mult = dg.as_int(item.get("mult", 1))
+            except (KeyError, TypeError, InputFormatError) as exc:
                 raise InputFormatError(f"bad interval entry {item!r}") from exc
-            mult = int(item.get("mult", 1))
             if mult < 0:
                 raise InputFormatError(f"negative multiplicity in {item!r}")
             intervals.extend([(a, b)] * mult)

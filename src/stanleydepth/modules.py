@@ -48,7 +48,7 @@ class ModulePresentation:
             raise InputFormatError("the ring needs at least one variable")
         gen_degs = []
         for d in generator_degrees:
-            d = tuple(int(x) for x in d)
+            d = dg.as_degree(d)
             if len(d) != n or any(x < 0 for x in d):
                 raise InputFormatError(f"generator degree {d} is not a length-{n} vector over N")
             gen_degs.append(d)
@@ -59,7 +59,7 @@ class ModulePresentation:
             for gen, shift, coeff in row:
                 if not 0 <= gen < len(gen_degs):
                     raise InputFormatError(f"relation references generator {gen + 1} of {len(gen_degs)}")
-                shift = tuple(int(x) for x in shift)
+                shift = dg.as_degree(shift)
                 if len(shift) != n or any(x < 0 for x in shift):
                     raise InputFormatError(f"relation shift {shift} is not a length-{n} vector over N")
                 if field.is_zero(coeff):
@@ -113,7 +113,7 @@ class GradedModule:
     """A presentation together with all graded pieces on [0, g+1]."""
 
     def __init__(self, presentation: ModulePresentation, g: tuple):
-        g = tuple(int(x) for x in g)
+        g = dg.as_degree(g)
         if len(g) != presentation.n or any(x < 0 for x in g):
             raise InputFormatError(f"g must be a length-{presentation.n} vector over N, got {g}")
         self.presentation = presentation
@@ -252,7 +252,7 @@ def free(field: Field, n: int, shifts) -> ModulePresentation:
 
 def minimalize_monomials(exponents) -> list[tuple]:
     """Remove duplicate and divisible exponent vectors; sort the rest."""
-    unique = sorted({tuple(int(x) for x in e) for e in exponents})
+    unique = sorted({dg.as_degree(e) for e in exponents})
     return [u for u in unique if not any(v != u and dg.leq(v, u) for v in unique)]
 
 
@@ -338,7 +338,7 @@ def _parse_module_obj(obj, n: int, field: Field) -> ModulePresentation:
             for row in obj.get("relations", []):
                 triples = []
                 for t in row:
-                    triples.append((int(t["gen"]) - 1, t["shift"], field.parse(str(t["coeff"]))))
+                    triples.append((dg.as_int(t["gen"]) - 1, t["shift"], field.parse(str(t["coeff"]))))
                 rows.append(triples)
             return ModulePresentation(n, field, obj["generator_degrees"], rows)
         if kind == "monomial_ideal":
@@ -360,14 +360,14 @@ def load_module_json(obj, field_override: Field | None = None):
         raise InputFormatError('module file needs "ring" and "module" keys')
     ring = obj["ring"]
     try:
-        n = int(ring["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = dg.as_int(ring["n"])
+    except (KeyError, TypeError, InputFormatError) as exc:
         raise InputFormatError('ring needs an integer "n"') from exc
     field = field_override if field_override is not None else field_from_json(ring.get("field", "Q"))
     pres = _parse_module_obj(obj["module"], n, field)
     g = obj.get("g")
     if g is not None:
-        g = tuple(int(x) for x in g)
+        g = dg.as_degree(g)
         if len(g) != n or any(x < 0 for x in g):
             raise InputFormatError(f"g must be a length-{n} vector over N, got {g}")
     return pres, g
@@ -389,7 +389,7 @@ def load_module_file(
     try:
         pres, g = load_module_json(obj, field_override)
         if g_override is not None:
-            g = tuple(int(x) for x in g_override)
+            g = dg.as_degree(g_override)
         return build(pres, g)
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

@@ -166,6 +166,60 @@ def brute_partitions(series, min_depth):
     return found
 
 
+def unpruned_partitions(series, min_depth):
+    """The partition enumerator without feasibility pruning: the same
+    cover order and the same non-decreasing runs, exploring every branch.
+    The pruned enumerator must yield exactly this sequence."""
+    g = series.g
+    n = len(g)
+    residual = dict(series.coefficients)
+    degrees_lex = sorted(residual)
+    chosen = []
+    cover_cache = {}
+
+    def covers(a):
+        cached = cover_cache.get(a)
+        if cached is None:
+            cached = []
+            for b in dg.box(a, g):
+                rho = sum(1 for j in range(n) if b[j] == g[j])
+                if rho >= min_depth:
+                    cached.append(((-rho, b), b))
+            cached.sort()
+            cover_cache[a] = cached
+        return cached
+
+    def rec(prev_element, prev_key):
+        element = next((a for a in degrees_lex if residual[a] > 0), None)
+        if element is None:
+            yield hilbert.HilbertPartition(chosen)
+            return
+        min_key = prev_key if element == prev_element else None
+        for key, b in covers(element):
+            if min_key is not None and key < min_key:
+                continue
+            cells = list(dg.box(element, b))
+            if any(residual[c] < 1 for c in cells):
+                continue
+            for c in cells:
+                residual[c] -= 1
+            chosen.append(hilbert.Interval(element, b))
+            yield from rec(element, key)
+            chosen.pop()
+            for c in cells:
+                residual[c] += 1
+
+    yield from rec(None, None)
+
+
+def brute_hdepth(series):
+    """Largest s with a brute-force partition of contact >= s."""
+    for s in range(len(series.g), -1, -1):
+        if brute_partitions(series, s):
+            return s
+    raise AssertionError("the all-singleton partition always exists")
+
+
 def equality_solutions(system):
     """All nonnegative integer points of the equality rows, by bounded DFS."""
     rows = [r for r in system.rows if r.sense == "=="]

@@ -284,3 +284,40 @@ def test_errors_exit_with_code_two(tmp_path):
     assert code == 2 and "--g must be comma-separated integers" in err
     code, _, err = run("info", M2, "--field", "F6")
     assert code == 2 and "6" in err
+
+
+def test_hdepth_of_a_large_free_module_needs_no_deep_recursion(tmp_path):
+    # R^1200 over one variable: the search stacks 1200 covers at degree 0.
+    path = tmp_path / "free1200.json"
+    path.write_text(json.dumps({"ring": {"n": 1}, "module": {"kind": "free", "shifts": [[0]] * 1200}}))
+    code, out, err = run("hdepth", path)
+    assert (code, out, err) == (0, "hdepth = 1\n", "")
+
+
+@pytest.mark.parametrize("decomposition", [
+    {"summands": [{"vars": [1], "shift": [1, 0], "mult": "x"}]},
+    {"summands": [{"vars": [1], "shift": [1, 0], "mult": 1.5}]},
+    {"summands": [{"vars": [1], "shift": [1, 0.5]}]},
+    {"intervals": [{"a": [0, 1], "b": [1, 1], "mult": "x"}]},
+    {"intervals": [{"a": [0, 1], "b": [1, 1], "mult": 1.5}]},
+])
+def test_non_integer_decomposition_entries_exit_with_code_two(tmp_path, decomposition):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(decomposition))
+    code, out, err = run("check", M2, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bad" in err and "entry" in err
+
+
+@pytest.mark.parametrize("module", [
+    {"kind": "free", "shifts": [[0, "x"]]},
+    {"kind": "free", "shifts": [[0, 1.5]]},
+    {"kind": "presentation", "generator_degrees": [[0, 0]],
+     "relations": [[{"gen": 1, "shift": [1, 0.5], "coeff": "1"}]]},
+])
+def test_non_integer_module_shifts_exit_with_code_two(tmp_path, module):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"ring": {"n": 2}, "module": module}))
+    code, out, err = run("info", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "expected an integer" in err

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -232,11 +233,46 @@ def test_enumerate_partitions_line():
 def test_enumeration_matches_brute_oracle_on_random_modules():
     for gm in oracles.random_modules(12, seed=2026):
         series = truncated_series(gm)
-        for s in (0, 1):
-            if s > gm.n:
-                continue
+        for s in range(gm.n + 1):
             mine = {p.intervals for p in enumerate_partitions(series, s)}
             assert mine == oracles.brute_partitions(series, s)
+
+
+def _assert_same_sequence(series, s, limit=None):
+    mine = [p.intervals for p in islice(enumerate_partitions(series, s), limit)]
+    reference = [p.intervals for p in islice(oracles.unpruned_partitions(series, s), limit)]
+    assert mine == reference, (series.g, s)
+
+
+def test_pruned_enumeration_yields_the_unpruned_sequence_on_random_modules():
+    for seed in (2026, 7):
+        for gm in oracles.random_modules(12, seed=seed):
+            series = truncated_series(gm)
+            for s in range(gm.n + 1):
+                _assert_same_sequence(series, s)
+
+
+def test_pruned_enumeration_yields_the_unpruned_sequence_on_maximal_ideals():
+    # Every level from n down to hdepth in full; below it (and at the
+    # hdepth of m_5 + R^2, 200k+ partitions) a prefix of the sequence.
+    # hdepth is ceil(n/2) for m_n (as sdepth, Biro et al. 2010) and 3 for m_5 + R^2.
+    sum_with_free = modules.direct_sum(
+        [modules.maximal_ideal(QQ, 5), modules.free(QQ, 5, [dg.zero(5)] * 2)]
+    )
+    cases = [(modules.maximal_ideal(QQ, n), math.ceil(n / 2), None) for n in (3, 4, 5)]
+    cases.append((sum_with_free, 3, 2000))
+    for pres, depth, limit_at_depth in cases:
+        gm = modules.build(pres)
+        series = truncated_series(gm)
+        for s in range(gm.n, -1, -1):
+            limit = 300 if s < depth else limit_at_depth if s == depth else None
+            _assert_same_sequence(series, s, limit)
+
+
+def test_hdepth_matches_brute_oracle_on_random_modules():
+    for seed in (2026, 7):
+        for gm in oracles.random_modules(12, seed=seed):
+            assert hdepth(gm) == oracles.brute_hdepth(truncated_series(gm))
 
 
 def test_hdepth_examples(m2):
@@ -300,6 +336,12 @@ def test_decomposition_from_json_rejects_bad_entries():
         {"summands": [{"shift": [0, 0]}]},
         {"intervals": [{"a": [0, 0]}]},
         {"intervals": [{"a": [0, 0], "b": [3, 3]}]},
+        {"summands": [{"vars": [1], "shift": [1, 0], "mult": "x"}]},
+        {"summands": [{"vars": [1], "shift": [1, 0], "mult": 1.5}]},
+        {"summands": [{"vars": [1.0], "shift": [1, 0]}]},
+        {"summands": [{"vars": [1], "shift": [1, 0.5]}]},
+        {"intervals": [{"a": [0, 0], "b": [1, 1], "mult": 1.5}]},
+        {"intervals": [{"a": [0, 0], "b": [1, "1"]}]},
     ]
     for obj in bad_cases:
         with pytest.raises(InputFormatError):

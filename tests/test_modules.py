@@ -246,6 +246,13 @@ def test_load_module_file_rejects_bad_input(tmp_path):
         {"ring": {"n": 2, "field": "Q"}, "module": {"kind": "free", "shifts": []}, "g": [1]},
         {"ring": {"n": 2, "field": "Q"}, "module": {"kind": "free", "shifts": []}, "g": [-1, 0]},
         {"ring": {"n": 2, "field": "F4"}, "module": {"kind": "free", "shifts": []}},
+        {"ring": {"n": 2.5}, "module": {"kind": "free", "shifts": []}},
+        {"ring": {"n": 2}, "module": {"kind": "free", "shifts": [[0, 0]]}, "g": [1, 1.5]},
+        {"ring": {"n": 2}, "module": {"kind": "free", "shifts": [[0, True]]}},
+        {"ring": {"n": 2}, "module": {"kind": "free", "shifts": [0]}},
+        {"ring": {"n": 2}, "module": {"kind": "monomial_ideal", "generators": [[1, "0"]]}},
+        {"ring": {"n": 1}, "module": {"kind": "presentation", "generator_degrees": [[0]],
+                                      "relations": [[{"gen": 1.0, "shift": [1], "coeff": "1"}]]}},
     ]
     for i, obj in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

@@ -382,6 +382,14 @@ def test_sdepth_is_bounded_by_hdepth_on_the_corpus():
         assert validate_decomposition(result.decomposition, gm) is None
 
 
+@pytest.mark.extended
+def test_hdepth_and_sdepth_of_the_maximal_ideal_in_six_variables():
+    # sdepth(m_n) = ceil(n/2) (Biro et al. 2010); hdepth agrees for m_6.
+    gm = modules.build(modules.maximal_ideal(QQ, 6))
+    assert hdepth(gm) == 3
+    assert sdepth(gm, with_witness=False).value == 3
+
+
 def test_sdepth_respects_finite_fields():
     gm = modules.build(modules.maximal_ideal(F2, 2))
     result = sdepth(gm)
