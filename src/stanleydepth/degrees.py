@@ -25,6 +25,13 @@ def as_int(value) -> int:
     raise InputFormatError(f"expected an integer, got {value!r}")
 
 
+def as_list(value, what: str) -> list | tuple:
+    """A JSON array read from input; `what` names it in the error."""
+    if not isinstance(value, (list, tuple)):
+        raise InputFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def as_degree(value) -> tuple:
     """A degree read from input: a list of integers."""
     try:

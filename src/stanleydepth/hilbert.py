@@ -409,12 +409,12 @@ class _CoverSearch:
 
 
 def require_g_determined(gm: GradedModule) -> None:
-    cached = getattr(gm, "_g_determined", None)
-    if cached is None:
-        cached = gm.verify_g_determined()
-        gm._g_determined = cached
-    if cached is not None:
-        a, k = cached
+    """Raise PreconditionError unless gm is g-determined; the verdict,
+    passing or not, is computed once per module."""
+    if not hasattr(gm, "_g_determined"):
+        gm._g_determined = gm.verify_g_determined()
+    if gm._g_determined is not None:
+        a, k = gm._g_determined
         raise PreconditionError(
             f"module is not g-determined for g = {gm.g}: multiplication by "
             f"X_{k + 1} at degree {a} is not an isomorphism"
@@ -449,7 +449,7 @@ def decomposition_from_json(obj, g: tuple):
         raise InputFormatError("decomposition file must be a JSON object")
     if "summands" in obj:
         summands = []
-        for item in obj["summands"]:
+        for item in dg.as_list(obj["summands"], '"summands"'):
             try:
                 zset = frozenset(j - 1 for j in dg.as_degree(item["vars"]))
                 shift = dg.as_degree(item["shift"])
@@ -464,7 +464,7 @@ def decomposition_from_json(obj, g: tuple):
         return HilbertDecomposition(summands)
     if "intervals" in obj:
         intervals = []
-        for item in obj["intervals"]:
+        for item in dg.as_list(obj["intervals"], '"intervals"'):
             try:
                 a = dg.as_degree(item["a"])
                 b = dg.as_degree(item["b"])

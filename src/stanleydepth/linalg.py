@@ -60,7 +60,9 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.entries), self.nrows) if self.nrows else Matrix(self.field, [], 0)
+        if not self.nrows:
+            return Matrix(self.field, [()] * self.ncols, 0)
+        return Matrix(self.field, zip(*self.entries), self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -93,8 +95,9 @@ class Matrix:
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
+            if rows[r][c] != f.one:
+                inv = f.inv(rows[r][c])
+                rows[r] = [f.mul(inv, x) for x in rows[r]]
             for i in range(self.nrows):
                 if i != r and not f.is_zero(rows[i][c]):
                     factor = rows[i][c]
@@ -150,9 +153,63 @@ class Subspace:
         self.basis = reduced.entries[: len(pivots)]
         self.pivots = pivots
 
+    @classmethod
+    def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
+        """The zero subspace of K^n, built without a row reduction."""
+        return cls._from_echelon(field, ambient_dim, (), ())
+
+    @classmethod
+    def _from_echelon(cls, field, ambient_dim, basis, pivots) -> "Subspace":
+        out = cls.__new__(cls)
+        out.field = field
+        out.ambient_dim = ambient_dim
+        out.basis = basis
+        out.pivots = pivots
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def extended(self, vectors: Iterable[Sequence]) -> "Subspace":
+        """The span of this subspace and the given vectors, equal to
+        Subspace(field, ambient_dim, list(basis) + vectors).
+
+        Each vector is reduced against the growing basis; a nonzero
+        remainder, scaled to a unit pivot and cleared from the other rows,
+        becomes a new basis row, so no full row reduction runs.
+        """
+        f = self.field
+        n = self.ambient_dim
+        if len(self.basis) == n:
+            return self
+        rows = list(self.basis)
+        pivots = list(self.pivots)
+        for vector in vectors:
+            if len(rows) == n:
+                break
+            if len(vector) != n:
+                raise DimensionMismatchError("vector length does not match ambient dimension")
+            v = list(vector)
+            for row, p in zip(rows, pivots):
+                c = v[p]
+                if not f.is_zero(c):
+                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            lead = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+            if lead is None:
+                continue
+            if v[lead] != f.one:
+                inv = f.inv(v[lead])
+                v = [f.mul(inv, x) for x in v]
+            new = tuple(v)
+            for i, row in enumerate(rows):
+                c = row[lead]
+                if not f.is_zero(c):
+                    rows[i] = tuple(f.sub(x, f.mul(c, y)) for x, y in zip(row, new))
+            at = next((i for i, p in enumerate(pivots) if p > lead), len(pivots))
+            rows.insert(at, new)
+            pivots.insert(at, lead)
+        return Subspace._from_echelon(f, n, tuple(rows), tuple(pivots))
 
     def reduce(self, vector: Sequence) -> tuple:
         """Normal form of a vector modulo this subspace.

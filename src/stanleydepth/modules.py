@@ -335,20 +335,24 @@ def _parse_module_obj(obj, n: int, field: Field) -> ModulePresentation:
     try:
         if kind == "presentation":
             rows = []
-            for row in obj.get("relations", []):
+            for row in dg.as_list(obj.get("relations", []), '"relations"'):
                 triples = []
-                for t in row:
+                for t in dg.as_list(row, "a relation row"):
+                    if not isinstance(t, dict):
+                        raise InputFormatError(f"relation term must be an object, got {t!r}")
                     triples.append((dg.as_int(t["gen"]) - 1, t["shift"], field.parse(str(t["coeff"]))))
                 rows.append(triples)
-            return ModulePresentation(n, field, obj["generator_degrees"], rows)
+            degrees = dg.as_list(obj["generator_degrees"], '"generator_degrees"')
+            return ModulePresentation(n, field, degrees, rows)
         if kind == "monomial_ideal":
-            return monomial_ideal(field, n, obj["generators"])
+            return monomial_ideal(field, n, dg.as_list(obj["generators"], '"generators"'))
         if kind == "quotient_by_monomial_ideal":
-            return quotient_by_monomial_ideal(field, n, obj["generators"])
+            return quotient_by_monomial_ideal(field, n, dg.as_list(obj["generators"], '"generators"'))
         if kind == "free":
-            return free(field, n, obj["shifts"])
+            return free(field, n, dg.as_list(obj["shifts"], '"shifts"'))
         if kind == "direct_sum":
-            return direct_sum(_parse_module_obj(p, n, field) for p in obj["parts"])
+            parts = dg.as_list(obj["parts"], '"parts"')
+            return direct_sum(_parse_module_obj(p, n, field) for p in parts)
     except KeyError as exc:
         raise InputFormatError(f"module kind {kind!r} is missing key {exc}") from exc
     raise InputFormatError(f"unknown module kind {kind!r}")

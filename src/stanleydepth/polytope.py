@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import degrees as dg
 from .errors import InputFormatError, PreconditionError, RangeError, ResourceLimitError
 from .hilbert import HilbertDecomposition, validate_decomposition
+from .linalg import Subspace
 from .modules import GradedModule
 from .transversal import max_independent_transversal
 
@@ -140,25 +142,18 @@ def build_stanley_inequalities(
         LinearRow(tuple(supports[a]), "==", gm.dim(a), tuple(a))
         for a in dg.box(dg.zero(gm.n), gm.g)
     ]
-    by_shift: dict[tuple, list[int]] = {}
-    for i, v in enumerate(variables):
-        by_shift.setdefault(v.shift, []).append(i)
+    shifts = sorted({v.shift for v in variables})
     count = 0
     for a in dg.box(dg.zero(gm.n), gm.g):
-        below = [b for b in dg.box(dg.zero(gm.n), a) if by_shift.get(b)]
+        below = [b for b in shifts if dg.leq(b, a)]
         cap = len(below) if max_subset is None else min(max_subset, len(below))
-        for size in range(1, cap + 1):
-            for J in combinations(below, size):
-                count += 1
-                if count > INEQUALITY_ROW_BUDGET:
-                    raise ResourceLimitError(
-                        f"more than {INEQUALITY_ROW_BUDGET} inequality rows; "
-                        "lower max_subset"
-                    )
-                support = tuple(i for b in J for i in by_shift[b]
-                                if _alive_at(variables[i], a))
-                rhs = _image_sum_dim(gm, J, a)
-                rows.append(LinearRow(support, "<=", rhs, (tuple(a), J)))
+        count += sum(comb(len(below), size) for size in range(1, cap + 1))
+        if count > INEQUALITY_ROW_BUDGET:
+            raise ResourceLimitError(
+                f"more than {INEQUALITY_ROW_BUDGET} inequality rows; "
+                "lower max_subset"
+            )
+        rows.extend(_rank_rows(gm, a, below, supports[a], variables, cap))
     return LinearSystem(gm.n, gm.g, variables, rows, max_subset=max_subset)
 
 
@@ -166,16 +161,35 @@ def _alive_at(v: OmegaVariable, a: tuple) -> bool:
     return dg.leq(v.shift, a) and dg.support(dg.sub(a, v.shift)) <= v.zset
 
 
-def _image_sum_dim(gm: GradedModule, shifts, a: tuple) -> int:
-    vectors = []
-    for b in shifts:
-        vectors.extend(gm.power_map(b, a).columns())
-    dim_a = gm.dim(a)
-    if not vectors:
-        return 0
-    from .linalg import Subspace
+def _rank_rows(gm: GradedModule, a: tuple, below: list, alive: list, variables, cap: int):
+    """The rank rows at degree a, for every J of 1..cap shifts from
+    `below`, ordered by size and then lexicographically.
 
-    return Subspace(gm.field, dim_a, vectors).dim
+    A depth-first walk over J extends the span of J[:-1] by the images of
+    J[-1]'s summands, so at most cap spans are alive at once; a span that
+    already fills M_a is passed down unchanged.
+    """
+    alive_from = {b: () for b in below}
+    for i in alive:
+        shift = variables[i].shift
+        alive_from[shift] = alive_from[shift] + (i,)
+    images = [gm.power_map(b, a).columns() for b in below]
+    by_size: list[list[LinearRow]] = [[] for _ in range(cap + 1)]
+    # frame: next index into below, span of J, support of J, J
+    frames = [[0, Subspace.zero(gm.field, gm.dim(a)), (), ()]]
+    while frames:
+        frame = frames[-1]
+        k, span, support, J = frame
+        if k == len(below):
+            frames.pop()
+            continue
+        frame[0] = k + 1
+        b = below[k]
+        span, support, J = span.extended(images[k]), support + alive_from[b], J + (b,)
+        by_size[len(J)].append(LinearRow(support, "<=", span.dim, (a, J)))
+        if len(J) < cap:
+            frames.append([k + 1, span, support, J])
+    return [row for rows in by_size for row in rows]
 
 
 def decomposition_to_point(system: LinearSystem, d: HilbertDecomposition) -> list[int]:

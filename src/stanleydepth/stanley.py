@@ -545,8 +545,10 @@ def verify_certificate(gm: GradedModule, cert: dict) -> tuple[bool, str]:
     cert_field = field_from_json(cert.get("field", "Q"))
     if cert_field != gm.field:
         raise InputFormatError(f"certificate field {cert_field!r} does not match module field {gm.field!r}")
-    if tuple(cert.get("g", ())) != gm.g:
+    if dg.as_degree(cert.get("g", ())) != gm.g:
         raise InputFormatError(f"certificate g {cert.get('g')} does not match module g {list(gm.g)}")
+    if "decomposition" not in cert:
+        raise InputFormatError("certificate has no decomposition")
     d = decomposition_from_json(cert["decomposition"], gm.g)
     failure = validate_decomposition(d, gm)
     if failure is not None:

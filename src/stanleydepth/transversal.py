@@ -25,12 +25,27 @@ from .linalg import Matrix, Subspace
 def max_independent_transversal(
     field: Field, ambient_dim: int, families: Sequence[Sequence]
 ) -> list[tuple[int, tuple]]:
-    """A maximum partial transversal as a list of (family index, vector)."""
+    """A maximum partial transversal as a list of (family index, vector).
+
+    The search first picks, family by family, the first vector outside the
+    span of the picks so far.  These are exactly the one-arc augmentations
+    an empty start would make first (a family skipped once stays inside
+    the growing span), so the result does not depend on the seeding.
+    """
     items: list[tuple[int, tuple]] = []
-    for i, vectors in enumerate(families):
-        for v in vectors:
-            items.append((i, tuple(v)))
     selected: set[int] = set()
+    span = Subspace.zero(field, ambient_dim)
+    for i, vectors in enumerate(families):
+        picked = False
+        for v in vectors:
+            v = tuple(v)
+            if not picked and not span.contains(v):
+                span = span.extended([v])
+                selected.add(len(items))
+                picked = True
+            items.append((i, v))
+    if len(selected) in (len(families), ambient_dim):
+        return [items[t] for t in sorted(selected)]
     while True:
         path = _augmenting_path(field, ambient_dim, items, selected)
         if path is None:
@@ -57,17 +72,11 @@ def _augmenting_path(field, ambient_dim, items, selected):
     # question is settled; otherwise the support of the expression of
     # vector(t) in the selected vectors gives the exchange arcs t -> x.
     circuits: dict[int, set[int]] = {}
-    if sel:
-        basis_matrix = Matrix.from_columns(f, [items[t][1] for t in sel], ambient_dim)
-        for t in outside:
-            if t in sinks:
-                continue
-            coords = _solve_in_columns(basis_matrix, items[t][1])
+    coordinates = _coordinate_map(f, ambient_dim, [items[t][1] for t in sel])
+    for t in outside:
+        if t not in sinks:
+            coords = coordinates.apply(items[t][1])
             circuits[t] = {x for x, c in zip(sel, coords) if not f.is_zero(c)}
-    else:
-        for t in outside:
-            if t not in sinks:
-                circuits[t] = set()
 
     parent: dict[int, int | None] = {}
     queue: deque[int] = deque()
@@ -105,18 +114,16 @@ def _walk(parent, end):
     return path
 
 
-def _solve_in_columns(matrix: Matrix, vector) -> tuple:
-    """Coordinates of vector in the (independent) columns of matrix."""
-    f = matrix.field
+def _coordinate_map(field: Field, ambient_dim: int, vectors) -> Matrix:
+    """A matrix T with T v = the coordinates of v in the given independent
+    vectors, for every v in their span: the top rows of the transform that
+    row-reduces [vectors as columns | identity]."""
+    k = len(vectors)
     augmented = Matrix(
-        f,
-        [list(row) + [vector[i]] for i, row in enumerate(matrix.entries)],
-        matrix.ncols + 1,
+        field,
+        [[v[i] for v in vectors] + [field.one if j == i else field.zero for j in range(ambient_dim)]
+         for i in range(ambient_dim)],
+        k + ambient_dim,
     )
-    reduced, pivots = augmented.rref()
-    coords = [f.zero] * matrix.ncols
-    for r, p in enumerate(pivots):
-        if p == matrix.ncols:
-            raise ValueError("vector is not in the column span")
-        coords[p] = reduced.entries[r][matrix.ncols]
-    return tuple(coords)
+    reduced, _pivots = augmented.rref()
+    return Matrix(field, [row[k:] for row in reduced.entries[:k]], ambient_dim)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
+from collections import deque
+
 from stanleydepth import degrees as dg
-from stanleydepth import hilbert, modules
+from stanleydepth import hilbert, modules, polytope
 from stanleydepth.fields import QQ
-from stanleydepth.linalg import Matrix
+from stanleydepth.linalg import Matrix, Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +287,76 @@ def max_transversal_bound(field, ambient, families):
     return best
 
 
+def unseeded_max_independent_transversal(field, ambient_dim, families):
+    """Matroid intersection from the empty set: every augmentation finds a
+    shortest path in a freshly built exchange digraph, with one row
+    reduction per vector outside the current set.  The seeded search must
+    return exactly these picks."""
+    items = [(i, tuple(v)) for i, vectors in enumerate(families) for v in vectors]
+    selected = set()
+    while True:
+        path = _unseeded_augmenting_path(field, ambient_dim, items, selected)
+        if path is None:
+            return [items[t] for t in sorted(selected)]
+        selected.symmetric_difference_update(path)
+
+
+def _unseeded_augmenting_path(f, ambient_dim, items, selected):
+    sel = sorted(selected)
+    used_classes = {items[t][0] for t in sel}
+    span = Subspace(f, ambient_dim, [items[t][1] for t in sel])
+    outside = [t for t in range(len(items)) if t not in selected]
+    sources = [t for t in outside if items[t][0] not in used_classes]
+    sinks = {t for t in outside if not span.contains(items[t][1])}
+    circuits = {}
+    for t in outside:
+        if t in sinks:
+            continue
+        if sel:
+            coords = _solve_in_columns(f, [items[x][1] for x in sel], items[t][1])
+            circuits[t] = {x for x, c in zip(sel, coords) if not f.is_zero(c)}
+        else:
+            circuits[t] = set()
+    parent = {}
+    queue = deque()
+    for t in sources:
+        parent[t] = None
+        queue.append(t)
+        if t in sinks:
+            return [t]
+    while queue:
+        u = queue.popleft()
+        if u not in selected:
+            for x in circuits.get(u, ()):
+                if x not in parent:
+                    parent[x] = u
+                    queue.append(x)
+        else:
+            for y in outside:
+                if y not in parent and items[y][0] == items[u][0]:
+                    parent[y] = u
+                    if y in sinks:
+                        path = [y]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path
+                    queue.append(y)
+    return None
+
+
+def _solve_in_columns(f, columns, vector):
+    """Coordinates of vector in independent columns, by one row reduction
+    of [columns | vector]."""
+    k = len(columns)
+    augmented = Matrix(f, [[c[i] for c in columns] + [vector[i]] for i in range(len(vector))], k + 1)
+    reduced, pivots = augmented.rref()
+    coords = [f.zero] * k
+    for r, p in enumerate(pivots):
+        assert p < k, "vector is not in the column span"
+        coords[p] = reduced.entries[r][k]
+    return tuple(coords)
+
+
 def brute_check_induced(gm, d):
     """Per-degree exhaustive subset condition on the summand images."""
     for a in dg.box(dg.zero(gm.n), gm.g):
@@ -312,6 +384,38 @@ def brute_sdepth(gm):
     raise AssertionError("the all-singleton partition is always induced")
 
 
+def per_subset_stanley_inequalities(gm, max_subset=polytope.DEFAULT_MAX_SUBSET, min_depth=None):
+    """The Stanley system with every rank row built on its own: one
+    Subspace of all stacked images per (a, J), J from itertools.combinations,
+    row supports from the alive predicate.  The shared-prefix builder must
+    produce exactly these rows in this order."""
+    variables = polytope.omega_variables(gm.n, gm.g)
+    if min_depth is not None:
+        variables = [v for v in variables if len(v.zset) >= min_depth]
+    box = list(dg.box(dg.zero(gm.n), gm.g))
+    rows = []
+    for a in box:
+        alive = tuple(i for i, v in enumerate(variables) if _alive_at(v, a))
+        rows.append(polytope.LinearRow(alive, "==", gm.dim(a), a))
+    by_shift = {}
+    for i, v in enumerate(variables):
+        by_shift.setdefault(v.shift, []).append(i)
+    for a in box:
+        below = [b for b in dg.box(dg.zero(gm.n), a) if by_shift.get(b)]
+        cap = len(below) if max_subset is None else min(max_subset, len(below))
+        for size in range(1, cap + 1):
+            for J in combinations(below, size):
+                support = tuple(i for b in J for i in by_shift[b] if _alive_at(variables[i], a))
+                vectors = [col for b in J for col in gm.power_map(b, a).columns()]
+                rhs = Subspace(gm.field, gm.dim(a), vectors).dim if vectors else 0
+                rows.append(polytope.LinearRow(support, "<=", rhs, (a, J)))
+    return polytope.LinearSystem(gm.n, gm.g, variables, rows, max_subset=max_subset)
+
+
+def _alive_at(v, a):
+    return dg.leq(v.shift, a) and dg.support(dg.sub(a, v.shift)) <= v.zset
+
+
 # ---------------------------------------------------------------------------
 # monomial modules
 
@@ -329,9 +433,10 @@ def monomial_dims(kind, n, gens, g):
     return dims
 
 
-def random_modules(count, seed, max_total_dim=6, max_box=20, allow_sums=True):
+def random_modules(count, seed, max_total_dim=6, max_box=20, allow_sums=True, field=QQ):
     """Deterministic stream of small monomial-ideal and quotient modules
-    over the rationals (optionally direct sums of two of them)."""
+    (optionally direct sums of two of them), over the rationals unless a
+    field is given; the stream of shapes does not depend on the field."""
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -344,11 +449,11 @@ def random_modules(count, seed, max_total_dim=6, max_box=20, allow_sums=True):
             k = rng.randint(1, 3)
             gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(k)]
             if rng.random() < 0.5:
-                parts.append(modules.monomial_ideal(QQ, n, gens))
+                parts.append(modules.monomial_ideal(field, n, gens))
             else:
                 if any(all(x == 0 for x in e) for e in gens):
                     break
-                parts.append(modules.quotient_by_monomial_ideal(QQ, n, gens))
+                parts.append(modules.quotient_by_monomial_ideal(field, n, gens))
         if len(parts) != npieces:
             continue
         pres = parts[0] if npieces == 1 else modules.direct_sum(parts)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,6 +139,18 @@ def test_verify_cert_flags_tampering(tmp_path):
     code, out, _ = run("verify-cert", M2, bad)
     assert code == 1
     assert out == "invalid: witness loses rank at degree (0, 1)\n"
+
+
+def test_verify_cert_rejects_malformed_shapes(tmp_path):
+    cert = tmp_path / "cert.json"
+    run("sdepth", M2, "--output", cert)
+    good = json.loads(cert.read_text())
+    bad_g = {**good, "g": 5}
+    no_decomposition = {k: v for k, v in good.items() if k != "decomposition"}
+    for obj in (bad_g, no_decomposition):
+        cert.write_text(json.dumps(obj))
+        code, out, err = run("verify-cert", M2, cert)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_verify_cert_rejects_unreadable_files(tmp_path):
@@ -321,3 +336,44 @@ def test_non_integer_module_shifts_exit_with_code_two(tmp_path, module):
     code, out, err = run("info", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "expected an integer" in err
+
+
+@pytest.mark.parametrize("decomposition", [{"summands": 5}, {"intervals": 5}])
+def test_malformed_decomposition_shapes_exit_with_code_two(tmp_path, decomposition):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(decomposition))
+    code, out, err = run("check", M2, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", [
+    {"kind": "free", "shifts": 5},
+    {"kind": "monomial_ideal", "generators": 5},
+    {"kind": "quotient_by_monomial_ideal", "generators": True},
+    {"kind": "direct_sum", "parts": 5},
+    {"kind": "presentation", "generator_degrees": 5},
+    {"kind": "presentation", "generator_degrees": [[0, 0]], "relations": 5},
+    {"kind": "presentation", "generator_degrees": [[0, 0]], "relations": [5]},
+    {"kind": "presentation", "generator_degrees": [[0, 0]], "relations": [[5]]},
+])
+def test_malformed_module_shapes_exit_with_code_two(tmp_path, module):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"ring": {"n": 2}, "module": module}))
+    code, out, err = run("info", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_shapes_end_the_process_with_code_two(tmp_path):
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"ring": {"n": 2}, "module": {"kind": "free", "shifts": 5}}))
+    decomposition = tmp_path / "dec.json"
+    decomposition.write_text(json.dumps({"summands": 5}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["info", module], ["check", M2, decomposition]):
+        proc = subprocess.run([sys.executable, "-m", "stanleydepth.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -308,6 +308,25 @@ def test_require_g_determined_raises_with_location():
     require_g_determined(modules.build(pres, (2,)))
 
 
+def test_a_passing_g_determined_check_runs_once_per_module(monkeypatch):
+    from stanleydepth.stanley import sdepth
+
+    calls = []
+    original = modules.GradedModule.verify_g_determined
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(modules.GradedModule, "verify_g_determined", counting)
+    gm = modules.build(modules.maximal_ideal(QQ, 2))
+    require_g_determined(gm)
+    require_g_determined(gm)
+    assert hdepth(gm) == 1
+    assert sdepth(gm, with_witness=False).value == 1
+    assert calls == [gm]
+
+
 def test_decomposition_from_json_summand_form():
     obj = {"summands": [{"vars": [1, 2], "shift": [0, 1]}, {"vars": [1], "shift": [1, 0], "mult": 2}]}
     d = decomposition_from_json(obj, (1, 1))

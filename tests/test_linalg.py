@@ -76,6 +76,9 @@ def test_from_columns_and_transpose_round_trip():
     assert m.transpose().transpose() == m
     empty = Matrix.from_columns(QQ, [], nrows=3)
     assert empty.nrows == 3 and empty.ncols == 0
+    flat = Matrix.zeros(QQ, 0, 2)
+    assert (flat.transpose().nrows, flat.transpose().ncols) == (2, 0)
+    assert (empty.transpose().nrows, empty.transpose().ncols) == (0, 3)
 
 
 def test_zero_and_identity_constructors():
@@ -113,6 +116,36 @@ def test_subspace_reduce_and_contains():
     assert s.reduce(reduced) == reduced
     with pytest.raises(DimensionMismatchError):
         s.reduce([Fraction(1)])
+
+
+def test_extended_adds_pivot_rows_in_column_order():
+    s = Subspace(QQ, 3, [(Fraction(0), Fraction(1), Fraction(1))])
+    t = s.extended([(Fraction(2), Fraction(2), Fraction(0)), (Fraction(0), Fraction(3), Fraction(3))])
+    assert t.pivots == (0, 1)
+    assert t.basis == ((1, 0, -1), (0, 1, 1))
+    assert s.dim == 1  # the original is unchanged
+    with pytest.raises(DimensionMismatchError):
+        s.extended([(Fraction(1),)])
+
+
+def _extension_cases(field, elems):
+    vectors = st.lists(st.lists(elems, min_size=4, max_size=4), max_size=5)
+    return st.tuples(st.just(field), vectors, vectors)
+
+
+@given(st.one_of(
+    _extension_cases(QQ, small_fraction),
+    _extension_cases(GF(2), st.integers(0, 1)),
+    _extension_cases(GF(3), st.integers(0, 2)),
+))
+def test_extended_equals_a_fresh_span_of_the_stacked_vectors(case):
+    field, first, more = case
+    start = Subspace(field, 4, first)
+    grown = start.extended(more)
+    assert grown == Subspace(field, 4, list(start.basis) + more)
+    assert grown.pivots == Subspace(field, 4, first + more).pivots
+    assert Subspace.zero(field, 4) == Subspace(field, 4)
+    assert Subspace.zero(field, 4).extended(first) == start
 
 
 def test_subspace_sum_dim_examples():

@@ -15,6 +15,7 @@ from stanleydepth.errors import (
     ShapeError,
 )
 from stanleydepth.fields import GF, QQ
+from stanleydepth.linalg import Matrix
 
 EX36_DIMS = {
     (3, 0): 2, (2, 1): 1, (1, 2): 1, (0, 3): 1, (3, 1): 2,
@@ -212,6 +213,17 @@ def test_power_map_is_path_independent(ex36):
     assert tall == composed
     identity = ex36.power_map((3, 0), (3, 0))
     assert identity.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def test_power_map_through_a_zero_piece():
+    # R/(X_2) + R(-(0,2)): M_(0,1) = 0 sits between two nonzero pieces
+    pres = modules.direct_sum([
+        modules.quotient_by_monomial_ideal(QQ, 2, [(0, 1)]),
+        modules.free(QQ, 2, [(0, 2)]),
+    ])
+    gm = modules.build(pres)
+    assert [gm.dim(a) for a in ((0, 0), (0, 1), (0, 2))] == [1, 0, 1]
+    assert gm.power_map((0, 0), (0, 2)) == Matrix.zeros(QQ, 1, 1)
 
 
 def test_image_subspace_dimension(ex34):

@@ -1,8 +1,11 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import data_file
 from stanleydepth import degrees as dg
 from stanleydepth import modules, polytope
 from stanleydepth.errors import (
@@ -11,7 +14,7 @@ from stanleydepth.errors import (
     RangeError,
     ResourceLimitError,
 )
-from stanleydepth.fields import QQ, PrimeField
+from stanleydepth.fields import GF, QQ, PrimeField
 from stanleydepth.hilbert import (
     HilbertDecomposition,
     enumerate_partitions,
@@ -127,6 +130,34 @@ def test_diagonal_inequalities_follow_from_the_equalities():
             for row in system.rows:
                 if row.sense == "<=" and row.label[1] == (row.label[0],):
                     assert sum(point[i] for i in row.support) <= row.rhs
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([QQ, GF(2), GF(3)]),
+    st.sampled_from([1, 2, 3, 4, None]),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+def test_rank_rows_match_the_per_subset_builder(seed, field, max_subset, min_depth):
+    # every rank (a, J) row on its own, from a fresh span of the stacked images
+    box = 8 if max_subset is None else 20
+    for gm in oracles.random_modules(2, seed=seed, max_box=box, field=field):
+        system = build_stanley_inequalities(gm, max_subset=max_subset, min_depth=min_depth)
+        expected = oracles.per_subset_stanley_inequalities(gm, max_subset, min_depth)
+        assert system.variables == expected.variables
+        assert system.rows == expected.rows
+
+
+@pytest.mark.parametrize("name", ["m2", "ex34", "ex36"])
+def test_rank_rows_match_the_per_subset_builder_on_shipped_modules(name):
+    gm = modules.load_module_file(data_file(f"{name}.json"))
+    caps = [1, 2, 3, 4] + ([None] if name != "ex36" else [])
+    for max_subset in caps:
+        for min_depth in (None, 1, 2):
+            system = build_stanley_inequalities(gm, max_subset=max_subset, min_depth=min_depth)
+            expected = oracles.per_subset_stanley_inequalities(gm, max_subset, min_depth)
+            assert system.rows == expected.rows
 
 
 def test_min_depth_drops_shallow_variables(m2):

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from stanleydepth.fields import QQ, PrimeField
+from stanleydepth import degrees as dg
+from stanleydepth.fields import GF, QQ, PrimeField
 from stanleydepth.linalg import Matrix
 from stanleydepth.transversal import has_full_transversal, max_independent_transversal
 
@@ -86,3 +87,29 @@ def test_transversal_matches_min_max_bound_mod_two(families):
 @given(_families_strategy(st.integers(-2, 2).map(Fraction)))
 def test_transversal_matches_min_max_bound_rational(families):
     _check_transversal(QQ, 3, families)
+
+
+@given(st.one_of(
+    st.tuples(st.just(QQ), _families_strategy(st.integers(-2, 2).map(Fraction))),
+    st.tuples(st.just(F2), _families_strategy(st.integers(0, 1))),
+    st.tuples(st.just(GF(3)), _families_strategy(st.integers(0, 2))),
+))
+def test_seeded_search_returns_the_unseeded_picks(case):
+    field, families = case
+    assert max_independent_transversal(field, 3, families) == (
+        oracles.unseeded_max_independent_transversal(field, 3, families)
+    )
+
+
+def test_seeded_search_returns_the_unseeded_picks_on_shipped_degrees(ex34, ex34_dec, ex36, ex36_dec):
+    for gm, d in ((ex34, ex34_dec), (ex36, ex36_dec)):
+        for a in dg.box(dg.zero(gm.n), gm.g):
+            families = [
+                gm.power_map(shift, a).columns()
+                for zset, shift in d.summands
+                if dg.leq(shift, a) and dg.support(dg.sub(a, shift)) <= zset
+            ]
+            dim = gm.dim(a)
+            assert max_independent_transversal(QQ, dim, families) == (
+                oracles.unseeded_max_independent_transversal(QQ, dim, families)
+            )
