@@ -28,6 +28,7 @@ from .hilbert import (
     HilbertPartition,
     Interval,
     TruncatedSeries,
+    alive_summands,
     decomposition_from_json,
     decomposition_to_json,
     enumerate_partitions,
@@ -36,7 +37,7 @@ from .hilbert import (
     truncated_series,
     validate_decomposition,
 )
-from .linalg import Matrix, Subspace, quotient_basis, subspace_sum_dim
+from .linalg import Matrix, Subspace, quotient_basis
 from .modules import (
     GradedModule,
     ModulePresentation,
@@ -77,7 +78,7 @@ from .stanley import (
     verify_certificate,
     verify_witness,
 )
-from .transversal import has_full_transversal, max_independent_transversal
+from .transversal import max_independent_transversal
 
 __version__ = "0.1.0"
 

@@ -239,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hilbert and Stanley depth of multigraded modules, "
                     "with exact certificates.",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("STANLEYDEPTH_THREADS", "1")),
-                        help="accepted for interface stability; execution is sequential")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="presentation summary and determinedness check")
@@ -308,10 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except StanleyDepthError as exc:

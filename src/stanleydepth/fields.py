@@ -44,7 +44,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     # elements, in a fixed order, for exhaustive searches over finite fields
     def elements(self):

@@ -57,18 +57,6 @@ class Interval(NamedTuple):
     b: tuple
 
 
-def interval_poly(iv: Interval, g: tuple | None = None) -> TruncatedSeries:
-    """Indicator series of the interval [a, b] inside the box [0, g]."""
-    a, b = tuple(iv[0]), tuple(iv[1])
-    if not dg.leq(a, b):
-        raise ShapeError(f"interval needs a <= b, got {a}, {b}")
-    if g is None:
-        g = b
-    if not dg.leq(b, tuple(g)):
-        raise ShapeError(f"interval upper bound {b} exceeds g = {tuple(g)}")
-    return TruncatedSeries(g, {c: 1 for c in dg.box(a, b)})
-
-
 class HilbertPartition:
     """A multiset of intervals, stored canonically sorted."""
 
@@ -159,21 +147,6 @@ def partition_to_decomposition(p: HilbertPartition, g: tuple) -> HilbertDecompos
     return HilbertDecomposition(summands)
 
 
-def decomposition_to_partition(d: HilbertDecomposition, g: tuple) -> HilbertPartition:
-    """Inverse construction: the summand (Z, s) spreads to the interval
-    [s, b] with b_j = g_j on Z and b_j = s_j elsewhere."""
-    g = tuple(g)
-    n = len(g)
-    intervals = []
-    for zset, shift in d.summands:
-        failure = _summand_shape_failure(zset, shift, g, n)
-        if failure:
-            raise ShapeError(failure)
-        b = tuple(g[j] if j in zset else shift[j] for j in range(n))
-        intervals.append(Interval(shift, b))
-    return HilbertPartition(intervals)
-
-
 def _summand_shape_failure(zset, shift, g, n):
     if len(shift) != n:
         return f"summand shift {shift} is not a length-{n} vector"
@@ -188,6 +161,23 @@ def _summand_shape_failure(zset, shift, g, n):
             f"coordinates {sorted(j + 1 for j in forced - zset)} forced by shift_j = g_j"
         )
     return None
+
+
+def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
+    """For each degree a of [0, g], the ascending indices of the summands
+    (Z, b) alive at a: b <= a and a - b is supported in Z.
+
+    Summand (Z, b) is alive on the box from b to the corner equal to g on
+    Z and to b elsewhere; cells of that box outside [0, g] are skipped.
+    """
+    g = tuple(g)
+    alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(len(g)), g)}
+    for i, (zset, shift) in enumerate(summands):
+        corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
+        if dg.leq(corner, g):
+            for a in dg.box(tuple(max(x, 0) for x in shift), corner):
+                alive[a].append(i)
+    return alive
 
 
 @dataclass(frozen=True)
@@ -215,15 +205,9 @@ def validate_decomposition(d: HilbertDecomposition, gm: GradedModule):
         failure = _summand_shape_failure(zset, shift, g, n)
         if failure:
             return ValidationFailure("shape", None, failure)
-    for a in dg.box(dg.zero(n), g):
-        count = sum(
-            1
-            for zset, shift in d.summands
-            if dg.leq(shift, a) and dg.support(dg.sub(a, shift)) <= zset
-        )
-        expected = gm.dim(a)
-        if count != expected:
-            return ValidationFailure("count", a, f"decomposition covers {count}, module has {expected}")
+    for a, alive in alive_summands(d.summands, g).items():
+        if len(alive) != gm.dim(a):
+            return ValidationFailure("count", a, f"decomposition covers {len(alive)}, module has {gm.dim(a)}")
     return None
 
 

@@ -244,19 +244,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
 
 
-def subspace_sum_dim(spaces: Sequence[Subspace]) -> int:
-    """dim of the sum of the given subspaces (rank of the stacked bases)."""
-    if not spaces:
-        return 0
-    ambient = spaces[0].ambient_dim
-    field = spaces[0].field
-    for s in spaces:
-        if s.ambient_dim != ambient or s.field != field:
-            raise DimensionMismatchError("subspace sum over mismatched ambients")
-    stacked = [row for s in spaces for row in s.basis]
-    return Matrix(field, stacked, ambient).rank()
-
-
 def quotient_basis(ambient_dim: int, sub: Subspace) -> list[tuple]:
     """Coset representatives for K^n / sub: unit vectors at non-pivot columns,
     in ascending column order."""

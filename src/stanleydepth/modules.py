@@ -178,9 +178,6 @@ class GradedModule:
     def dim(self, a: tuple) -> int:
         return self.piece(a).dim
 
-    def hilbert_function(self, a: tuple) -> int:
-        return self.dim(a)
-
     def mult_map(self, a: tuple, k: int) -> Matrix:
         key = (tuple(a), k)
         if key not in self.mult_maps:
@@ -208,11 +205,6 @@ class GradedModule:
             out = self.mult_map(mid, k) @ self.power_map(src, mid)
         self._power_cache[key] = out
         return out
-
-    def image_subspace(self, src: tuple, dst: tuple) -> Subspace:
-        """The subspace X^(dst-src) M_src of M_dst, in coset coordinates."""
-        m = self.power_map(src, dst)
-        return Subspace(self.field, m.nrows, m.columns())
 
     def is_zero_module(self) -> bool:
         return all(p.dim == 0 for p in self.pieces.values())

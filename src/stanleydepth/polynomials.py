@@ -136,20 +136,6 @@ def poly_mul(a: Poly, b: Poly, term_budget: int | None = None) -> Poly:
     return Poly(f, terms)
 
 
-def max_exponent(p: Poly) -> int:
-    """Largest exponent of any variable in any monomial; 0 for constants."""
-    return max((e for mono in p.terms for _, e in mono), default=0)
-
-
-def max_exponent_per_variable(p: Poly) -> dict[Var, int]:
-    out: dict[Var, int] = {}
-    for mono in p.terms:
-        for v, e in mono:
-            if e > out.get(v, 0):
-                out[v] = e
-    return out
-
-
 def reduce_exponents(p: Poly, q: int) -> Poly:
     """Rewrite exponents modulo the q-element field relations Y^q = Y.
 

@@ -19,10 +19,10 @@ from math import comb
 
 from . import degrees as dg
 from .errors import InputFormatError, PreconditionError, RangeError, ResourceLimitError
-from .hilbert import HilbertDecomposition, validate_decomposition
+from .hilbert import HilbertDecomposition, alive_summands
 from .linalg import Subspace
 from .modules import GradedModule
-from .transversal import max_independent_transversal
+from .stanley import check_transversal
 
 FULL_ENUMERATION_BOX_LIMIT = 20
 DEFAULT_MAX_SUBSET = 4
@@ -95,24 +95,17 @@ class LinearSystem:
         return None
 
 
-def _alive_supports(variables: list[OmegaVariable], n: int, g: tuple):
-    """For each degree a, the variable indices alive at a."""
-    supports: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(n), g)}
-    for i, v in enumerate(variables):
-        for c in dg.box(v.shift, tuple(v.shift[j] if j not in v.zset else g[j] for j in range(n))):
-            supports[c].append(i)
-    return supports
+def _equality_rows(gm: GradedModule, variables: list[OmegaVariable]):
+    """The variable indices alive at each degree a, and the rows saying
+    that they add up to dim M_a."""
+    alive = alive_summands([(v.zset, v.shift) for v in variables], gm.g)
+    return alive, [LinearRow(tuple(alive[a]), "==", gm.dim(a), a) for a in alive]
 
 
 def build_hilbert_system(gm: GradedModule) -> LinearSystem:
     """One equality per degree of [0, g]: alive summand count = dim M_a."""
     variables = omega_variables(gm.n, gm.g)
-    supports = _alive_supports(variables, gm.n, gm.g)
-    rows = [
-        LinearRow(tuple(supports[a]), "==", gm.dim(a), tuple(a))
-        for a in dg.box(dg.zero(gm.n), gm.g)
-    ]
-    return LinearSystem(gm.n, gm.g, variables, rows)
+    return LinearSystem(gm.n, gm.g, variables, _equality_rows(gm, variables)[1])
 
 
 def build_stanley_inequalities(
@@ -137,14 +130,10 @@ def build_stanley_inequalities(
     variables = omega_variables(gm.n, gm.g)
     if min_depth is not None:
         variables = [v for v in variables if len(v.zset) >= min_depth]
-    supports = _alive_supports(variables, gm.n, gm.g)
-    rows = [
-        LinearRow(tuple(supports[a]), "==", gm.dim(a), tuple(a))
-        for a in dg.box(dg.zero(gm.n), gm.g)
-    ]
+    alive, rows = _equality_rows(gm, variables)
     shifts = sorted({v.shift for v in variables})
     count = 0
-    for a in dg.box(dg.zero(gm.n), gm.g):
+    for a, alive_at_a in alive.items():
         below = [b for b in shifts if dg.leq(b, a)]
         cap = len(below) if max_subset is None else min(max_subset, len(below))
         count += sum(comb(len(below), size) for size in range(1, cap + 1))
@@ -153,12 +142,8 @@ def build_stanley_inequalities(
                 f"more than {INEQUALITY_ROW_BUDGET} inequality rows; "
                 "lower max_subset"
             )
-        rows.extend(_rank_rows(gm, a, below, supports[a], variables, cap))
+        rows.extend(_rank_rows(gm, a, below, alive_at_a, variables, cap))
     return LinearSystem(gm.n, gm.g, variables, rows, max_subset=max_subset)
-
-
-def _alive_at(v: OmegaVariable, a: tuple) -> bool:
-    return dg.leq(v.shift, a) and dg.support(dg.sub(a, v.shift)) <= v.zset
 
 
 def _rank_rows(gm: GradedModule, a: tuple, below: list, alive: list, variables, cap: int):
@@ -228,24 +213,7 @@ def check_u_vector(gm: GradedModule, system: LinearSystem, values) -> tuple | No
     """
     if gm.field.is_finite():
         raise PreconditionError("the subspace-rank criterion needs an infinite field")
-    if any(x < 0 for x in values):
-        raise InputFormatError("negative multiplicities")
-    d = point_to_decomposition(system, values)
-    failure = validate_decomposition(d, gm)
-    if failure is not None:
-        raise PreconditionError(f"point is not a Hilbert decomposition: {failure}")
-    for a in dg.box(dg.zero(gm.n), gm.g):
-        dim = gm.dim(a)
-        if dim == 0:
-            continue
-        families = [
-            gm.power_map(shift, a).columns()
-            for zset, shift in d.summands
-            if _alive_at(OmegaVariable(shift, zset), a)
-        ]
-        if len(max_independent_transversal(gm.field, dim, families)) < dim:
-            return tuple(a)
-    return None
+    return check_transversal(gm, point_to_decomposition(system, values)).failing_degree
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +240,30 @@ def export_sip(system: LinearSystem, comment: str = "") -> str:
     if system.max_subset is not None:
         lines.append(f"# relaxation: subset size capped at {system.max_subset}")
     lines.append(f"ip {system.n} " + " ".join(str(x) for x in system.g))
-    for v in system.variables:
-        lines.append(f"var {v.name()} >= 0 integer")
+    names = [v.name() for v in system.variables]
+    for name in names:
+        lines.append(f"var {name} >= 0 integer")
     for row in system.rows:
         op = "==" if row.sense == "==" else "<="
         kind = "eq" if row.sense == "==" else "le"
-        terms = " + ".join(system.variables[i].name() for i in row.support) or "0"
+        terms = " + ".join([names[i] for i in row.support]) or "0"
         lines.append(f"{kind} {_label_text(row.label)}: {terms} {op} {row.rhs}")
     return "\n".join(lines) + "\n"
 
 
 def export_lp(system: LinearSystem) -> str:
+    names = [v.lp_name() for v in system.variables]
     lines = ["Minimize", " obj: 0", "Subject To"]
     for idx, row in enumerate(system.rows):
-        terms = " + ".join(system.variables[i].lp_name() for i in row.support) \
-            or f"0 {system.variables[0].lp_name()}"
+        terms = " + ".join([names[i] for i in row.support]) or f"0 {names[0]}"
         op = "=" if row.sense == "==" else "<="
         lines.append(f" r{idx}: {terms} {op} {row.rhs}")
     lines.append("Bounds")
-    for v in system.variables:
-        lines.append(f" {v.lp_name()} >= 0")
+    for name in names:
+        lines.append(f" {name} >= 0")
     lines.append("General")
-    for v in system.variables:
-        lines.append(f" {v.lp_name()}")
+    for name in names:
+        lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import degrees as dg
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
 from .fields import Field, field_from_json
 from .hilbert import (
     HilbertDecomposition,
+    alive_summands,
     decomposition_from_json,
     enumerate_partitions,
     partition_to_decomposition,
@@ -73,12 +74,7 @@ class SymbolicMatrixFamily:
         self.columns: dict[tuple, tuple[int, ...]] = {}
         self._det_cache: dict[tuple, Poly] = {}
         f = self.field
-        for a in dg.box(dg.zero(gm.n), gm.g):
-            alive = tuple(
-                i
-                for i, (zset, shift) in enumerate(self.summands)
-                if dg.leq(shift, a) and dg.support(dg.sub(a, shift)) <= zset
-            )
+        for a, alive in alive_summands(self.summands, gm.g).items():
             dim = gm.dim(a)
             if dim == 0 and not alive:
                 continue
@@ -97,7 +93,7 @@ class SymbolicMatrixFamily:
                             terms[(((i, j), 1),)] = coeff
                     rows[k][col] = Poly(f, terms)
             self.matrices[a] = rows
-            self.columns[a] = alive
+            self.columns[a] = tuple(alive)
 
     @property
     def variables(self) -> tuple[Var, ...]:
@@ -143,14 +139,24 @@ class CheckReport:
         return self.verdict == "induced"
 
 
+def _first_zero_det(fam: SymbolicMatrixFamily) -> tuple | None:
+    """First degree whose determinant is the zero polynomial, or None."""
+    return next((a for a in fam.degrees() if fam.det(a).is_zero()), None)
+
+
+def _field_size(fam: SymbolicMatrixFamily, q: int | None) -> int:
+    """The size of fam's field, which q must equal when given."""
+    if q is not None and q != fam.field.cardinality:
+        raise ModeError(f"q = {q} does not match the field size {fam.field.cardinality}")
+    return fam.field.cardinality
+
+
 def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
     """Induced iff no determinant is the zero polynomial (infinite field)."""
     if fam.field.is_finite():
         raise ModeError("the per-degree determinant criterion needs an infinite field")
-    for a in fam.degrees():
-        if fam.det(a).is_zero():
-            return CheckReport("not_induced", "symbolic", failing_degree=a)
-    return CheckReport("induced", "symbolic")
+    a = _first_zero_det(fam)
+    return CheckReport("induced" if a is None else "not_induced", "symbolic", a)
 
 
 def check_finite(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: int = DEFAULT_TERM_BUDGET) -> CheckReport:
@@ -158,10 +164,7 @@ def check_finite(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: i
     (field with q elements)."""
     if not fam.field.is_finite():
         raise ModeError("the reduced-product criterion needs a finite field")
-    if q is None:
-        q = fam.field.cardinality
-    elif q != fam.field.cardinality:
-        raise ModeError(f"q = {q} does not match the field size {fam.field.cardinality}")
+    q = _field_size(fam, q)
     product = Poly.one(fam.field)
     for a in fam.degrees():
         factor = fam.det(a)
@@ -194,10 +197,7 @@ def check_unified(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: 
         report = check_infinite(fam)
         return CheckReport(report.verdict, "unified", report.failing_degree,
                            detail="infinite field; per-factor determinants")
-    if q is None:
-        q = fam.field.cardinality
-    elif q != fam.field.cardinality:
-        raise ModeError(f"q = {q} does not match the field size {fam.field.cardinality}")
+    q = _field_size(fam, q)
     occurrences: dict[Var, int] = {}
     for a in fam.degrees():
         seen = set()
@@ -208,12 +208,8 @@ def check_unified(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: 
             occurrences[v] = occurrences.get(v, 0) + 1
     bound = max(occurrences.values(), default=0)
     if bound < q:
-        for a in fam.degrees():
-            if fam.det(a).is_zero():
-                return CheckReport("not_induced", "unified", failing_degree=a,
-                                   p_tilde_zero=True,
-                                   detail=f"per-factor determinants (exponent bound {bound} < {q})")
-        return CheckReport("induced", "unified", p_tilde_zero=False,
+        a = _first_zero_det(fam)
+        return CheckReport("induced" if a is None else "not_induced", "unified", a, a is not None,
                            detail=f"per-factor determinants (exponent bound {bound} < {q})")
     report = check_finite(fam, q, term_budget)
     return CheckReport(report.verdict, "unified", report.failing_degree, report.p_tilde_zero,
@@ -235,14 +231,11 @@ def check_transversal(gm: GradedModule, d: HilbertDecomposition) -> CheckReport:
     failure = validate_decomposition(d, gm)
     if failure is not None:
         raise PreconditionError(f"not a Hilbert decomposition of the module: {failure}")
-    for a in dg.box(dg.zero(gm.n), gm.g):
+    for a, alive in alive_summands(d.summands, gm.g).items():
         dim = gm.dim(a)
         if dim == 0:
             continue
-        families = []
-        for zset, shift in d.summands:
-            if dg.leq(shift, a) and dg.support(dg.sub(a, shift)) <= zset:
-                families.append(gm.power_map(shift, a).columns())
+        families = [gm.power_map(d.summands[i][1], a).columns() for i in alive]
         transversal = max_independent_transversal(gm.field, dim, families)
         if len(transversal) < dim:
             return CheckReport("not_induced", "transversal", failing_degree=a)
@@ -261,27 +254,23 @@ def check(
     """Mode dispatch.
 
     auto: finite fields use the unified check; infinite fields use
-    symbolic determinants while every matrix is at most
-    6x6 and independent transversals beyond that.
+    symbolic determinants while every dim M_a (the matrix size) is at
+    most 6, and independent transversals beyond that.
     """
     if mode == "transversal":
         return check_transversal(gm, d)
     if mode == "randomized":
         return check_randomized(gm, d, seed=seed, samples=samples, term_budget=term_budget)
+    finite = gm.field.is_finite()
+    if mode == "auto" and not finite:
+        if max(map(gm.dim, dg.box(dg.zero(gm.n), gm.g))) > SYMBOLIC_SIZE_LIMIT:
+            return check_transversal(gm, d)
     if fam is None:
         fam = build_matrices(gm, d)
-    if mode == "auto":
-        if gm.field.is_finite():
-            return check_unified(fam, term_budget=term_budget)
-        if fam.max_dimension() > SYMBOLIC_SIZE_LIMIT:
-            return check_transversal(gm, d)
-        return check_infinite(fam)
-    if mode == "symbolic":
-        if gm.field.is_finite():
-            return check_finite(fam, term_budget=term_budget)
-        return check_infinite(fam)
-    if mode == "unified":
+    if mode == "unified" or (mode == "auto" and finite):
         return check_unified(fam, term_budget=term_budget)
+    if mode in ("auto", "symbolic"):
+        return check_finite(fam, term_budget=term_budget) if finite else check_infinite(fam)
     raise InputFormatError(f"unknown check mode {mode!r}")
 
 
@@ -310,11 +299,9 @@ def check_randomized(
 
 @dataclass(frozen=True)
 class StanleyWitness:
-    """An explicit specialization of the generic coefficients, plus the
-    per-degree full-rank transcript established when it was verified."""
+    """An explicit specialization of the generic coefficients."""
 
     assignment: dict
-    transcript: tuple = dc_field(default_factory=tuple)
 
     def to_json(self, field: Field) -> dict:
         return {var_name(v): field.to_str(val) for v, val in sorted(self.assignment.items())}
@@ -458,8 +445,7 @@ def _search(fam, variables, prunes, values, budget, require_max):
     failing = _witness_failure(fam, found)
     if failing is not None:
         raise AssertionError(f"search returned a non-witness failing at {failing}")
-    transcript = tuple((a, "full-rank") for a in fam.degrees())
-    return StanleyWitness(found, transcript)
+    return StanleyWitness(found)
 
 
 @dataclass(frozen=True)

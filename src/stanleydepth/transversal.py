@@ -53,10 +53,6 @@ def max_independent_transversal(
         selected.symmetric_difference_update(path)
 
 
-def has_full_transversal(field: Field, ambient_dim: int, families: Sequence[Sequence]) -> bool:
-    return len(max_independent_transversal(field, ambient_dim, families)) == len(families)
-
-
 def _augmenting_path(field, ambient_dim, items, selected):
     """Shortest augmenting path in the exchange digraph, or None at maximum."""
     f = field

@@ -413,7 +413,22 @@ def per_subset_stanley_inequalities(gm, max_subset=polytope.DEFAULT_MAX_SUBSET, 
 
 
 def _alive_at(v, a):
-    return dg.leq(v.shift, a) and dg.support(dg.sub(a, v.shift)) <= v.zset
+    return is_alive(v.zset, v.shift, a)
+
+
+def is_alive(zset, shift, a):
+    """Summand (Z, b) is alive at degree a: b <= a and a - b is supported in Z."""
+    return dg.leq(shift, a) and dg.support(dg.sub(a, shift)) <= zset
+
+
+def decomposition_to_partition(d, g):
+    """The summand (Z, s) spreads to the interval [s, b] with b_j = g_j on
+    Z and b_j = s_j elsewhere."""
+    n = len(g)
+    return hilbert.HilbertPartition(
+        (shift, tuple(g[j] if j in zset else shift[j] for j in range(n)))
+        for zset, shift in d.summands
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -280,17 +280,6 @@ def test_import_solution_over_finite_fields_defers_the_verdict(tmp_path):
     assert "finite field" in err
 
 
-def test_threads_flag_is_validated(monkeypatch):
-    with pytest.raises(SystemExit) as exc:
-        run("--threads", "0", "info", M2)
-    assert exc.value.code == 2
-    code, out, _ = run("--threads", "4", "info", M2)
-    assert code == 0 and out.startswith("n = 2\n")
-    monkeypatch.setenv("STANLEYDEPTH_THREADS", "2")
-    code, _, _ = run("info", M2)
-    assert code == 0
-
-
 def test_errors_exit_with_code_two(tmp_path):
     code, out, err = run("info", tmp_path / "missing.json")
     assert code == 2 and out == ""

@@ -119,3 +119,11 @@ def test_gf5_matches_integer_arithmetic(a, b):
     assert f.sub(a, b) == (a - b) % 5
     if b:
         assert f.mul(f.div(a, b), b) == a % 5
+
+
+def test_is_zero_over_both_field_kinds():
+    assert QQ.is_zero(Fraction(0)) and QQ.is_zero(0) and QQ.is_zero(QQ.zero)
+    assert not QQ.is_zero(Fraction(1, 3)) and not QQ.is_zero(Fraction(-2))
+    f = GF(5)
+    assert f.is_zero(0) and f.is_zero(f.zero)
+    assert not any(f.is_zero(k) for k in range(1, 5))

@@ -16,12 +16,11 @@ from stanleydepth.hilbert import (
     HilbertPartition,
     Interval,
     TruncatedSeries,
+    alive_summands,
     decomposition_from_json,
     decomposition_to_json,
-    decomposition_to_partition,
     enumerate_partitions,
     hdepth,
-    interval_poly,
     load_decomposition_file,
     partition_to_decomposition,
     partition_to_json,
@@ -57,17 +56,6 @@ def test_series_equality():
     b = TruncatedSeries((1,), {(0,): 1, (1,): 0})
     assert a == b
     assert a != TruncatedSeries((1,), {(0,): 2})
-
-
-def test_interval_poly_examples():
-    series = interval_poly(Interval((0, 0), (1, 1)))
-    assert all(series.coefficient(c) == 1 for c in dg.box((0, 0), (1, 1)))
-    padded = interval_poly(Interval((1, 1), (1, 1)), g=(2, 2))
-    assert padded.coefficient((1, 1)) == 1 and padded.total_mass() == 1
-    with pytest.raises(ShapeError):
-        interval_poly(Interval((1, 0), (0, 0)))
-    with pytest.raises(ShapeError):
-        interval_poly(Interval((0, 0), (2, 2)), g=(1, 1))
 
 
 def test_partition_sorts_and_counts_multiplicity():
@@ -124,25 +112,6 @@ def test_partition_to_decomposition_full_box():
         partition_to_decomposition(HilbertPartition([((0, 0), (3, 3))]), (2, 2))
 
 
-def test_decomposition_to_partition_inverts_induced_summands():
-    d = HilbertDecomposition([({0, 1}, (0, 1)), ({0}, (1, 0))])
-    p = decomposition_to_partition(d, (1, 1))
-    assert p.intervals == (
-        Interval((0, 1), (1, 1)),
-        Interval((1, 0), (1, 0)),
-    )
-    assert partition_to_decomposition(p, (1, 1)).canonical() == d.canonical()
-
-
-def test_decomposition_to_partition_shape_errors():
-    with pytest.raises(ShapeError):
-        decomposition_to_partition(HilbertDecomposition([({1}, (1, 0))]), (1, 1))
-    with pytest.raises(ShapeError):
-        decomposition_to_partition(HilbertDecomposition([(set(), (2, 0))]), (1, 1))
-    with pytest.raises(ShapeError):
-        decomposition_to_partition(HilbertDecomposition([({5}, (0, 0))]), (1, 1))
-
-
 @given(boxed_partitions())
 def test_induced_summands_preserve_the_series(case):
     g, p = case
@@ -162,8 +131,33 @@ def test_induced_summands_preserve_the_series(case):
 def test_summand_multiset_survives_the_partition_round_trip(case):
     g, p = case
     d = partition_to_decomposition(p, g)
-    again = partition_to_decomposition(decomposition_to_partition(d, g), g)
+    again = partition_to_decomposition(oracles.decomposition_to_partition(d, g), g)
     assert again.canonical() == d.canonical()
+
+
+@st.composite
+def summand_lists(draw):
+    """Summands with shifts inside and outside [0, g], negative entries
+    included, and Z sets of any size, forced coordinates or not."""
+    n = draw(st.integers(1, 3))
+    g = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    summands = draw(st.lists(
+        st.tuples(
+            st.frozensets(st.integers(0, n - 1)),
+            st.tuples(*(st.integers(-2, g[j] + 2) for j in range(n))),
+        ),
+        max_size=6,
+    ))
+    return g, summands
+
+
+@given(summand_lists())
+def test_alive_summands_matches_the_predicate(case):
+    g, summands = case
+    alive = alive_summands(summands, g)
+    assert list(alive) == list(dg.box(dg.zero(len(g)), g))
+    for a, indices in alive.items():
+        assert indices == [i for i, (z, b) in enumerate(summands) if oracles.is_alive(z, b, a)]
 
 
 def test_validate_accepts_a_known_good_decomposition(ex34, ex34_dec):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from stanleydepth.errors import DimensionMismatchError, ShapeError
 from stanleydepth.fields import GF, QQ
-from stanleydepth.linalg import Matrix, Subspace, quotient_basis, subspace_sum_dim
+from stanleydepth.linalg import Matrix, Subspace, quotient_basis
 
 
 def qmat(entries):
@@ -146,22 +146,6 @@ def test_extended_equals_a_fresh_span_of_the_stacked_vectors(case):
     assert grown.pivots == Subspace(field, 4, first + more).pivots
     assert Subspace.zero(field, 4) == Subspace(field, 4)
     assert Subspace.zero(field, 4).extended(first) == start
-
-
-def test_subspace_sum_dim_examples():
-    line1 = Subspace(QQ, 2, [[Fraction(1), Fraction(0)]])
-    line2 = Subspace(QQ, 2, [[Fraction(0), Fraction(1)]])
-    assert subspace_sum_dim([line1, line2]) == 2
-    assert subspace_sum_dim([line1, line1]) == 1
-    stacked = Subspace(QQ, 3, [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0)],
-    ])
-    assert subspace_sum_dim([stacked]) == 2
-    assert subspace_sum_dim([]) == 0
-    with pytest.raises(DimensionMismatchError):
-        subspace_sum_dim([line1, Subspace(QQ, 3)])
 
 
 def test_quotient_basis_unit_vectors_ascending():

@@ -170,7 +170,7 @@ def test_check_unified_reports_the_exponent_bound(ex36_f2, ex36_f5, ex36_dec):
     assert not report2.induced
     assert report2.detail == "expanded product (exponent bound 4 >= 2)"
     report5 = check_unified(build_matrices(ex36_f5, ex36_dec))
-    assert report5.induced
+    assert report5.induced and report5.p_tilde_zero is False
     assert report5.detail == "per-factor determinants (exponent bound 4 < 5)"
 
 
@@ -198,6 +198,20 @@ def test_check_auto_switches_to_transversals_for_wide_matrices():
     d = HilbertDecomposition([({0}, (0,))] * 7)
     report = check(gm, d)
     assert report.induced and report.mode == "transversal"
+
+
+def test_check_auto_decides_wide_matrices_before_building_them(monkeypatch):
+    from stanleydepth import stanley
+
+    def no_family(*_args):
+        raise AssertionError("auto built the symbolic family")
+
+    monkeypatch.setattr(stanley, "build_matrices", no_family)
+    gm = modules.build(modules.free(QQ, 1, [(0,)] * 7), (1,))
+    assert check(gm, HilbertDecomposition([({0}, (0,))] * 7)).mode == "transversal"
+    # an invalid decomposition gets the error build_matrices would raise
+    with pytest.raises(PreconditionError, match="not a Hilbert decomposition of the module"):
+        check(gm, HilbertDecomposition([({0}, (0,))] * 6))
 
 
 def test_check_symbolic_mode_over_finite_fields_expands(ex36_f5, ex36_dec):

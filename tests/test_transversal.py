@@ -7,7 +7,7 @@ import oracles
 from stanleydepth import degrees as dg
 from stanleydepth.fields import GF, QQ, PrimeField
 from stanleydepth.linalg import Matrix
-from stanleydepth.transversal import has_full_transversal, max_independent_transversal
+from stanleydepth.transversal import max_independent_transversal
 
 F2 = PrimeField(2)
 
@@ -16,7 +16,6 @@ def test_disjoint_lines_give_a_full_transversal():
     families = [[(1, 0)], [(0, 1)]]
     picks = max_independent_transversal(QQ, 2, families)
     assert sorted(i for i, _ in picks) == [0, 1]
-    assert has_full_transversal(QQ, 2, families)
 
 
 def test_shared_line_blocks_all_but_one():
@@ -24,7 +23,6 @@ def test_shared_line_blocks_all_but_one():
     families = [line, line, [(Fraction(2), Fraction(4))]]
     picks = max_independent_transversal(QQ, 2, families)
     assert len(picks) == 1
-    assert not has_full_transversal(QQ, 2, families)
 
 
 def test_augmenting_path_reassigns_an_early_greedy_pick():
@@ -37,19 +35,17 @@ def test_augmenting_path_reassigns_an_early_greedy_pick():
 
 def test_empty_input_is_vacuously_full():
     assert max_independent_transversal(QQ, 3, []) == []
-    assert has_full_transversal(QQ, 3, [])
 
 
 def test_zero_vectors_are_never_picked():
     assert max_independent_transversal(QQ, 2, [[(0, 0)]]) == []
-    assert not has_full_transversal(QQ, 2, [[(0, 0)], [(1, 0)]])
+    assert max_independent_transversal(QQ, 2, [[(0, 0)], [(1, 0)]]) == [(1, (1, 0))]
 
 
 def test_ambient_dimension_caps_the_transversal():
     families = [[(1, 0), (0, 1)], [(1, 1)], [(0, 1)]]
     picks = max_independent_transversal(F2, 2, families)
     assert len(picks) == 2
-    assert not has_full_transversal(F2, 2, families)
 
 
 def _families_strategy(entry_st):
@@ -74,9 +70,7 @@ def _check_transversal(field, ambient, families):
     if rows:
         assert Matrix(field, rows, ambient).rank() == len(rows)
     assert len(picks) == oracles.max_transversal_bound(field, ambient, families)
-    assert has_full_transversal(field, ambient, families) == oracles.rado_full_transversal(
-        field, ambient, families
-    )
+    assert (len(picks) == len(families)) == oracles.rado_full_transversal(field, ambient, families)
 
 
 @given(_families_strategy(st.integers(0, 1)))
