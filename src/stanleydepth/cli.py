@@ -29,14 +29,14 @@ from .hilbert import (
 )
 from .modules import load_module_file
 from .stanley import (
+    CHECK_MODES,
+    build_matrices,
     certificate_json,
     check,
     extract_witness,
     sdepth,
     verify_certificate,
 )
-
-CHECK_MODES = ("auto", "symbolic", "transversal", "unified", "randomized")
 
 
 def _progress(message: str) -> None:
@@ -118,7 +118,7 @@ def cmd_hdepth(args) -> int:
 
 def cmd_sdepth(args) -> int:
     gm = _load_module(args)
-    result = sdepth(gm, mode=args.mode, with_witness=not args.no_witness, seed=args.seed)
+    result = sdepth(gm, mode=args.mode, with_witness=not args.no_witness)
     print(f"sdepth = {'inf' if result.value == math.inf else result.value}")
     for zset, shift in result.decomposition.summands:
         zs = ",".join(str(j + 1) for j in sorted(zset))
@@ -138,7 +138,7 @@ def cmd_check(args) -> int:
     gm = _load_module(args)
     require_g_determined(gm)
     d = load_decomposition_file(args.decomposition, gm.g)
-    report = check(gm, d, mode=args.mode, seed=args.seed)
+    report = check(gm, d, mode=args.mode)
     line = report.verdict
     if report.failing_degree is not None:
         line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
@@ -153,14 +153,15 @@ def cmd_certify(args) -> int:
     gm = _load_module(args)
     require_g_determined(gm)
     d = load_decomposition_file(args.decomposition, gm.g)
-    report = check(gm, d, mode=args.mode, seed=args.seed)
+    fam = build_matrices(gm, d)
+    report = check(gm, d, mode=args.mode, fam=fam)
     if not report.induced:
         line = "not_induced"
         if report.failing_degree is not None:
             line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
         print(line)
         return 1
-    witness = extract_witness(gm, d, check_first=False)
+    witness = extract_witness(gm, d, fam=fam, check_first=False)
     cert = certificate_json(gm, d, witness)
     _write_output(args.output, _json_text(cert))
     if args.output and args.output != "-":
@@ -258,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sdepth", help="Stanley depth with certificate")
     _add_module_arguments(p)
     p.add_argument("--mode", choices=CHECK_MODES, default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-witness", action="store_true",
                    help="skip witness extraction (no certificate)")
     p.add_argument("--output", default=None, help="write the certificate (JSON)")
@@ -268,14 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_module_arguments(p)
     p.add_argument("decomposition", help="decomposition (JSON file)")
     p.add_argument("--mode", choices=CHECK_MODES, default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("certify", help="check and extract a witness certificate")
     _add_module_arguments(p)
     p.add_argument("decomposition", help="decomposition (JSON file)")
     p.add_argument("--mode", choices=CHECK_MODES, default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="certificate path (default stdout)")
     p.set_defaults(func=cmd_certify)
 

@@ -192,23 +192,31 @@ class ValidationFailure:
         return self.detail
 
 
-def validate_decomposition(d: HilbertDecomposition, gm: GradedModule):
-    """None on success; otherwise the first failure.
+def validated_alive(d: HilbertDecomposition, gm: GradedModule):
+    """(alive map of d, None) when d is a Hilbert decomposition of gm;
+    otherwise (None, first failure).
 
     Checks the summand shape constraints (shift within [0, g], forced
     coordinates present in Z) and, for every a in [0, g], that the number
-    of summands alive at a equals dim M_a.
+    of summands alive at a equals dim M_a.  The alive map is the one
+    `alive_summands` walk this takes.
     """
     g = gm.g
     n = gm.n
     for zset, shift in d.summands:
         failure = _summand_shape_failure(zset, shift, g, n)
         if failure:
-            return ValidationFailure("shape", None, failure)
-    for a, alive in alive_summands(d.summands, g).items():
-        if len(alive) != gm.dim(a):
-            return ValidationFailure("count", a, f"decomposition covers {len(alive)}, module has {gm.dim(a)}")
-    return None
+            return None, ValidationFailure("shape", None, failure)
+    alive = alive_summands(d.summands, g)
+    for a, indices in alive.items():
+        if len(indices) != gm.dim(a):
+            return None, ValidationFailure("count", a, f"decomposition covers {len(indices)}, module has {gm.dim(a)}")
+    return alive, None
+
+
+def validate_decomposition(d: HilbertDecomposition, gm: GradedModule):
+    """None on success; otherwise the first failure (see `validated_alive`)."""
+    return validated_alive(d, gm)[1]
 
 
 def enumerate_partitions(series: TruncatedSeries, min_depth: int, g: tuple | None = None):

@@ -106,10 +106,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return poly_mul(self, other)
 
-    def scale(self, scalar) -> "Poly":
-        f = self.field
-        return Poly(f, {m: f.mul(scalar, c) for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.field == other.field and self.terms == other.terms
 

@@ -17,8 +17,8 @@ transversal mode decides without symbolic determinants.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import degrees as dg
 from .errors import (
@@ -32,13 +32,12 @@ from .errors import (
 from .fields import Field, field_from_json
 from .hilbert import (
     HilbertDecomposition,
-    alive_summands,
     decomposition_from_json,
     enumerate_partitions,
     partition_to_decomposition,
     require_g_determined,
     truncated_series,
-    validate_decomposition,
+    validated_alive,
 )
 from .linalg import Matrix
 from .modules import GradedModule
@@ -58,49 +57,64 @@ BASIS_CONVENTION = "echelon-unit-cosets/1"
 DEFAULT_TERM_BUDGET = 10**6
 DEFAULT_SEARCH_BUDGET = 10**6
 SYMBOLIC_SIZE_LIMIT = 6
+CHECK_MODES = ("auto", "symbolic", "transversal", "unified")
+
+
+class _InvalidDecomposition(PreconditionError):
+    """A decomposition that fails validation; `failure` says where."""
+
+    def __init__(self, failure):
+        super().__init__(f"not a Hilbert decomposition of the module: {failure}")
+        self.failure = failure
 
 
 class SymbolicMatrixFamily:
-    """The matrices A_a of one decomposition, indexed by degree."""
+    """The matrices A_a of one decomposition, indexed by degree.
+
+    The constructor validates the decomposition with one alive-summand
+    walk and keeps, for every degree a with alive summands, their indices
+    (`columns[a]`) and the images X^(a - shift) of their pieces
+    (`images[a]`, power maps M_shift -> M_a).  Column i of A_a is image i
+    applied to summand i's generic coefficients Y[i, *]; the Poly
+    matrices and their determinants are built from the images on first
+    use.
+    """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
+        alive, failure = validated_alive(decomposition, gm)
+        if failure is not None:
+            raise _InvalidDecomposition(failure)
+        shifts = [shift for _z, shift in decomposition.summands]
         self.module = gm
         self.field: Field = gm.field
-        self.g = gm.g
-        self.decomposition = decomposition
-        self.summands = decomposition.summands
-        self.summand_dims = tuple(gm.dim(shift) for _z, shift in self.summands)
-        self.matrices: dict[tuple, list[list[Poly]]] = {}
-        self.columns: dict[tuple, tuple[int, ...]] = {}
+        self.summand_dims = tuple(gm.dim(shift) for shift in shifts)
+        self.columns: dict[tuple, tuple[int, ...]] = {
+            a: tuple(indices) for a, indices in alive.items() if indices
+        }
+        self.images: dict[tuple, list[Matrix]] = {
+            a: [gm.power_map(shifts[i], a) for i in indices] for a, indices in self.columns.items()
+        }
         self._det_cache: dict[tuple, Poly] = {}
+
+    @cached_property
+    def matrices(self) -> dict[tuple, list[list[Poly]]]:
+        """A_a with entries linear in the Y[i,j], for every degree."""
         f = self.field
-        for a, alive in alive_summands(self.summands, gm.g).items():
-            dim = gm.dim(a)
-            if dim == 0 and not alive:
-                continue
-            if len(alive) != dim:
-                raise PreconditionError(
-                    f"{len(alive)} summands alive at {a}, module has dimension {dim}"
-                )
-            rows = [[Poly.zero(f) for _ in alive] for _ in range(dim)]
-            for col, i in enumerate(alive):
-                image = gm.power_map(self.summands[i][1], a)
-                for k in range(dim):
-                    terms = {}
-                    for j in range(self.summand_dims[i]):
-                        coeff = image.entries[k][j]
-                        if not f.is_zero(coeff):
-                            terms[(((i, j), 1),)] = coeff
-                    rows[k][col] = Poly(f, terms)
-            self.matrices[a] = rows
-            self.columns[a] = tuple(alive)
+        return {
+            a: [
+                [Poly(f, {(((i, j), 1),): c for j, c in enumerate(image.entries[k])})
+                 for i, image in zip(alive, self.images[a])]
+                for k in range(self.module.dim(a))
+            ]
+            for a, alive in self.columns.items()
+        }
 
     @property
     def variables(self) -> tuple[Var, ...]:
         return tuple((i, j) for i, l in enumerate(self.summand_dims) for j in range(l))
 
     def degrees(self) -> list[tuple]:
-        return sorted(self.matrices)
+        return sorted(self.columns)
 
     def det(self, a: tuple) -> Poly:
         a = tuple(a)
@@ -111,18 +125,22 @@ class SymbolicMatrixFamily:
         return cached
 
     def max_dimension(self) -> int:
-        return max((len(m) for m in self.matrices.values()), default=0)
+        """The largest dim M_a, which is the size of A_a."""
+        return max((self.module.dim(a) for a in self.columns), default=0)
 
     def evaluate_at(self, a: tuple, assignment) -> Matrix:
         """The numeric matrix A_a(y)."""
-        rows = [[evaluate(entry, assignment) for entry in row] for row in self.matrices[a]]
-        return Matrix(self.field, rows, len(self.columns[a]))
+        columns = []
+        for i, image in zip(self.columns[a], self.images[a]):
+            try:
+                y = [assignment[(i, j)] for j in range(self.summand_dims[i])]
+            except KeyError as exc:
+                raise UnboundVariableError(f"no value assigned to {var_name(exc.args[0])}") from None
+            columns.append(image.apply(y))
+        return Matrix.from_columns(self.field, columns)
 
 
 def build_matrices(gm: GradedModule, d: HilbertDecomposition) -> SymbolicMatrixFamily:
-    failure = validate_decomposition(d, gm)
-    if failure is not None:
-        raise PreconditionError(f"not a Hilbert decomposition of the module: {failure}")
     return SymbolicMatrixFamily(gm, d)
 
 
@@ -216,6 +234,21 @@ def check_unified(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: 
                        detail=f"expanded product (exponent bound {bound} >= {q})")
 
 
+def _check_images(fam: SymbolicMatrixFamily) -> CheckReport:
+    """Whether every A_a has an independent transversal of its image columns."""
+    if fam.field.is_finite():
+        raise ModeError(
+            "transversal mode needs an infinite field: per-degree checks do not "
+            "glue over finite fields"
+        )
+    for a in fam.degrees():
+        dim = fam.module.dim(a)
+        families = [image.columns() for image in fam.images[a]]
+        if len(max_independent_transversal(fam.field, dim, families)) < dim:
+            return CheckReport("not_induced", "transversal", failing_degree=a)
+    return CheckReport("induced", "transversal")
+
+
 def check_transversal(gm: GradedModule, d: HilbertDecomposition) -> CheckReport:
     """Per-degree independent transversals of the summand image subspaces.
 
@@ -223,23 +256,7 @@ def check_transversal(gm: GradedModule, d: HilbertDecomposition) -> CheckReport:
     polynomial-time even when the matrices are large.  Per-degree checks
     do not suffice over finite fields, so those are rejected.
     """
-    if gm.field.is_finite():
-        raise ModeError(
-            "transversal mode needs an infinite field: per-degree checks do not "
-            "glue over finite fields"
-        )
-    failure = validate_decomposition(d, gm)
-    if failure is not None:
-        raise PreconditionError(f"not a Hilbert decomposition of the module: {failure}")
-    for a, alive in alive_summands(d.summands, gm.g).items():
-        dim = gm.dim(a)
-        if dim == 0:
-            continue
-        families = [gm.power_map(d.summands[i][1], a).columns() for i in alive]
-        transversal = max_independent_transversal(gm.field, dim, families)
-        if len(transversal) < dim:
-            return CheckReport("not_induced", "transversal", failing_degree=a)
-    return CheckReport("induced", "transversal")
+    return _check_images(build_matrices(gm, d))
 
 
 def check(
@@ -248,53 +265,25 @@ def check(
     mode: str = "auto",
     fam: SymbolicMatrixFamily | None = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
-    seed: int = 0,
-    samples: int = 3,
 ) -> CheckReport:
-    """Mode dispatch.
+    """Mode dispatch; fam, when given, is the family of d.
 
     auto: finite fields use the unified check; infinite fields use
     symbolic determinants while every dim M_a (the matrix size) is at
     most 6, and independent transversals beyond that.
     """
-    if mode == "transversal":
-        return check_transversal(gm, d)
-    if mode == "randomized":
-        return check_randomized(gm, d, seed=seed, samples=samples, term_budget=term_budget)
-    finite = gm.field.is_finite()
-    if mode == "auto" and not finite:
-        if max(map(gm.dim, dg.box(dg.zero(gm.n), gm.g))) > SYMBOLIC_SIZE_LIMIT:
-            return check_transversal(gm, d)
+    if mode not in CHECK_MODES:
+        raise InputFormatError(f"unknown check mode {mode!r}")
     if fam is None:
         fam = build_matrices(gm, d)
+    finite = fam.field.is_finite()
+    if mode == "transversal" or (
+        mode == "auto" and not finite and fam.max_dimension() > SYMBOLIC_SIZE_LIMIT
+    ):
+        return _check_images(fam)
     if mode == "unified" or (mode == "auto" and finite):
         return check_unified(fam, term_budget=term_budget)
-    if mode in ("auto", "symbolic"):
-        return check_finite(fam, term_budget=term_budget) if finite else check_infinite(fam)
-    raise InputFormatError(f"unknown check mode {mode!r}")
-
-
-def check_randomized(
-    gm: GradedModule,
-    d: HilbertDecomposition,
-    seed: int = 0,
-    samples: int = 3,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> CheckReport:
-    """Try random integer points first; every hit is verified exactly, and
-    a miss never certifies anything -- it falls back to the deterministic
-    check."""
-    if gm.field.is_finite():
-        raise ModeError("randomized sampling is for infinite fields; use the unified check")
-    fam = build_matrices(gm, d)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        assignment = {v: gm.field.from_int(rng.randrange(1, 2**30)) for v in fam.variables}
-        if _witness_failure(fam, assignment) is None:
-            return CheckReport("induced", "randomized", detail="verified sampled witness")
-    report = check(gm, d, mode="auto", fam=fam, term_budget=term_budget)
-    return CheckReport(report.verdict, "randomized", report.failing_degree,
-                       report.p_tilde_zero, detail=f"fallback: {report.mode}")
+    return check_finite(fam, term_budget=term_budget) if finite else check_infinite(fam)
 
 
 @dataclass(frozen=True)
@@ -311,17 +300,13 @@ def _witness_failure(fam: SymbolicMatrixFamily, assignment) -> tuple | None:
     """First degree where A_a(y) drops rank, or None."""
     for a in fam.degrees():
         m = fam.evaluate_at(a, assignment)
-        if m.rank() < len(fam.matrices[a]):
+        if m.rank() < m.nrows:
             return a
     return None
 
 
-def verify_witness(gm: GradedModule, d: HilbertDecomposition, witness) -> tuple | None:
-    """Re-check a witness from scratch: evaluate every A_a at the
-    assignment and test full rank.  None on success, else the first
-    failing degree."""
-    assignment = witness.assignment if isinstance(witness, StanleyWitness) else dict(witness)
-    fam = build_matrices(gm, d)
+def _assignment_failure(fam: SymbolicMatrixFamily, assignment: dict) -> tuple | None:
+    """`_witness_failure` of an assignment that must bind exactly fam's variables."""
     needed = set(fam.variables)
     given = set(assignment)
     if needed - given:
@@ -333,6 +318,14 @@ def verify_witness(gm: GradedModule, d: HilbertDecomposition, witness) -> tuple 
             f"witness assigns unknown {', '.join(var_name(v) for v in sorted(given - needed))}"
         )
     return _witness_failure(fam, assignment)
+
+
+def verify_witness(gm: GradedModule, d: HilbertDecomposition, witness) -> tuple | None:
+    """Re-check a witness from scratch: evaluate every A_a at the
+    assignment and test full rank.  None on success, else the first
+    failing degree."""
+    assignment = witness.assignment if isinstance(witness, StanleyWitness) else dict(witness)
+    return _assignment_failure(build_matrices(gm, d), assignment)
 
 
 def _det_prunes(fam: SymbolicMatrixFamily):
@@ -387,7 +380,7 @@ def extract_witness(
             raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
         return candidate
 
-    stages = len(fam.matrices) + 1
+    stages = len(fam.columns) + 1
     for stage in range(1, stages + 1):
         values = [fam.field.from_int(v) for v in range(1, stage + 1)]
         candidate = _search(fam, variables, prunes, values, budget, require_max=values[-1] if stage > 1 else None)
@@ -401,7 +394,10 @@ def extract_witness(
 def _search(fam, variables, prunes, values, budget, require_max):
     """DFS in lexicographic order over the value grid; prune a branch as
     soon as some determinant has all variables assigned and evaluates to
-    zero.  require_max skips points already tried at earlier stages."""
+    zero.  require_max skips points already tried at earlier stages.
+    The stack holds, per depth, the index of the next value to try and
+    whether a value above that depth equals require_max, so the depth is
+    not bounded by the recursion limit."""
     f = fam.field
     n = len(variables)
     position = {v: i for i, v in enumerate(variables)}
@@ -411,35 +407,32 @@ def _search(fam, variables, prunes, values, budget, require_max):
             last = max((position[v] for v in vars_), default=-1)
             watched.setdefault(last, []).append(det)
     assignment: dict = {}
-    counter = [0]
-
-    def rec(i: int, has_max: bool):
+    tried = 0
+    found = None
+    stack = [[0, False]]
+    while stack:
+        i = len(stack) - 1
+        k, has_max = stack[i]
         if i == n:
+            stack.pop()
             if require_max is not None and not has_max:
-                return None
-            counter[0] += 1
-            if counter[0] > budget:
-                raise ResourceLimitError(
-                    f"witness search exceeded the budget of {budget} candidates"
-                )
-            if isinstance(prunes, list):
-                return dict(assignment)
-            return dict(assignment) if _witness_failure(fam, assignment) is None else None
-        for value in values:
-            assignment[variables[i]] = value
-            ok = True
-            for det in watched.get(i, ()):
-                if f.is_zero(evaluate(det, assignment)):
-                    ok = False
-                    break
-            if ok:
-                found = rec(i + 1, has_max or value == require_max)
-                if found is not None:
-                    return found
-        del assignment[variables[i]]
-        return None
-
-    found = rec(0, False)
+                continue
+            tried += 1
+            if tried > budget:
+                raise ResourceLimitError(f"witness search exceeded the budget of {budget} candidates")
+            if isinstance(prunes, list) or _witness_failure(fam, assignment) is None:
+                found = dict(assignment)
+                break
+            continue
+        if k == len(values):
+            stack.pop()
+            del assignment[variables[i]]
+            continue
+        stack[i][0] = k + 1
+        value = values[k]
+        assignment[variables[i]] = value
+        if not any(f.is_zero(evaluate(det, assignment)) for det in watched.get(i, ())):
+            stack.append([0, has_max or value == require_max])
     if found is None:
         return None
     failing = _witness_failure(fam, found)
@@ -460,7 +453,6 @@ def sdepth(
     gm: GradedModule,
     mode: str = "auto",
     with_witness: bool = True,
-    seed: int = 0,
     term_budget: int = DEFAULT_TERM_BUDGET,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> SdepthResult:
@@ -477,11 +469,11 @@ def sdepth(
     for s in range(gm.n, -1, -1):
         for partition in enumerate_partitions(series, s):
             d = partition_to_decomposition(partition, gm.g)
-            report = check(gm, d, mode=mode, seed=seed, term_budget=term_budget)
-            if report.induced:
+            fam = build_matrices(gm, d)
+            if check(gm, d, mode=mode, fam=fam, term_budget=term_budget).induced:
                 witness = None
                 if with_witness:
-                    witness = extract_witness(gm, d, budget=search_budget, check_first=False)
+                    witness = extract_witness(gm, d, fam=fam, budget=search_budget, check_first=False)
                 return SdepthResult(s, d, witness, partition)
     raise AssertionError("the all-singletons partition at s = 0 is always induced")
 
@@ -536,14 +528,15 @@ def verify_certificate(gm: GradedModule, cert: dict) -> tuple[bool, str]:
     if "decomposition" not in cert:
         raise InputFormatError("certificate has no decomposition")
     d = decomposition_from_json(cert["decomposition"], gm.g)
-    failure = validate_decomposition(d, gm)
-    if failure is not None:
-        return False, f"decomposition invalid: {failure}"
+    try:
+        fam = build_matrices(gm, d)
+    except _InvalidDecomposition as exc:
+        return False, f"decomposition invalid: {exc.failure}"
     witness_obj = cert.get("witness")
     if not isinstance(witness_obj, dict):
         raise InputFormatError("certificate has no witness map")
     assignment = {parse_var_name(k): gm.field.parse(str(v)) for k, v in witness_obj.items()}
-    failing = verify_witness(gm, d, assignment)
+    failing = _assignment_failure(fam, assignment)
     if failing is not None:
         return False, f"witness loses rank at degree {failing}"
     return True, ("witness gives full rank at every degree of "

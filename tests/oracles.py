@@ -15,7 +15,7 @@ from itertools import combinations, permutations, product
 from collections import deque
 
 from stanleydepth import degrees as dg
-from stanleydepth import hilbert, modules, polytope
+from stanleydepth import hilbert, modules, polynomials, polytope
 from stanleydepth.fields import QQ
 from stanleydepth.linalg import Matrix, Subspace
 
@@ -355,6 +355,12 @@ def _solve_in_columns(f, columns, vector):
         assert p < k, "vector is not in the column span"
         coords[p] = reduced.entries[r][k]
     return tuple(coords)
+
+
+def evaluate_entrywise(fam, a, assignment):
+    """A_a(y) by evaluating every Poly entry of the symbolic matrix."""
+    rows = [[polynomials.evaluate(entry, assignment) for entry in row] for row in fam.matrices[a]]
+    return Matrix(fam.field, rows, len(fam.columns[a]))
 
 
 def brute_check_induced(gm, d):

@@ -175,6 +175,18 @@ def test_check_finite_field_detail_line():
     assert out == "induced [per-factor determinants (exponent bound 4 < 5)]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", EX34, EX34_DEC, "--mode", "randomized"),
+    ("check", EX34, EX34_DEC, "--seed", "1"),
+    ("certify", EX34, EX34_DEC, "--seed", "1"),
+    ("sdepth", M2, "--seed", "1"),
+])
+def test_the_sampling_options_are_gone(argv):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_certify_writes_a_certificate(tmp_path):
     code, out, _ = run("certify", EX34, EX34_DEC)
     assert (code, out) == (1, "not_induced (failing degree 1,1)\n")

@@ -1,14 +1,21 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import data_file
 from stanleydepth import degrees as dg
-from stanleydepth import modules
+from stanleydepth import hilbert, modules, stanley
+from stanleydepth.cli import main
 from stanleydepth.errors import (
     InputFormatError,
     ModeError,
@@ -26,7 +33,7 @@ from stanleydepth.hilbert import (
     truncated_series,
     validate_decomposition,
 )
-from stanleydepth.polynomials import Poly, to_text
+from stanleydepth.polynomials import Poly, to_text, var_name
 from stanleydepth.stanley import (
     CheckReport,
     StanleyWitness,
@@ -36,7 +43,6 @@ from stanleydepth.stanley import (
     check,
     check_finite,
     check_infinite,
-    check_randomized,
     check_transversal,
     check_unified,
     extract_witness,
@@ -46,6 +52,7 @@ from stanleydepth.stanley import (
 )
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
@@ -87,10 +94,44 @@ def test_matrix_family_det_is_cached(ex34_fam):
     assert ex34_fam.det((1, 1)).is_zero()
 
 
+@functools.cache
+def _families(field):
+    """Families of ex36 with its shipped decomposition and of the first
+    partitions of random modules, over the given field."""
+    ex36 = modules.load_module_file(data_file("ex36.json"), field_override=field)
+    fams = [build_matrices(ex36, hilbert.load_decomposition_file(data_file("ex36_dec.json"), ex36.g))]
+    for gm in oracles.random_modules(8, seed=23, field=field):
+        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 3):
+            fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
+    return fams
+
+
+@given(st.data())
+def test_evaluate_at_matches_entrywise_evaluation(data):
+    field = data.draw(st.sampled_from([QQ, F2, F3]))
+    fam = data.draw(st.sampled_from(_families(field)))
+    if field.is_finite():
+        values = st.integers(0, field.cardinality - 1)
+    else:
+        values = st.fractions(-3, 3, max_denominator=4)
+    assignment = {v: data.draw(values) for v in fam.variables}
+    for a in fam.degrees():
+        assert fam.evaluate_at(a, assignment) == oracles.evaluate_entrywise(fam, a, assignment)
+
+
+def test_evaluate_at_names_an_unbound_variable(ex36_fam):
+    a = (3, 3)
+    missing = (ex36_fam.columns[a][-1], 0)
+    assignment = {v: Fraction(1) for v in ex36_fam.variables if v != missing}
+    with pytest.raises(UnboundVariableError, match=re.escape(f"no value assigned to {var_name(missing)}")):
+        ex36_fam.evaluate_at(a, assignment)
+
+
 def test_alive_count_must_match_dimension(ex34):
-    # both summands claim (1,1) but one starves (1,0)
+    # both summands start at (0,1), which has dimension 1, and (1,0) is starved
     bad = HilbertDecomposition([({0, 1}, (0, 1)), ({1}, (0, 1))])
-    with pytest.raises(PreconditionError, match="alive"):
+    with pytest.raises(PreconditionError, match=r"^not a Hilbert decomposition of the module: "
+                       r"summand count mismatch at degree \(0, 1\): decomposition covers 2, module has 1$"):
         SymbolicMatrixFamily(ex34, bad)
 
 
@@ -201,15 +242,14 @@ def test_check_auto_switches_to_transversals_for_wide_matrices():
 
 
 def test_check_auto_decides_wide_matrices_before_building_them(monkeypatch):
-    from stanleydepth import stanley
+    def built(*_args):
+        raise AssertionError("auto built a Poly matrix or determinant")
 
-    def no_family(*_args):
-        raise AssertionError("auto built the symbolic family")
-
-    monkeypatch.setattr(stanley, "build_matrices", no_family)
+    monkeypatch.setattr(SymbolicMatrixFamily, "matrices", property(built))
+    monkeypatch.setattr(SymbolicMatrixFamily, "det", built)
     gm = modules.build(modules.free(QQ, 1, [(0,)] * 7), (1,))
     assert check(gm, HilbertDecomposition([({0}, (0,))] * 7)).mode == "transversal"
-    # an invalid decomposition gets the error build_matrices would raise
+    # an invalid decomposition gets the error build_matrices raises
     with pytest.raises(PreconditionError, match="not a Hilbert decomposition of the module"):
         check(gm, HilbertDecomposition([({0}, (0,))] * 6))
 
@@ -225,23 +265,58 @@ def test_check_rejects_unknown_modes(m2):
         check(m2, d, mode="montecarlo")
 
 
-def test_check_randomized_verifies_samples(m2):
-    d = HilbertDecomposition([({0, 1}, (0, 1)), ({0}, (1, 0))])
-    report = check_randomized(m2, d)
-    assert report == CheckReport("induced", "randomized", detail="verified sampled witness")
-    assert check(m2, d, mode="randomized", seed=7).induced
+@pytest.fixture()
+def walks(monkeypatch):
+    """The arguments of every `alive_summands` call made while the test runs."""
+    calls = []
+    walk = hilbert.alive_summands
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(hilbert, "alive_summands", counted)
+    return calls
 
 
-def test_check_randomized_falls_back_deterministically(ex34, ex34_dec):
-    report = check_randomized(ex34, ex34_dec)
-    assert report.verdict == "not_induced"
-    assert report.failing_degree == (1, 1)
-    assert report.detail == "fallback: symbolic"
+def test_each_question_walks_the_alive_summands_once(walks, monkeypatch, ex34, ex34_dec, ex36, ex36_f5, ex36_dec):
+    wide = modules.build(modules.free(QQ, 1, [(0,)] * 7), (1,))
+    questions = [
+        (lambda: check(ex36, ex36_dec), "symbolic"),
+        (lambda: check(wide, HilbertDecomposition([({0}, (0,))] * 7)), "transversal"),
+        (lambda: check(ex36_f5, ex36_dec), "unified"),
+        (lambda: check(ex34, ex34_dec, mode="symbolic"), "symbolic"),
+        (lambda: check(ex36_f5, ex36_dec, mode="symbolic"), "finite"),
+        (lambda: check(ex36, ex36_dec, mode="transversal"), "transversal"),
+        (lambda: check(ex36_f5, ex36_dec, mode="unified"), "unified"),
+    ]
+    for ask, mode in questions:
+        walks.clear()
+        assert ask().mode == mode
+        assert len(walks) == 1
+    cert = certificate_json(ex36_f5, ex36_dec, extract_witness(ex36_f5, ex36_dec))
+    walks.clear()
+    assert verify_certificate(ex36_f5, cert)[0]
+    assert len(walks) == 1
+    walks.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["certify", data_file("ex36.json"), data_file("ex36_dec.json"), "--field", "F5"]) == 0
+    assert json.loads(out.getvalue())["witness"] == cert["witness"]
+    assert len(walks) == 1
+    checks = []
+    monkeypatch.setattr(stanley, "check", lambda *args, **kwargs: checks.append(args) or check(*args, **kwargs))
+    walks.clear()
+    assert sdepth(ex34).value == 1
+    assert len(walks) == len(checks) > 1
 
 
-def test_check_randomized_rejects_finite_fields(ex36_f2, ex36_dec):
-    with pytest.raises(ModeError, match="infinite"):
-        check_randomized(ex36_f2, ex36_dec)
+@pytest.mark.parametrize("field", [QQ, F2])
+def test_extract_witness_needs_no_deep_recursion(field):
+    # 1,100 singleton summands put 1,100 variables on one search path
+    gm = modules.build(modules.quotient_by_monomial_ideal(field, 1, [(1100,)]))
+    d = HilbertDecomposition([(set(), (k,)) for k in range(1100)])
+    witness = extract_witness(gm, d)
+    assert verify_witness(gm, d, witness) is None
 
 
 def test_extract_witness_over_the_rationals(ex36, ex36_dec):
