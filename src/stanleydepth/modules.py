@@ -11,6 +11,11 @@ generator, ordered by generator index) modulo the span of the degree-a
 multiples of the relations.  The coset basis follows the canonical
 convention of linalg.quotient_basis, which makes every downstream
 certificate reproducible.
+
+M_a depends only on the signature of a: which generators and which
+relations have degree <= a.  Degrees with one signature share one
+immutable GradedPiece, and a map X^(b-a) depends only on the pieces at
+its two ends, so each is built once per pair of pieces.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ from .errors import (
     HomogeneityError,
     InputFormatError,
     RangeError,
+    ResourceLimitError,
     ShapeError,
 )
 from .fields import Field, field_from_json
 from .linalg import Matrix, Subspace, quotient_basis
+
+# Largest box [0, g+1], counted in degrees, that build() will fill.
+BOX_DEGREE_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -127,47 +136,74 @@ class GradedModule:
         for r in presentation.relations:
             if not dg.leq(r.degree, self.top):
                 raise BoxError(f"relation degree {r.degree} exceeds the box [0, g+1] = [0, {self.top}]")
+        size = dg.box_size(dg.zero(self.n), self.top)
+        if size > BOX_DEGREE_LIMIT:
+            raise ResourceLimitError(
+                f"the box [0, g+1] = [0, {self.top}] has {size} degrees, "
+                f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
+            )
         self.pieces: dict[tuple, GradedPiece] = {}
         self.mult_maps: dict[tuple, Matrix] = {}
         self._power_cache: dict[tuple, Matrix] = {}
+        # transfer maps keyed by the ids of their two shared pieces, which
+        # self.pieces keeps alive for the module's lifetime
+        self._transfers: dict[tuple, Matrix] = {}
         self._build()
 
     def _build(self) -> None:
+        """One GradedPiece per signature (the generators and relations of
+        degree <= a), stored under every degree with that signature, and
+        one multiplication map per pair of pieces."""
         pres = self.presentation
         f = self.field
+        by_signature: dict[tuple, GradedPiece] = {}
         for a in dg.box(dg.zero(self.n), self.top):
             gens = tuple(i for i, d in enumerate(pres.generator_degrees) if dg.leq(d, a))
-            position = {i: p for p, i in enumerate(gens)}
-            ambient = len(gens)
-            vectors = []
-            for r in pres.relations:
-                if dg.leq(r.degree, a):
+            rels = tuple(j for j, r in enumerate(pres.relations) if dg.leq(r.degree, a))
+            piece = by_signature.get((gens, rels))
+            if piece is None:
+                position = {i: p for p, i in enumerate(gens)}
+                ambient = len(gens)
+                vectors = []
+                for j in rels:
                     vec = [f.zero] * ambient
-                    for gen, _shift, coeff in r.triples:
+                    for gen, _shift, coeff in pres.relations[j].triples:
                         p = position[gen]
                         vec[p] = f.add(vec[p], coeff)
                     vectors.append(vec)
-            sub = Subspace(f, ambient, vectors)
-            basis = tuple(quotient_basis(ambient, sub))
-            pivot_set = set(sub.pivots)
-            nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
-            self.pieces[a] = GradedPiece(gens, sub, basis, nonpivots)
-        for a in dg.box(dg.zero(self.n), self.top):
-            src = self.pieces[a]
+                sub = Subspace(f, ambient, vectors)
+                basis = tuple(quotient_basis(ambient, sub))
+                pivot_set = set(sub.pivots)
+                nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
+                piece = by_signature[(gens, rels)] = GradedPiece(gens, sub, basis, nonpivots)
+            self.pieces[a] = piece
+        for a, src in self.pieces.items():
             for k in range(self.n):
-                b = dg.add(a, dg.unit(self.n, k))
-                if not dg.leq(b, self.top):
-                    continue
-                dst = self.pieces[b]
-                dst_position = {i: p for p, i in enumerate(dst.gens)}
-                columns = []
-                for vec in src.coset_basis:
-                    image = [f.zero] * len(dst.gens)
-                    for p, gen in enumerate(src.gens):
-                        if not f.is_zero(vec[p]):
-                            image[dst_position[gen]] = f.add(image[dst_position[gen]], vec[p])
-                    columns.append(dst.coords(image))
-                self.mult_maps[(a, k)] = Matrix.from_columns(f, columns, dst.dim)
+                if a[k] < self.top[k]:
+                    b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                    self.mult_maps[(a, k)] = self._transfer(src, self.pieces[b])
+
+    def _transfer(self, src: GradedPiece, dst: GradedPiece) -> Matrix:
+        """X^(b-a) : M_a -> M_b for pieces src = M_a, dst = M_b with a <= b.
+
+        Each coset basis vector of src is a unit vector at a non-pivot
+        column; multiplying by the monomial keeps its generator, so the
+        image is that generator's ambient coordinate in dst, reduced there.
+        Reduction commutes with inclusion, so the map depends only on the
+        two pieces and is built once per pair.
+        """
+        key = (id(src), id(dst))
+        out = self._transfers.get(key)
+        if out is None:
+            f = self.field
+            position = {gen: p for p, gen in enumerate(dst.gens)}
+            columns = []
+            for c in src.nonpivot_columns:
+                image = [f.zero] * len(dst.gens)
+                image[position[src.gens[c]]] = f.one
+                columns.append(dst.coords(image))
+            out = self._transfers[key] = Matrix.from_columns(f, columns, dst.dim)
+        return out
 
     def piece(self, a: tuple) -> GradedPiece:
         piece = self.pieces.get(tuple(a))
@@ -185,25 +221,14 @@ class GradedModule:
         return self.mult_maps[key]
 
     def power_map(self, src: tuple, dst: tuple) -> Matrix:
-        """The map X^(dst-src) : M_src -> M_dst along a fixed monotone path.
-
-        Multiplication maps commute, so the path does not matter; the
-        composite is cached per (src, dst) pair.
-        """
+        """The map X^(dst-src) : M_src -> M_dst, cached per (src, dst) pair."""
         src, dst = tuple(src), tuple(dst)
         if not dg.leq(src, dst):
             raise RangeError(f"power map needs src <= dst, got {src}, {dst}")
         key = (src, dst)
-        cached = self._power_cache.get(key)
-        if cached is not None:
-            return cached
-        if src == dst:
-            out = Matrix.identity(self.field, self.dim(src))
-        else:
-            k = max(i for i in range(self.n) if dst[i] > src[i])
-            mid = dg.sub(dst, dg.unit(self.n, k))
-            out = self.mult_map(mid, k) @ self.power_map(src, mid)
-        self._power_cache[key] = out
+        out = self._power_cache.get(key)
+        if out is None:
+            out = self._power_cache[key] = self._transfer(self.piece(src), self.piece(dst))
         return out
 
     def is_zero_module(self) -> bool:
@@ -212,17 +237,15 @@ class GradedModule:
     def verify_g_determined(self):
         """None if multiplication by X_k is an isomorphism on every boundary
         slab a_k = g_k; otherwise the first violating (a, k) in (degree,
-        coordinate) order."""
-        for a in dg.box(dg.zero(self.n), self.top):
-            for k in range(self.n):
-                if a[k] != self.g[k]:
-                    continue
-                b = dg.add(a, dg.unit(self.n, k))
-                if not dg.leq(b, self.top):
-                    continue
-                m = self.mult_maps[(a, k)]
-                if m.nrows != m.ncols or m.rank() != m.nrows:
-                    return (a, k)
+        coordinate) order.  Degrees that share a map share its verdict, so
+        each distinct map is ranked once."""
+        isomorphisms = set()
+        for (a, k), m in self.mult_maps.items():
+            if a[k] != self.g[k] or id(m) in isomorphisms:
+                continue
+            if m.nrows != m.ncols or m.rank() != m.nrows:
+                return (a, k)
+            isomorphisms.add(id(m))
         return None
 
 

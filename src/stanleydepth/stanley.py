@@ -468,6 +468,8 @@ def sdepth(
     series = truncated_series(gm)
     for s in range(gm.n, -1, -1):
         for partition in enumerate_partitions(series, s):
+            if partition.depth(gm.g) > s:
+                continue  # enumerated, and refuted, at a higher level
             d = partition_to_decomposition(partition, gm.g)
             fam = build_matrices(gm, d)
             if check(gm, d, mode=mode, fam=fam, term_budget=term_budget).induced:

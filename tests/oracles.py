@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 from collections import deque
 
 from stanleydepth import degrees as dg
 from stanleydepth import hilbert, modules, polynomials, polytope
 from stanleydepth.fields import QQ
-from stanleydepth.linalg import Matrix, Subspace
+from stanleydepth.linalg import Matrix, Subspace, quotient_basis
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +436,71 @@ def decomposition_to_partition(d, g):
         (shift, tuple(g[j] if j in zset else shift[j] for j in range(n)))
         for zset, shift in d.summands
     )
+
+
+# ---------------------------------------------------------------------------
+# graded pieces
+
+
+def unshared_build(presentation, g):
+    """Every graded piece and multiplication map of a presentation on
+    [0, g+1], each computed on its own degree by degree, with power maps
+    composed from multiplication maps along a monotone path."""
+    f = presentation.field
+    n = presentation.n
+    top = dg.add(g, dg.ones(n))
+    pieces = {}
+    mult_maps = {}
+    for a in dg.box(dg.zero(n), top):
+        gens = tuple(i for i, d in enumerate(presentation.generator_degrees) if dg.leq(d, a))
+        position = {i: p for p, i in enumerate(gens)}
+        ambient = len(gens)
+        vectors = []
+        for r in presentation.relations:
+            if dg.leq(r.degree, a):
+                vec = [f.zero] * ambient
+                for gen, _shift, coeff in r.triples:
+                    p = position[gen]
+                    vec[p] = f.add(vec[p], coeff)
+                vectors.append(vec)
+        sub = Subspace(f, ambient, vectors)
+        basis = tuple(quotient_basis(ambient, sub))
+        pivot_set = set(sub.pivots)
+        nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
+        pieces[a] = modules.GradedPiece(gens, sub, basis, nonpivots)
+    for a in dg.box(dg.zero(n), top):
+        src = pieces[a]
+        for k in range(n):
+            b = dg.add(a, dg.unit(n, k))
+            if not dg.leq(b, top):
+                continue
+            dst = pieces[b]
+            dst_position = {i: p for p, i in enumerate(dst.gens)}
+            columns = []
+            for vec in src.coset_basis:
+                image = [f.zero] * len(dst.gens)
+                for p, gen in enumerate(src.gens):
+                    if not f.is_zero(vec[p]):
+                        image[dst_position[gen]] = f.add(image[dst_position[gen]], vec[p])
+                columns.append(dst.coords(image))
+            mult_maps[(a, k)] = Matrix.from_columns(f, columns, dst.dim)
+    power_cache = {}
+
+    def power_map(src, dst):
+        key = (src, dst)
+        cached = power_cache.get(key)
+        if cached is not None:
+            return cached
+        if src == dst:
+            out = Matrix.identity(f, pieces[src].dim)
+        else:
+            k = max(i for i in range(n) if dst[i] > src[i])
+            mid = dg.sub(dst, dg.unit(n, k))
+            out = mult_maps[(mid, k)] @ power_map(src, mid)
+        power_cache[key] = out
+        return out
+
+    return SimpleNamespace(pieces=pieces, mult_maps=mult_maps, power_map=power_map)
 
 
 # ---------------------------------------------------------------------------

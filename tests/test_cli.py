@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -300,6 +301,17 @@ def test_errors_exit_with_code_two(tmp_path):
     assert code == 2 and "--g must be comma-separated integers" in err
     code, _, err = run("info", M2, "--field", "F6")
     assert code == 2 and "6" in err
+
+
+def test_an_oversized_box_exits_with_code_two_before_building():
+    start = time.perf_counter()
+    code, out, err = run("info", M2, "--g", "1000,1000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the box [0, g+1] = [0, (1001, 1001)] has 1004004 degrees, "
+        "more than BOX_DEGREE_LIMIT = 100000\n"
+    )
 
 
 def test_hdepth_of_a_large_free_module_needs_no_deep_recursion(tmp_path):

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import data_file
@@ -12,6 +14,7 @@ from stanleydepth.errors import (
     HomogeneityError,
     InputFormatError,
     RangeError,
+    ResourceLimitError,
     ShapeError,
 )
 from stanleydepth.fields import GF, QQ
@@ -289,3 +292,106 @@ def test_shipped_data_files_parse():
     ex36 = modules.load_module_file(data_file("ex36.json"))
     assert len(ex36.presentation.generator_degrees) == 5
     assert len(ex36.presentation.relations) == 3
+
+
+def test_box_budget_raises_before_the_build(monkeypatch):
+    pres = modules.maximal_ideal(QQ, 2)
+    monkeypatch.setattr(modules.GradedModule, "_build", lambda self: pytest.fail("built"))
+    with pytest.raises(ResourceLimitError, match=r"1004004 degrees, more than BOX_DEGREE_LIMIT = 100000"):
+        modules.build(pres, (1000, 1000))
+    monkeypatch.undo()
+    monkeypatch.setattr(modules, "BOX_DEGREE_LIMIT", 9)
+    assert len(modules.build(pres, (1, 1)).pieces) == 9
+    with pytest.raises(ResourceLimitError):
+        modules.build(pres, (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# shared pieces against the degree-by-degree build
+
+
+def piece_data(piece):
+    sub = piece.relation_subspace
+    return piece.gens, piece.coset_basis, piece.nonpivot_columns, sub.basis, sub.pivots
+
+
+def assert_matches_unshared(gm):
+    ref = oracles.unshared_build(gm.presentation, gm.g)
+    assert list(gm.pieces) == list(ref.pieces)
+    for a, piece in ref.pieces.items():
+        assert piece_data(gm.pieces[a]) == piece_data(piece), a
+    assert list(gm.mult_maps) == list(ref.mult_maps)
+    for key, m in ref.mult_maps.items():
+        assert gm.mult_maps[key] == m, key
+    for src in ref.pieces:
+        for dst in dg.box(src, gm.top):
+            assert gm.power_map(src, dst) == ref.power_map(src, dst), (src, dst)
+
+
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(0, 10**6))
+def test_shared_build_matches_the_unshared_build(field, seed):
+    for gm in oracles.random_modules(1, seed=seed, field=field):
+        assert_matches_unshared(gm)
+
+
+@pytest.mark.parametrize("name, field", [
+    ("m2.json", None), ("ex34.json", None), ("ex36.json", None), ("ex36.json", GF(2)), ("ex36.json", GF(5)),
+    # 46,656 power maps, each composed along a path by the oracle: ~20 s
+    pytest.param("m6r9.json", None, marks=pytest.mark.extended),
+])
+def test_shared_build_matches_the_unshared_build_on_shipped_modules(name, field):
+    assert_matches_unshared(modules.load_module_file(data_file(name), field_override=field))
+
+
+@pytest.mark.parametrize("name, pieces, maps", [
+    ("m6r9.json", 64, 255), ("ex36.json", 11, 24), ("ex34.json", 4, 7), ("m2.json", 4, 7),
+])
+def test_degrees_with_one_signature_share_one_piece_and_one_map(name, pieces, maps):
+    gm = modules.load_module_file(data_file(name))
+    assert len({id(p) for p in gm.pieces.values()}) == pieces
+    assert len({id(m) for m in gm.mult_maps.values()}) == maps
+
+
+def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
+    gm = modules.load_module_file(data_file("m6r9.json"))
+    boundary = [key for key in gm.mult_maps if key[0][key[1]] == gm.g[key[1]]]
+    assert len(boundary) == 1458
+    calls = []
+    original = Matrix.rank
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rank", counting)
+    assert gm.verify_g_determined() is None
+    assert len(calls) == len({id(m) for m in calls}) == 63
+
+
+def first_unshared_violation(pres, g):
+    """The first (a, k) in (degree, coordinate) order whose boundary map,
+    built degree by degree, is not square of full rank."""
+    ref = oracles.unshared_build(pres, g)
+    for (a, k), m in ref.mult_maps.items():
+        if a[k] == g[k]:
+            if m.nrows != m.ncols or oracles.rank_by_minors(pres.field, m.entries) != m.nrows:
+                return (a, k)
+    return None
+
+
+def test_g_determinedness_reports_the_first_violation_of_the_unshared_build():
+    violations = 0
+    for field in (QQ, GF(2)):
+        for gm in oracles.random_modules(15, seed=31, field=field):
+            for k in range(gm.n):
+                g = gm.g[:k] + (gm.g[k] - 1,) + gm.g[k + 1:]
+                if g[k] < 0:
+                    continue
+                try:
+                    small = modules.build(gm.presentation, g)
+                except BoxError:
+                    continue
+                expected = first_unshared_violation(gm.presentation, g)
+                assert small.verify_g_determined() == expected
+                violations += expected is not None
+    assert violations >= 5

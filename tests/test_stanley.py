@@ -471,6 +471,36 @@ def test_sdepth_is_bounded_by_hdepth_on_the_corpus():
         assert validate_decomposition(result.decomposition, gm) is None
 
 
+def test_sdepth_checks_each_decomposition_once(monkeypatch, ex34):
+    corpus = [ex34] + oracles.random_modules(40, seed=7)
+    original = stanley.check
+
+    def first_induced(gm):
+        # every level's full enumeration, refuted partitions included
+        series = truncated_series(gm)
+        for s in range(gm.n, -1, -1):
+            for partition in enumerate_partitions(series, s):
+                d = partition_to_decomposition(partition, gm.g)
+                if original(gm, d).induced:
+                    return s, d
+
+    expected = [first_induced(gm) for gm in corpus]
+    checked = []
+
+    def counting(gm, d, **kwargs):
+        checked.append((gm, d))
+        return original(gm, d, **kwargs)
+
+    monkeypatch.setattr(stanley, "check", counting)
+    for gm, (value, d) in zip(corpus, expected):
+        result = sdepth(gm, with_witness=False)
+        assert (result.value, result.decomposition) == (value, d)
+    # ex34 and the corpus took 3 and 49 checks of 2 and 45 decompositions
+    # when every level re-checked the partitions refuted above it
+    assert sum(1 for gm, _ in checked if gm is ex34) == 2
+    assert len(checked) == len({(id(gm), d) for gm, d in checked}) == 2 + 45
+
+
 @pytest.mark.extended
 def test_hdepth_and_sdepth_of_the_maximal_ideal_in_six_variables():
     # sdepth(m_n) = ceil(n/2) (Biro et al. 2010); hdepth agrees for m_6.
