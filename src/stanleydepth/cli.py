@@ -29,7 +29,6 @@ from .hilbert import (
 )
 from .modules import load_module_file
 from .stanley import (
-    CHECK_MODES,
     build_matrices,
     certificate_json,
     check,
@@ -69,8 +68,7 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        polytope.write_text(path, text)
         _progress(f"wrote {path}")
 
 
@@ -118,7 +116,7 @@ def cmd_hdepth(args) -> int:
 
 def cmd_sdepth(args) -> int:
     gm = _load_module(args)
-    result = sdepth(gm, mode=args.mode, with_witness=not args.no_witness)
+    result = sdepth(gm, with_witness=not args.no_witness)
     print(f"sdepth = {'inf' if result.value == math.inf else result.value}")
     for zset, shift in result.decomposition.summands:
         zs = ",".join(str(j + 1) for j in sorted(zset))
@@ -138,7 +136,7 @@ def cmd_check(args) -> int:
     gm = _load_module(args)
     require_g_determined(gm)
     d = load_decomposition_file(args.decomposition, gm.g)
-    report = check(gm, d, mode=args.mode)
+    report = check(gm, d)
     line = report.verdict
     if report.failing_degree is not None:
         line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
@@ -154,7 +152,7 @@ def cmd_certify(args) -> int:
     require_g_determined(gm)
     d = load_decomposition_file(args.decomposition, gm.g)
     fam = build_matrices(gm, d)
-    report = check(gm, d, mode=args.mode, fam=fam)
+    report = check(gm, d, fam=fam)
     if not report.induced:
         line = "not_induced"
         if report.failing_degree is not None:
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sdepth", help="Stanley depth with certificate")
     _add_module_arguments(p)
-    p.add_argument("--mode", choices=CHECK_MODES, default="auto")
     p.add_argument("--no-witness", action="store_true",
                    help="skip witness extraction (no certificate)")
     p.add_argument("--output", default=None, help="write the certificate (JSON)")
@@ -267,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="is a Hilbert decomposition induced?")
     _add_module_arguments(p)
     p.add_argument("decomposition", help="decomposition (JSON file)")
-    p.add_argument("--mode", choices=CHECK_MODES, default="auto")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("certify", help="check and extract a witness certificate")
     _add_module_arguments(p)
     p.add_argument("decomposition", help="decomposition (JSON file)")
-    p.add_argument("--mode", choices=CHECK_MODES, default="auto")
     p.add_argument("--output", default=None, help="certificate path (default stdout)")
     p.set_defaults(func=cmd_certify)
 

@@ -35,7 +35,7 @@ class ShapeError(StanleyDepthError):
 
 
 class ModeError(StanleyDepthError):
-    """A check mode was invoked over a field it does not support."""
+    """A decision core was invoked over a field it does not support."""
 
 
 class PreconditionError(StanleyDepthError):
@@ -43,7 +43,7 @@ class PreconditionError(StanleyDepthError):
 
 
 class ResourceLimitError(StanleyDepthError):
-    """A configured term/row/search budget was exhausted."""
+    """A term, row, search, box or summand budget was exhausted."""
 
 
 class UnboundVariableError(StanleyDepthError):

@@ -37,9 +37,6 @@ class Field:
     def is_finite(self) -> bool:
         return self.cardinality != math.inf
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -69,6 +66,9 @@ class RationalField(Field):
 
     def neg(self, a):
         return -a
+
+    def sub(self, a, b):
+        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -122,6 +122,9 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

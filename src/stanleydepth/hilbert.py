@@ -15,8 +15,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import degrees as dg
-from .errors import InputFormatError, PreconditionError, ShapeError
+from .errors import InputFormatError, PreconditionError, ResourceLimitError, ShapeError
 from .modules import GradedModule
+
+# Most summands a decomposition file may stand for, counted before any
+# list of them is built; an interval counts every summand it stands for.
+DECOMPOSITION_SUMMAND_LIMIT = 10**6
 
 
 class TruncatedSeries:
@@ -135,16 +139,19 @@ class HilbertDecomposition:
 def partition_to_decomposition(p: HilbertPartition, g: tuple) -> HilbertDecomposition:
     """One summand (Z_b, c) per interval [a, b] and point c of G[a, b]."""
     g = tuple(g)
-    n = len(g)
     summands = []
     for a, b in p.intervals:
         if not dg.leq(b, g):
             raise ShapeError(f"interval upper bound {b} exceeds g = {g}")
-        zset = frozenset(j for j in range(n) if b[j] == g[j])
-        free_upper = tuple(a[j] if j in zset else b[j] for j in range(n))
-        for c in dg.box(a, free_upper):
+        zset = frozenset(j for j in range(len(g)) if b[j] == g[j])
+        for c in dg.box(a, _last_shift(a, b, g)):
             summands.append((zset, c))
     return HilbertDecomposition(summands)
+
+
+def _last_shift(a: tuple, b: tuple, g: tuple) -> tuple:
+    """The largest point of G[a, b]: b, with a_j wherever b_j = g_j."""
+    return tuple(x if y == top else y for x, y, top in zip(a, b, g))
 
 
 def _summand_shape_failure(zset, shift, g, n):
@@ -219,7 +226,7 @@ def validate_decomposition(d: HilbertDecomposition, gm: GradedModule):
     return validated_alive(d, gm)[1]
 
 
-def enumerate_partitions(series: TruncatedSeries, min_depth: int, g: tuple | None = None):
+def enumerate_partitions(series: TruncatedSeries, min_depth: int):
     """Yield every partition of the series into intervals [a, b] with b
     touching g in at least min_depth coordinates.
 
@@ -236,11 +243,10 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int, g: tuple | Non
     max(min_depth, #{j : a_j = g_j}): a wider interval splits along a
     touching j with a_j < g_j into two that keep contact >= min_depth.
     """
-    g = series.g if g is None else tuple(g)
-    n = len(g)
+    n = len(series.g)
     if not 0 <= min_depth <= n:
         raise PreconditionError(f"min_depth must be within [0, {n}], got {min_depth}")
-    search = _CoverSearch(series, g, min_depth)
+    search = _CoverSearch(series, min_depth)
     if not search.feasible(0):
         return
     chosen: list[Interval] = []
@@ -290,8 +296,8 @@ class _CoverSearch:
     `alive`.
     """
 
-    def __init__(self, series: TruncatedSeries, g: tuple, min_depth: int):
-        self.g = g
+    def __init__(self, series: TruncatedSeries, min_depth: int):
+        self.g = series.g
         self.min_depth = min_depth
         self.cells = sorted(series.coefficients)
         self.index = {c: i for i, c in enumerate(self.cells)}
@@ -434,11 +440,21 @@ def hdepth(gm: GradedModule, return_partition: bool = False):
 # {"intervals": [{"a": [..], "b": [..], "mult": int}, ..]}
 
 
+def _within_summand_limit(total: int) -> int:
+    if total > DECOMPOSITION_SUMMAND_LIMIT:
+        raise ResourceLimitError(
+            "the decomposition has more than DECOMPOSITION_SUMMAND_LIMIT = "
+            f"{DECOMPOSITION_SUMMAND_LIMIT} summands"
+        )
+    return total
+
+
 def decomposition_from_json(obj, g: tuple):
     """Parse either decomposition form; interval form is converted via the
     induced-summand construction for the given g."""
     if not isinstance(obj, dict):
         raise InputFormatError("decomposition file must be a JSON object")
+    total = 0
     if "summands" in obj:
         summands = []
         for item in dg.as_list(obj["summands"], '"summands"'):
@@ -452,6 +468,7 @@ def decomposition_from_json(obj, g: tuple):
                 raise InputFormatError(f"summand vars must be >= 1 in {item!r}")
             if mult < 0:
                 raise InputFormatError(f"negative multiplicity in {item!r}")
+            total = _within_summand_limit(total + mult)
             summands.extend([(zset, shift)] * mult)
         return HilbertDecomposition(summands)
     if "intervals" in obj:
@@ -463,8 +480,13 @@ def decomposition_from_json(obj, g: tuple):
                 mult = dg.as_int(item.get("mult", 1))
             except (KeyError, TypeError, InputFormatError) as exc:
                 raise InputFormatError(f"bad interval entry {item!r}") from exc
+            if len(a) != len(g) or len(b) != len(g):
+                raise InputFormatError(f"interval endpoints must have length {len(g)} in {item!r}")
+            if not dg.leq(a, b):
+                raise InputFormatError(f"interval needs a <= b in {item!r}")
             if mult < 0:
                 raise InputFormatError(f"negative multiplicity in {item!r}")
+            total = _within_summand_limit(total + mult * dg.box_size(a, _last_shift(a, b, g)))
             intervals.extend([(a, b)] * mult)
         try:
             return partition_to_decomposition(HilbertPartition(intervals), g)

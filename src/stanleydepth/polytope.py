@@ -18,7 +18,13 @@ from itertools import combinations
 from math import comb
 
 from . import degrees as dg
-from .errors import InputFormatError, PreconditionError, RangeError, ResourceLimitError
+from .errors import (
+    InputFormatError,
+    PreconditionError,
+    RangeError,
+    ResourceLimitError,
+    StanleyDepthError,
+)
 from .hilbert import HilbertDecomposition, alive_summands
 from .linalg import Subspace
 from .modules import GradedModule
@@ -120,6 +126,10 @@ def build_stanley_inequalities(
     relaxation whose integer points may still need the exact check.
     min_depth drops every variable with |Z| below the bound.
     """
+    if max_subset is not None and max_subset < 1:
+        raise PreconditionError(f"max_subset must be at least 1, got {max_subset}")
+    if min_depth is not None and not 0 <= min_depth <= gm.n:
+        raise PreconditionError(f"min_depth must be within [0, {gm.n}], got {min_depth}")
     if max_subset is None:
         size = dg.box_size(dg.zero(gm.n), gm.g)
         if size > FULL_ENUMERATION_BOX_LIMIT:
@@ -274,11 +284,19 @@ def export_ip(system: LinearSystem, path: str, comment: str = "") -> tuple[str, 
     sip_path = str(path)
     root = sip_path[: -len(".sip")] if sip_path.endswith(".sip") else sip_path
     lp_path = root + ".lp"
-    with open(sip_path, "w", encoding="utf-8") as fh:
-        fh.write(export_sip(system, comment))
-    with open(lp_path, "w", encoding="utf-8") as fh:
-        fh.write(export_lp(system))
+    write_text(sip_path, export_sip(system, comment))
+    write_text(lp_path, export_lp(system))
     return sip_path, lp_path
+
+
+def write_text(path, text: str) -> None:
+    """Write text to the file at path; an unwritable path raises
+    StanleyDepthError instead of OSError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StanleyDepthError(f"cannot write {path}: {exc}") from exc
 
 
 def _label_text(label) -> str:

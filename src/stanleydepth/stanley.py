@@ -10,8 +10,8 @@ simultaneously: over an infinite field this means every det A_a is a
 nonzero polynomial; over GF(q) the product of the determinants must
 survive the exponent reduction modulo Y^q = Y.  Over infinite fields the
 per-degree rank condition is also equivalent to the existence of an
-independent transversal of the subspaces X^(a-S_i) M_(S_i), which the
-transversal mode decides without symbolic determinants.
+independent transversal of the subspaces X^(a-S_i) M_(S_i), which
+`check_transversal` decides without symbolic determinants.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ BASIS_CONVENTION = "echelon-unit-cosets/1"
 DEFAULT_TERM_BUDGET = 10**6
 DEFAULT_SEARCH_BUDGET = 10**6
 SYMBOLIC_SIZE_LIMIT = 6
-CHECK_MODES = ("auto", "symbolic", "transversal", "unified")
+CHECK_MODES = ("auto", "unified")
 
 
 class _InvalidDecomposition(PreconditionError):
@@ -162,13 +162,6 @@ def _first_zero_det(fam: SymbolicMatrixFamily) -> tuple | None:
     return next((a for a in fam.degrees() if fam.det(a).is_zero()), None)
 
 
-def _field_size(fam: SymbolicMatrixFamily, q: int | None) -> int:
-    """The size of fam's field, which q must equal when given."""
-    if q is not None and q != fam.field.cardinality:
-        raise ModeError(f"q = {q} does not match the field size {fam.field.cardinality}")
-    return fam.field.cardinality
-
-
 def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
     """Induced iff no determinant is the zero polynomial (infinite field)."""
     if fam.field.is_finite():
@@ -177,31 +170,28 @@ def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
     return CheckReport("induced" if a is None else "not_induced", "symbolic", a)
 
 
-def check_finite(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: int = DEFAULT_TERM_BUDGET) -> CheckReport:
+def check_finite(fam: SymbolicMatrixFamily) -> CheckReport:
     """Induced iff the reduced product of all determinants is nonzero
     (field with q elements)."""
     if not fam.field.is_finite():
         raise ModeError("the reduced-product criterion needs a finite field")
-    q = _field_size(fam, q)
+    q = fam.field.cardinality
     product = Poly.one(fam.field)
     for a in fam.degrees():
         factor = fam.det(a)
         if factor.is_zero():
             return CheckReport("not_induced", "finite", failing_degree=a, p_tilde_zero=True)
         try:
-            product = reduce_exponents(poly_mul(product, factor, term_budget), q)
+            product = reduce_exponents(poly_mul(product, factor, DEFAULT_TERM_BUDGET), q)
         except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"{exc}; the determinant product is too large to expand -- over an "
-                "infinite field use transversal mode instead"
-            ) from exc
+            raise ResourceLimitError(f"{exc}; the determinant product is too large to expand") from exc
         if product.is_zero():
             return CheckReport("not_induced", "finite", p_tilde_zero=True,
                                detail=f"reduced product vanishes after degree {a}")
     return CheckReport("induced", "finite", p_tilde_zero=False)
 
 
-def check_unified(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: int = DEFAULT_TERM_BUDGET) -> CheckReport:
+def check_unified(fam: SymbolicMatrixFamily) -> CheckReport:
     """One check for both field kinds.
 
     Every determinant is squarefree in the Y[i,j] (one column per
@@ -215,7 +205,7 @@ def check_unified(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: 
         report = check_infinite(fam)
         return CheckReport(report.verdict, "unified", report.failing_degree,
                            detail="infinite field; per-factor determinants")
-    q = _field_size(fam, q)
+    q = fam.field.cardinality
     occurrences: dict[Var, int] = {}
     for a in fam.degrees():
         seen = set()
@@ -229,7 +219,7 @@ def check_unified(fam: SymbolicMatrixFamily, q: int | None = None, term_budget: 
         a = _first_zero_det(fam)
         return CheckReport("induced" if a is None else "not_induced", "unified", a, a is not None,
                            detail=f"per-factor determinants (exponent bound {bound} < {q})")
-    report = check_finite(fam, q, term_budget)
+    report = check_finite(fam)
     return CheckReport(report.verdict, "unified", report.failing_degree, report.p_tilde_zero,
                        detail=f"expanded product (exponent bound {bound} >= {q})")
 
@@ -238,8 +228,8 @@ def _check_images(fam: SymbolicMatrixFamily) -> CheckReport:
     """Whether every A_a has an independent transversal of its image columns."""
     if fam.field.is_finite():
         raise ModeError(
-            "transversal mode needs an infinite field: per-degree checks do not "
-            "glue over finite fields"
+            "the transversal check needs an infinite field: per-degree checks do "
+            "not glue over finite fields"
         )
     for a in fam.degrees():
         dim = fam.module.dim(a)
@@ -264,26 +254,24 @@ def check(
     d: HilbertDecomposition,
     mode: str = "auto",
     fam: SymbolicMatrixFamily | None = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> CheckReport:
-    """Mode dispatch; fam, when given, is the family of d.
+    """Whether d is induced; fam, when given, is the family of d.
 
-    auto: finite fields use the unified check; infinite fields use
-    symbolic determinants while every dim M_a (the matrix size) is at
-    most 6, and independent transversals beyond that.
+    auto picks the core from the field and the matrix sizes: finite
+    fields use the unified check; infinite fields use symbolic
+    determinants while every dim M_a is at most SYMBOLIC_SIZE_LIMIT, and
+    independent transversals beyond that.  "unified" runs the unified
+    check over any field.
     """
     if mode not in CHECK_MODES:
         raise InputFormatError(f"unknown check mode {mode!r}")
     if fam is None:
         fam = build_matrices(gm, d)
-    finite = fam.field.is_finite()
-    if mode == "transversal" or (
-        mode == "auto" and not finite and fam.max_dimension() > SYMBOLIC_SIZE_LIMIT
-    ):
+    if mode == "unified" or fam.field.is_finite():
+        return check_unified(fam)
+    if fam.max_dimension() > SYMBOLIC_SIZE_LIMIT:
         return _check_images(fam)
-    if mode == "unified" or (mode == "auto" and finite):
-        return check_unified(fam, term_budget=term_budget)
-    return check_finite(fam, term_budget=term_budget) if finite else check_infinite(fam)
+    return check_infinite(fam)
 
 
 @dataclass(frozen=True)
@@ -345,7 +333,6 @@ def extract_witness(
     gm: GradedModule,
     d: HilbertDecomposition,
     fam: SymbolicMatrixFamily | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
     check_first: bool = True,
 ) -> StanleyWitness:
     """Deterministic witness search.
@@ -375,7 +362,7 @@ def extract_witness(
 
     if fam.field.is_finite():
         values = list(fam.field.elements())
-        candidate = _search(fam, variables, prunes, values, budget, require_max=None)
+        candidate = _search(fam, variables, prunes, values, require_max=None)
         if candidate is None:
             raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
         return candidate
@@ -383,7 +370,7 @@ def extract_witness(
     stages = len(fam.columns) + 1
     for stage in range(1, stages + 1):
         values = [fam.field.from_int(v) for v in range(1, stage + 1)]
-        candidate = _search(fam, variables, prunes, values, budget, require_max=values[-1] if stage > 1 else None)
+        candidate = _search(fam, variables, prunes, values, require_max=values[-1] if stage > 1 else None)
         if candidate is not None:
             return candidate
     raise WitnessNotFoundError(
@@ -391,7 +378,7 @@ def extract_witness(
     )
 
 
-def _search(fam, variables, prunes, values, budget, require_max):
+def _search(fam, variables, prunes, values, require_max):
     """DFS in lexicographic order over the value grid; prune a branch as
     soon as some determinant has all variables assigned and evaluates to
     zero.  require_max skips points already tried at earlier stages.
@@ -418,8 +405,10 @@ def _search(fam, variables, prunes, values, budget, require_max):
             if require_max is not None and not has_max:
                 continue
             tried += 1
-            if tried > budget:
-                raise ResourceLimitError(f"witness search exceeded the budget of {budget} candidates")
+            if tried > DEFAULT_SEARCH_BUDGET:
+                raise ResourceLimitError(
+                    f"witness search exceeded the budget of {DEFAULT_SEARCH_BUDGET} candidates"
+                )
             if isinstance(prunes, list) or _witness_failure(fam, assignment) is None:
                 found = dict(assignment)
                 break
@@ -449,13 +438,7 @@ class SdepthResult:
     partition: object = None
 
 
-def sdepth(
-    gm: GradedModule,
-    mode: str = "auto",
-    with_witness: bool = True,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> SdepthResult:
+def sdepth(gm: GradedModule, with_witness: bool = True) -> SdepthResult:
     """Largest s such that some depth-s interval partition of the
     truncated series is induced by a Stanley decomposition.
 
@@ -472,10 +455,10 @@ def sdepth(
                 continue  # enumerated, and refuted, at a higher level
             d = partition_to_decomposition(partition, gm.g)
             fam = build_matrices(gm, d)
-            if check(gm, d, mode=mode, fam=fam, term_budget=term_budget).induced:
+            if check(gm, d, fam=fam).induced:
                 witness = None
                 if with_witness:
-                    witness = extract_witness(gm, d, fam=fam, budget=search_budget, check_first=False)
+                    witness = extract_witness(gm, d, fam=fam, check_first=False)
                 return SdepthResult(s, d, witness, partition)
     raise AssertionError("the all-singletons partition at s = 0 is always induced")
 

@@ -1,14 +1,20 @@
 import contextlib
+import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import data_file
+from conftest import data_file, load_json
+from stanleydepth import hilbert, modules, polytope, stanley
 from stanleydepth.cli import main
 
 
@@ -125,8 +131,8 @@ def test_sdepth_no_witness_skips_the_certificate(tmp_path):
 
 
 def test_sdepth_output_is_deterministic():
-    first = run("sdepth", M2, "--mode", "symbolic")
-    second = run("sdepth", M2, "--mode", "symbolic")
+    first = run("sdepth", M2)
+    second = run("sdepth", M2)
     assert first == second
 
 
@@ -186,6 +192,20 @@ def test_the_sampling_options_are_gone(argv):
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
         main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", EX36, EX36_DEC, "--mode", "auto"),
+    ("check", EX36, EX36_DEC, "--mode", "transversal"),
+    ("certify", EX36, EX36_DEC, "--mode", "symbolic"),
+    ("sdepth", M2, "--mode", "unified"),
+])
+def test_the_mode_option_is_gone(argv):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in err.getvalue()
 
 
 def test_certify_writes_a_certificate(tmp_path):
@@ -351,13 +371,51 @@ def test_non_integer_module_shifts_exit_with_code_two(tmp_path, module):
     assert err.startswith("error: ") and "expected an integer" in err
 
 
-@pytest.mark.parametrize("decomposition", [{"summands": 5}, {"intervals": 5}])
+@pytest.mark.parametrize("decomposition", [
+    {"summands": 5},
+    {"intervals": 5},
+    {"intervals": [{"a": [0], "b": [1]}]},
+    {"summands": [{"vars": [1, 2], "shift": [0, 1], "mult": hilbert.DECOMPOSITION_SUMMAND_LIMIT + 1}]},
+    {"summands": [{"vars": [1, 2], "shift": [0, 1], "mult": hilbert.DECOMPOSITION_SUMMAND_LIMIT // 2},
+                  {"vars": [1], "shift": [1, 0], "mult": hilbert.DECOMPOSITION_SUMMAND_LIMIT // 2 + 1}]},
+])
 def test_malformed_decomposition_shapes_exit_with_code_two(tmp_path, decomposition):
     path = tmp_path / "dec.json"
     path.write_text(json.dumps(decomposition))
-    code, out, err = run("check", M2, path)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    for command in ("check", "certify"):
+        code, out, err = run(command, M2, path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hdepth", M2),
+    ("sdepth", M2),
+    ("certify", EX36, EX36_DEC),
+    ("export-polytope", M2),
+    ("import-solution", M2, "<solution>"),
+])
+def test_an_unwritable_output_exits_with_code_two(tmp_path, argv):
+    solution = tmp_path / "sol.txt"
+    solution.write_text("".join(f"{name} {int(name in ('u[0,1;{1,2}]', 'u[1,0;{1}]'))}\n"
+                                for name in M2_NAMES))
+    target = tmp_path / "missing" / "out.json"
+    argv = [solution if a == "<solution>" else a for a in argv]
+    code, _, err = run(*argv, "--output", target)
+    assert code == 2
+    assert err == f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--max-subset", "0"), "error: max_subset must be at least 1, got 0\n"),
+    (("--max-subset", "-3"), "error: max_subset must be at least 1, got -3\n"),
+    (("--depth", "9", "--format", "lp"), "error: min_depth must be within [0, 2], got 9\n"),
+    (("--depth", "-1"), "error: min_depth must be within [0, 2], got -1\n"),
+], ids=["max-subset-0", "max-subset-negative", "depth-9-lp", "depth-negative"])
+def test_export_polytope_rejects_out_of_range_options(options, message):
+    code, out, err = run("export-polytope", EX34, "--system", "stanley", *options)
+    assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize("module", [
@@ -390,3 +448,164 @@ def test_malformed_shapes_end_the_process_with_code_two(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzzing: mutated input files on every command
+
+M, SUMMANDS, INTERVALS, CERT, SOLUTION, OUT = (
+    "<module>", "<summands>", "<intervals>", "<certificate>", "<solution>", "<output>")
+FUZZ_COMMANDS = [
+    ("info", M),
+    ("hseries", M, "--all"),
+    ("hdepth", M, OUT),
+    ("sdepth", M, OUT),
+    ("sdepth", M, "--no-witness"),
+    ("check", M, SUMMANDS),
+    ("check", M, INTERVALS),
+    ("certify", M, SUMMANDS, OUT),
+    ("certify", M, INTERVALS, OUT),
+    ("verify-cert", M, CERT),
+    ("export-polytope", M, OUT),
+    ("export-polytope", M, "--format", "lp"),
+    ("export-polytope", M, "--system", "stanley", "--max-subset", "0"),
+    ("export-polytope", M, "--system", "stanley", "--max-subset", "-1"),
+    ("export-polytope", M, "--system", "stanley", "--max-subset", "2", "--depth", "1", OUT),
+    ("export-polytope", M, "--system", "stanley", "--depth", "9", "--format", "lp"),
+    ("export-polytope", M, "--system", "stanley", "--depth", "-1"),
+    ("import-solution", M, SOLUTION, OUT),
+]
+ROLES = {M: "module", SUMMANDS: "summands", INTERVALS: "intervals", CERT: "certificate",
+         SOLUTION: "solution"}
+DROP = "<drop>"
+# 10**18 copies of anything cannot be allocated: a loader that expands a
+# multiplicity before bounding it fails at once instead of filling memory.
+REPLACEMENTS = (DROP, None, "x", "1", 1.5, 2.0, True, -1, 0, 1, 2, 3, 10**18, [], {}, [0], [1], [0, 0, 0])
+
+
+@functools.cache
+def _fuzz_documents(name):
+    """The documents a fuzz case mutates, for one shipped module: the
+    module file, an induced decomposition in both forms (the shipped one
+    where there is one), its certificate, and its solution point as
+    [name, value] pairs."""
+    gm = modules.load_module_file(data_file(name))
+    result = stanley.sdepth(gm)
+    _, partition = hilbert.hdepth(gm, return_partition=True)
+    dec_name = name.replace(".json", "_dec.json")
+    summands = (load_json(dec_name) if os.path.exists(data_file(dec_name))
+                else hilbert.decomposition_to_json(result.decomposition))
+    system = polytope.build_hilbert_system(gm)
+    point = polytope.decomposition_to_point(system, result.decomposition)
+    return json.loads(json.dumps({
+        "module": load_json(name),
+        "summands": summands,
+        "intervals": hilbert.partition_to_json(partition),
+        "certificate": stanley.certificate_json(gm, result.decomposition, result.witness),
+        "solution": [[v.name(), x] for v, x in zip(system.variables, point)],
+    }))
+
+
+def _json_paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _json_paths(value, path + (i,))
+
+
+def _edits(name):
+    docs = _fuzz_documents(name)
+    edit = st.sampled_from(sorted(docs)).flatmap(lambda role: st.tuples(
+        st.just(role), st.sampled_from(list(_json_paths(docs[role]))), st.sampled_from(REPLACEMENTS)))
+    return st.lists(edit, max_size=2).map(tuple)
+
+
+def _apply(doc, path, value):
+    """doc with the value at path replaced (or dropped, for DROP); a path
+    an earlier edit removed leaves doc unchanged."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        try:
+            parent = parent[key]
+        except (IndexError, KeyError, TypeError):
+            return doc
+    try:
+        if value == DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    except (IndexError, KeyError, TypeError):
+        pass
+    return doc
+
+
+def _file_text(role, doc):
+    if doc == DROP:
+        return ""
+    if role == "solution" and isinstance(doc, list):
+        return "".join(" ".join(map(str, entry)) + "\n" if isinstance(entry, list) else f"{entry}\n"
+                       for entry in doc)
+    return json.dumps(doc)
+
+
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    inputs=st.sampled_from(["m2.json", "ex34.json", "ex36.json"]).flatmap(
+        lambda name: st.tuples(st.just(name), _edits(name))),
+    field=st.sampled_from([None, "F2", "F5"]),
+    output=st.sampled_from([None, "-", "file", "missing"]),
+)
+@example(command=("sdepth", M, OUT), inputs=("m2.json", ()), field=None, output="missing")
+@example(command=("hdepth", M, OUT), inputs=("m2.json", ()), field=None, output="missing")
+@example(command=("certify", M, SUMMANDS, OUT), inputs=("ex36.json", ()), field=None, output="missing")
+@example(command=("import-solution", M, SOLUTION, OUT), inputs=("m2.json", ()), field=None, output="missing")
+@example(command=("export-polytope", M, OUT), inputs=("m2.json", ()), field=None, output="missing")
+@example(command=("check", M, INTERVALS), field=None, output=None, inputs=(
+    "ex34.json", (("intervals", ("intervals", 0, "a"), [0]), ("intervals", ("intervals", 0, "b"), [1]))))
+@example(command=("certify", M, INTERVALS, OUT), field=None, output=None, inputs=(
+    "ex34.json", (("intervals", ("intervals", 0, "a"), [0]), ("intervals", ("intervals", 0, "b"), [1]))))
+@example(command=("check", M, SUMMANDS), field=None, output=None,
+         inputs=("ex34.json", (("summands", ("summands", 0, "mult"), 10**18),)))
+@example(command=("certify", M, INTERVALS, OUT), field=None, output=None,
+         inputs=("ex34.json", (("intervals", ("intervals", 0, "mult"), 10**18),)))
+@example(command=("export-polytope", M, "--system", "stanley", "--max-subset", "0"),
+         inputs=("ex34.json", ()), field=None, output=None)
+@example(command=("export-polytope", M, "--system", "stanley", "--depth", "9", "--format", "lp"),
+         inputs=("ex34.json", ()), field=None, output=None)
+def test_mutated_inputs_exit_with_a_documented_code(command, inputs, field, output):
+    """Exit 0, 1 or 2 and never an exception; exit 1 only with a verdict
+    line, exit 2 only with an error line."""
+    name, edits = inputs
+    docs = dict(_fuzz_documents(name))
+    for role, path, value in edits:
+        docs[role] = _apply(docs[role], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {"-": "-", "file": os.path.join(tmp, "out.json"),
+                   "missing": os.path.join(tmp, "missing", "out.json")}
+        argv = []
+        for token in command:
+            if token == OUT:
+                if output is not None:
+                    argv += ["--output", outputs[output]]
+            elif token in ROLES:
+                role = ROLES[token]
+                path = os.path.join(tmp, f"{role}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(_file_text(role, docs[role]))
+                argv.append(path)
+            else:
+                argv.append(token)
+        if field is not None:
+            argv += ["--field", field]
+        code, out, err = run(*argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.fullmatch(r"(not_induced|invalid: )[^\n]*\n", out), out
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err

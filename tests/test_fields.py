@@ -96,6 +96,7 @@ def test_rational_field_axioms(a, b, c):
     assert QQ.add(a, QQ.add(b, c)) == QQ.add(QQ.add(a, b), c)
     assert QQ.mul(a, QQ.add(b, c)) == QQ.add(QQ.mul(a, b), QQ.mul(a, c))
     assert QQ.add(a, QQ.neg(a)) == QQ.zero
+    assert QQ.sub(a, b) == QQ.add(a, QQ.neg(b))
     if a != 0:
         assert QQ.mul(a, QQ.inv(a)) == QQ.one
 
@@ -107,6 +108,7 @@ def test_gf7_field_axioms(a, b, c):
     assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.add(a, f.neg(a)) == 0
+    assert f.sub(a, b) == f.add(a, f.neg(b))
     if a != 0:
         assert f.mul(a, f.inv(a)) == 1
 
@@ -127,3 +129,11 @@ def test_is_zero_over_both_field_kinds():
     f = GF(5)
     assert f.is_zero(0) and f.is_zero(f.zero)
     assert not any(f.is_zero(k) for k in range(1, 5))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_sub_subtracts_without_negating(field, monkeypatch):
+    # row reduction subtracts in its inner loop; a negation there builds an
+    # extra scalar per entry
+    monkeypatch.setattr(type(field), "neg", lambda *_: pytest.fail("sub called neg"))
+    assert field.sub(field.from_int(3), field.from_int(4)) == field.from_int(-1)

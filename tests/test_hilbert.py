@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from stanleydepth import degrees as dg
 from stanleydepth import hilbert, modules
-from stanleydepth.errors import InputFormatError, PreconditionError, ShapeError
+from stanleydepth.errors import InputFormatError, PreconditionError, ResourceLimitError, ShapeError
 from stanleydepth.fields import QQ
 from stanleydepth.hilbert import (
     HilbertDecomposition,
@@ -355,10 +355,31 @@ def test_decomposition_from_json_rejects_bad_entries():
         {"summands": [{"vars": [1], "shift": [1, 0.5]}]},
         {"intervals": [{"a": [0, 0], "b": [1, 1], "mult": 1.5}]},
         {"intervals": [{"a": [0, 0], "b": [1, "1"]}]},
+        {"intervals": [{"a": [0], "b": [1]}]},
+        {"intervals": [{"a": [0, 0], "b": [1, 1, 1]}]},
+        {"intervals": [{"a": [1, 1], "b": [0, 1]}]},
     ]
     for obj in bad_cases:
         with pytest.raises(InputFormatError):
             decomposition_from_json(obj, (1, 1))
+
+
+def test_decomposition_from_json_bounds_the_summands_before_expanding(monkeypatch):
+    limit = hilbert.DECOMPOSITION_SUMMAND_LIMIT
+    # [(0,0), (2,2)] with g = (3, 3) stands for the 9 summands of the box [(0,0), (2,2)]
+    at_limit = {"intervals": [{"a": [0, 0], "b": [2, 2], "mult": 2}, {"a": [3, 3], "b": [3, 3]}]}
+    assert len(decomposition_from_json(at_limit, (3, 3))) == 19
+    monkeypatch.setattr(hilbert, "DECOMPOSITION_SUMMAND_LIMIT", 19)
+    assert len(decomposition_from_json(at_limit, (3, 3))) == 19
+    monkeypatch.setattr(hilbert, "DECOMPOSITION_SUMMAND_LIMIT", 18)
+    with pytest.raises(ResourceLimitError, match="more than DECOMPOSITION_SUMMAND_LIMIT = 18 summands"):
+        decomposition_from_json(at_limit, (3, 3))
+    monkeypatch.setattr(hilbert, "DECOMPOSITION_SUMMAND_LIMIT", limit)
+    # multiplicities far past the limit are refused without building any list
+    for obj in ({"summands": [{"vars": [1], "shift": [0, 0], "mult": 10**18}]},
+                {"intervals": [{"a": [0, 0], "b": [2, 2], "mult": limit // 9 + 1}]}):
+        with pytest.raises(ResourceLimitError, match=f"more than DECOMPOSITION_SUMMAND_LIMIT = {limit}"):
+            decomposition_from_json(obj, (3, 3))
 
 
 def test_decomposition_json_round_trip(ex34_dec):

@@ -143,6 +143,10 @@ def test_rank_rows_match_the_per_subset_builder(seed, field, max_subset, min_dep
     # every rank (a, J) row on its own, from a fresh span of the stacked images
     box = 8 if max_subset is None else 20
     for gm in oracles.random_modules(2, seed=seed, max_box=box, field=field):
+        if min_depth is not None and min_depth > gm.n:
+            with pytest.raises(PreconditionError, match=f"within \\[0, {gm.n}\\], got {min_depth}"):
+                build_stanley_inequalities(gm, max_subset=max_subset, min_depth=min_depth)
+            continue
         system = build_stanley_inequalities(gm, max_subset=max_subset, min_depth=min_depth)
         expected = oracles.per_subset_stanley_inequalities(gm, max_subset, min_depth)
         assert system.variables == expected.variables

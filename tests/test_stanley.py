@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
@@ -183,12 +184,15 @@ def test_field_size_trichotomy_on_ex36(ex36_fam, ex36_f2, ex36_f5, ex36_dec):
     assert report5.induced and report5.p_tilde_zero is False
 
 
-def test_check_finite_rejects_rationals_and_wrong_q(ex36_fam, ex36_f2, ex36_dec):
+def test_check_finite_rejects_rationals(ex36_fam):
     with pytest.raises(ModeError, match="finite"):
         check_finite(ex36_fam)
-    fam2 = build_matrices(ex36_f2, ex36_dec)
-    with pytest.raises(ModeError, match="does not match the field size"):
-        check_finite(fam2, q=3)
+
+
+def test_check_finite_budget_error_names_the_product(ex36_f2, ex36_dec, monkeypatch):
+    monkeypatch.setattr(stanley, "DEFAULT_TERM_BUDGET", 1)
+    with pytest.raises(ResourceLimitError, match="the determinant product is too large to expand$"):
+        check_finite(build_matrices(ex36_f2, ex36_dec))
 
 
 def test_check_finite_stops_at_an_identically_zero_determinant():
@@ -254,15 +258,25 @@ def test_check_auto_decides_wide_matrices_before_building_them(monkeypatch):
         check(gm, HilbertDecomposition([({0}, (0,))] * 6))
 
 
-def test_check_symbolic_mode_over_finite_fields_expands(ex36_f5, ex36_dec):
-    report = check(ex36_f5, ex36_dec, mode="symbolic")
-    assert report.induced and report.mode == "finite"
+def test_public_signatures_take_only_parameters_some_caller_sets():
+    def parameters(function):
+        return [(p.name, p.default) for p in inspect.signature(function).parameters.values()]
+
+    required = inspect.Parameter.empty
+    assert parameters(check) == [("gm", required), ("d", required), ("mode", "auto"), ("fam", None)]
+    assert parameters(sdepth) == [("gm", required), ("with_witness", True)]
+    assert parameters(check_finite) == parameters(check_unified) == [("fam", required)]
+    assert parameters(extract_witness) == [
+        ("gm", required), ("d", required), ("fam", None), ("check_first", True)]
+    assert parameters(enumerate_partitions) == [("series", required), ("min_depth", required)]
 
 
 def test_check_rejects_unknown_modes(m2):
+    assert stanley.CHECK_MODES == ("auto", "unified")
     d = HilbertDecomposition([({0, 1}, (0, 1)), ({0}, (1, 0))])
-    with pytest.raises(InputFormatError, match="unknown check mode"):
-        check(m2, d, mode="montecarlo")
+    for mode in ("montecarlo", "symbolic", "transversal", "randomized"):
+        with pytest.raises(InputFormatError, match="unknown check mode"):
+            check(m2, d, mode=mode)
 
 
 @pytest.fixture()
@@ -285,9 +299,9 @@ def test_each_question_walks_the_alive_summands_once(walks, monkeypatch, ex34, e
         (lambda: check(ex36, ex36_dec), "symbolic"),
         (lambda: check(wide, HilbertDecomposition([({0}, (0,))] * 7)), "transversal"),
         (lambda: check(ex36_f5, ex36_dec), "unified"),
-        (lambda: check(ex34, ex34_dec, mode="symbolic"), "symbolic"),
-        (lambda: check(ex36_f5, ex36_dec, mode="symbolic"), "finite"),
-        (lambda: check(ex36, ex36_dec, mode="transversal"), "transversal"),
+        (lambda: check(ex34, ex34_dec), "symbolic"),
+        (lambda: check_transversal(ex36, ex36_dec), "transversal"),
+        (lambda: check(ex36, ex36_dec, mode="unified"), "unified"),
         (lambda: check(ex36_f5, ex36_dec, mode="unified"), "unified"),
     ]
     for ask, mode in questions:
@@ -372,10 +386,11 @@ def test_extract_witness_refuses_non_induced_decompositions(ex34, ex34_dec):
         extract_witness(ex34, ex34_dec)
 
 
-def test_extract_witness_search_budget(m2):
+def test_extract_witness_search_budget(m2, monkeypatch):
+    monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 0)
     d = HilbertDecomposition([({0, 1}, (0, 1)), ({0}, (1, 0))])
     with pytest.raises(ResourceLimitError, match="budget of 0"):
-        extract_witness(m2, d, budget=0, check_first=False)
+        extract_witness(m2, d, check_first=False)
 
 
 def test_extract_witness_over_f2_prunes_zeros():
@@ -405,7 +420,7 @@ def test_zero_one_dimensional_modules_are_always_induced():
         series = truncated_series(gm)
         for partition in islice(enumerate_partitions(series, 0), 3):
             d = partition_to_decomposition(partition, gm.g)
-            assert check(gm, d, mode="symbolic").induced
+            assert check_infinite(build_matrices(gm, d)).induced
             assert check_transversal(gm, d).induced
 
 
