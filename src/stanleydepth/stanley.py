@@ -12,13 +12,24 @@ survive the exponent reduction modulo Y^q = Y.  Over infinite fields the
 per-degree rank condition is also equivalent to the existence of an
 independent transversal of the subspaces X^(a-S_i) M_(S_i), which
 `check_transversal` decides without symbolic determinants.
+
+Determinants are expanded once per degree into packed maps {bitmask of
+variables: coefficient}, under a term budget; the reduced product over
+GF(q) is computed on packed exponent words.  A witness is the
+lexicographically first point of a fixed grid, found by fixing one
+summand's coefficient vector at a time and rejecting a vector whose
+column falls in the span of the columns fixed before it at some degree;
+the search evaluates no determinant.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from . import degrees as dg
 from .errors import (
@@ -41,16 +52,7 @@ from .hilbert import (
 )
 from .linalg import Matrix
 from .modules import GradedModule
-from .polynomials import (
-    Poly,
-    Var,
-    det_symbolic,
-    evaluate,
-    parse_var_name,
-    poly_mul,
-    reduce_exponents,
-    var_name,
-)
+from .polynomials import Poly, Var, parse_var_name, var_name
 from .transversal import max_independent_transversal
 
 BASIS_CONVENTION = "echelon-unit-cosets/1"
@@ -75,9 +77,11 @@ class SymbolicMatrixFamily:
     walk and keeps, for every degree a with alive summands, their indices
     (`columns[a]`) and the images X^(a - shift) of their pieces
     (`images[a]`, power maps M_shift -> M_a).  Column i of A_a is image i
-    applied to summand i's generic coefficients Y[i, *]; the Poly
-    matrices and their determinants are built from the images on first
-    use.
+    applied to summand i's generic coefficients Y[i, *].  Determinants
+    are expanded from the images on first use into packed maps
+    {bitmask of variable positions: coefficient}, bit k standing for
+    `variables[k]`; `det` converts one to a Poly, and the Poly matrices
+    are built only when asked for.
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
@@ -94,6 +98,12 @@ class SymbolicMatrixFamily:
         self.images: dict[tuple, list[Matrix]] = {
             a: [gm.power_map(shifts[i], a) for i in indices] for a, indices in self.columns.items()
         }
+        self._offsets = [0]
+        for l in self.summand_dims:
+            self._offsets.append(self._offsets[-1] + l)
+        self._packed_cache: dict[tuple, dict] = {}
+        self._integral_cache: dict[tuple, tuple] = {}
+        self._integer_entries: dict[int, tuple] = {}
         self._det_cache: dict[tuple, Poly] = {}
 
     @cached_property
@@ -116,11 +126,100 @@ class SymbolicMatrixFamily:
     def degrees(self) -> list[tuple]:
         return sorted(self.columns)
 
+    def packed_det(self, a: tuple) -> dict:
+        """det A_a as {bitmask of variable positions: coefficient}.
+
+        Cofactor expansion column by column, keeping one partial sum per
+        set of rows used so far.  Column i holds only summand i's
+        variables, so each monomial is squarefree and multiplying by an
+        entry term is a bitwise or.  Raises ResourceLimitError once the
+        partial sums hold more than DEFAULT_TERM_BUDGET terms.
+        """
+        a = tuple(a)
+        cached = self._packed_cache.get(a)
+        if cached is not None:
+            return cached
+        p = self.field.cardinality if self.field.is_finite() else 0
+        images, scale = self._integral_images(a)
+        layer = {0: {0: 1}}
+        for i, entries in zip(self.columns[a], images):
+            base = self._offsets[i]
+            rows = []
+            for r, row in enumerate(entries):
+                terms = [(1 << (base + j), c) for j, c in enumerate(row) if c]
+                if terms:
+                    rows.append((r, terms, [(bit, -c) for bit, c in terms]))
+            nxt: dict[int, dict] = {}
+            held = 0
+            for used, poly in layer.items():
+                for r, terms, negated in rows:
+                    if used >> r & 1:
+                        continue
+                    # one inversion for each used row after r
+                    signed = negated if (used >> r).bit_count() & 1 else terms
+                    target = nxt.setdefault(used | 1 << r, {})
+                    before = len(target)
+                    for mono, c in poly.items():
+                        for bit, e in signed:
+                            key = mono | bit
+                            target[key] = target.get(key, 0) + c * e
+                        if held + len(target) - before > DEFAULT_TERM_BUDGET:
+                            raise ResourceLimitError(
+                                f"the determinant at degree {a} exceeded the term budget "
+                                f"of {DEFAULT_TERM_BUDGET} while expanding"
+                            )
+                    held += len(target) - before
+            layer = {}
+            for used, poly in nxt.items():
+                poly = {m: c % p for m, c in poly.items() if c % p} if p else {m: c for m, c in poly.items() if c}
+                if poly:
+                    layer[used] = poly
+        det = next(iter(layer.values()), {})
+        if not p:
+            det = {m: Fraction(c, scale) for m, c in det.items()}
+        self._packed_cache[a] = det
+        return det
+
+    def _integral_images(self, a: tuple) -> tuple[list[tuple], int]:
+        """The entries of images[a] as ints, and the factor this
+        multiplies det A_a by.
+
+        Over GF(p) they are the images' own entries and the factor is 1.
+        Over Q each row of A_a is multiplied by the lcm of its
+        denominators, which keeps the rank; the factor is the product of
+        those lcms.  Images that need no scaling are converted once and
+        shared by every degree that has them.
+        """
+        cached = self._integral_cache.get(a)
+        if cached is not None:
+            return cached
+        images = self.images[a]
+        if self.field.is_finite():
+            cached = [image.entries for image in images], 1
+        else:
+            scales = [math.lcm(*(e.denominator for image in images for e in image.entries[r]))
+                      for r in range(self.module.dim(a))]
+            if any(scale != 1 for scale in scales):
+                cached = [tuple(tuple(int(e * scale) for e in row) for row, scale in zip(image.entries, scales))
+                          for image in images], math.prod(scales)
+            else:
+                for image in images:
+                    if id(image) not in self._integer_entries:
+                        self._integer_entries[id(image)] = tuple(tuple(int(e) for e in row) for row in image.entries)
+                cached = [self._integer_entries[id(image)] for image in images], 1
+        self._integral_cache[a] = cached
+        return cached
+
     def det(self, a: tuple) -> Poly:
+        """det A_a as a Poly, converted from `packed_det`."""
         a = tuple(a)
         cached = self._det_cache.get(a)
         if cached is None:
-            cached = det_symbolic(self.matrices[a], self.field)
+            variables = self.variables
+            cached = Poly(self.field, {
+                tuple((variables[k], 1) for k in range(mask.bit_length()) if mask >> k & 1): c
+                for mask, c in self.packed_det(a).items()
+            })
             self._det_cache[a] = cached
         return cached
 
@@ -159,7 +258,7 @@ class CheckReport:
 
 def _first_zero_det(fam: SymbolicMatrixFamily) -> tuple | None:
     """First degree whose determinant is the zero polynomial, or None."""
-    return next((a for a in fam.degrees() if fam.det(a).is_zero()), None)
+    return next((a for a in fam.degrees() if not fam.packed_det(a)), None)
 
 
 def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
@@ -170,22 +269,60 @@ def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
     return CheckReport("induced" if a is None else "not_induced", "symbolic", a)
 
 
+def _reduced_product(product: dict, factor: dict, q: int) -> dict:
+    """product * factor with every exponent reduced by Y^q = Y.
+
+    `product` maps exponent words to coefficients: variable k's exponent
+    sits in bits [k*w, (k+1)*w) with w = q.bit_length(), so a field can
+    hold q before it is reduced.  `factor` is a packed determinant
+    (squarefree masks, one bit per variable).  Exponents already reduced
+    lie in 1..q-1, and multiplying by a variable raises one by 1; the only
+    exponent that needs reducing is q, which becomes 1.
+    """
+    w = q.bit_length()
+    terms = []
+    for mask, d in factor.items():
+        spread = 0
+        while mask:
+            low = mask & -mask
+            spread |= 1 << ((low.bit_length() - 1) * w)
+            mask ^= low
+        high = spread << (w - 1)
+        terms.append((spread, spread * q, ~high, high - spread, high, d))
+    out: dict[int, int] = {}
+    for word, c in product.items():
+        for spread, at_q, not_high, low_ones, high, d in terms:
+            x = word + spread
+            y = x ^ at_q  # a field of y is zero where x holds q
+            full = ((~(((y & not_high) + low_ones) | y)) & high) >> (w - 1)
+            x -= (q - 1) * full
+            acc = (out.get(x, 0) + c * d) % q
+            if acc:
+                out[x] = acc
+            else:
+                out.pop(x, None)
+        if len(out) > DEFAULT_TERM_BUDGET:
+            raise ResourceLimitError(f"polynomial exceeded the term budget of {DEFAULT_TERM_BUDGET}")
+    return out
+
+
 def check_finite(fam: SymbolicMatrixFamily) -> CheckReport:
     """Induced iff the reduced product of all determinants is nonzero
     (field with q elements)."""
     if not fam.field.is_finite():
         raise ModeError("the reduced-product criterion needs a finite field")
     q = fam.field.cardinality
-    product = Poly.one(fam.field)
+    product = {0: fam.field.one}
     for a in fam.degrees():
-        factor = fam.det(a)
-        if factor.is_zero():
-            return CheckReport("not_induced", "finite", failing_degree=a, p_tilde_zero=True)
         try:
-            product = reduce_exponents(poly_mul(product, factor, DEFAULT_TERM_BUDGET), q)
+            factor = fam.packed_det(a)
+            if factor:
+                product = _reduced_product(product, factor, q)
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"{exc}; the determinant product is too large to expand") from exc
-        if product.is_zero():
+        if not factor:
+            return CheckReport("not_induced", "finite", failing_degree=a, p_tilde_zero=True)
+        if not product:
             return CheckReport("not_induced", "finite", p_tilde_zero=True,
                                detail=f"reduced product vanishes after degree {a}")
     return CheckReport("induced", "finite", p_tilde_zero=False)
@@ -196,24 +333,24 @@ def check_unified(fam: SymbolicMatrixFamily) -> CheckReport:
 
     Every determinant is squarefree in the Y[i,j] (one column per
     summand, linear entries), so each variable's exponent in the expanded
-    product is at most the number of matrices it appears in.  When that
-    bound stays below the field size, exponent reduction cannot change
-    the product and per-factor nonzeroness decides; otherwise fall back
-    to the expanded finite-field computation.
+    product is at most the number of matrices it appears in: the degrees
+    where its summand is alive and its image column is nonzero.  When
+    that bound stays below the field size, exponent reduction cannot
+    change the product and per-factor nonzeroness decides; otherwise fall
+    back to the expanded finite-field computation.
     """
     if not fam.field.is_finite():
         report = check_infinite(fam)
         return CheckReport(report.verdict, "unified", report.failing_degree,
                            detail="infinite field; per-factor determinants")
     q = fam.field.cardinality
-    occurrences: dict[Var, int] = {}
-    for a in fam.degrees():
-        seen = set()
-        for row in fam.matrices[a]:
-            for entry in row:
-                seen.update(entry.variables())
-        for v in seen:
-            occurrences[v] = occurrences.get(v, 0) + 1
+    occurrences = Counter(
+        (i, j)
+        for a, alive in fam.columns.items()
+        for i, image in zip(alive, fam.images[a])
+        for j in range(image.ncols)
+        if any(row[j] for row in image.entries)
+    )
     bound = max(occurrences.values(), default=0)
     if bound < q:
         a = _first_zero_det(fam)
@@ -316,35 +453,24 @@ def verify_witness(gm: GradedModule, d: HilbertDecomposition, witness) -> tuple 
     return _assignment_failure(build_matrices(gm, d), assignment)
 
 
-def _det_prunes(fam: SymbolicMatrixFamily):
-    """Determinant support sets for search pruning, if affordable."""
-    if fam.max_dimension() > SYMBOLIC_SIZE_LIMIT:
-        return None
-    prunes = []
-    for a in fam.degrees():
-        det = fam.det(a)
-        if det.is_zero():
-            return "zero"
-        prunes.append((tuple(sorted(det.variables())), det))
-    return prunes
-
-
 def extract_witness(
     gm: GradedModule,
     d: HilbertDecomposition,
     fam: SymbolicMatrixFamily | None = None,
     check_first: bool = True,
 ) -> StanleyWitness:
-    """Deterministic witness search.
+    """The lexicographically first witness of a deterministic grid.
 
-    Over the rationals, candidates are integer points enumerated by
-    increasing maximum entry and lexicographically within each stage; a
+    Over GF(q) the grid is all of GF(q)^vars in field order.  Over the
+    rationals it grows by stages: stage s is {1, ..., s}^vars, and a
     witness among {1, ..., D+1}^vars always exists when the decomposition
     is induced (D = number of degrees with a matrix), so the search
-    terminates.  Over GF(q) the q^|vars| points are searched
-    depth-first.  Both searches prune on vanishing determinants when the
-    matrices are small enough to expand, and every candidate that
-    survives is verified by exact rank checks.
+    terminates.  Stage s runs only when stage s-1 found nothing, so its
+    witness uses the value s somewhere and no point is returned twice.
+    The search fixes one summand's coefficient vector at a time and
+    rejects a vector as soon as its image at some degree lies in the span
+    of the columns already fixed there; the witness it returns is
+    re-verified by exact rank checks.
     """
     if fam is None:
         fam = build_matrices(gm, d)
@@ -355,22 +481,17 @@ def extract_witness(
                 f"no witness exists: decomposition is not induced ({report.mode} "
                 f"check{f' fails at degree {report.failing_degree}' if report.failing_degree else ''})"
             )
-    variables = fam.variables
-    prunes = _det_prunes(fam)
-    if prunes == "zero":
+    if fam.max_dimension() <= SYMBOLIC_SIZE_LIMIT and _first_zero_det(fam) is not None:
         raise WitnessNotFoundError("no witness exists: a determinant vanishes identically")
 
     if fam.field.is_finite():
-        values = list(fam.field.elements())
-        candidate = _search(fam, variables, prunes, values, require_max=None)
+        candidate = _search(fam, list(fam.field.elements()))
         if candidate is None:
             raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
         return candidate
 
-    stages = len(fam.columns) + 1
-    for stage in range(1, stages + 1):
-        values = [fam.field.from_int(v) for v in range(1, stage + 1)]
-        candidate = _search(fam, variables, prunes, values, require_max=values[-1] if stage > 1 else None)
+    for stage in range(1, len(fam.columns) + 2):
+        candidate = _search(fam, list(range(1, stage + 1)))
         if candidate is not None:
             return candidate
     raise WitnessNotFoundError(
@@ -378,52 +499,89 @@ def extract_witness(
     )
 
 
-def _search(fam, variables, prunes, values, require_max):
-    """DFS in lexicographic order over the value grid; prune a branch as
-    soon as some determinant has all variables assigned and evaluates to
-    zero.  require_max skips points already tried at earlier stages.
-    The stack holds, per depth, the index of the next value to try and
-    whether a value above that depth equals require_max, so the depth is
-    not bounded by the recursion limit."""
+def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
+    """Depth-first search over the summands' coefficient vectors, each
+    taken from values^dim in lexicographic order.
+
+    `values` are ints.  Every degree keeps an echelon basis of the
+    columns fixed so far (forward elimination in the order they were
+    added; unit pivots over GF(p), fraction-free integer rows over Q).  A
+    vector is rejected when its image at a degree where its summand is
+    alive reduces to zero there; no completion can then give that matrix
+    full rank, and a vector accepted at every degree extends each basis
+    by one.  So the first complete assignment is the lexicographically
+    first witness.  The stack holds one vector iterator per fixed
+    summand, so the depth is not bounded by the recursion limit; every
+    vector tried counts against DEFAULT_SEARCH_BUDGET.
+    """
     f = fam.field
-    n = len(variables)
-    position = {v: i for i, v in enumerate(variables)}
-    watched: dict[int, list] = {}
-    if isinstance(prunes, list):
-        for vars_, det in prunes:
-            last = max((position[v] for v in vars_), default=-1)
-            watched.setdefault(last, []).append(det)
-    assignment: dict = {}
+    p = f.cardinality if f.is_finite() else 0
+    dims = fam.summand_dims
+    alive_at: list[list] = [[] for _ in dims]
+    for k, a in enumerate(fam.degrees()):
+        for i, entries in zip(fam.columns[a], fam._integral_images(a)[0]):
+            alive_at[i].append((k, entries))
+    bases: list[list] = [[] for _ in fam.columns]
+
+    def place(i, y) -> list | None:
+        """Add summand i's columns for y to the bases, or None if one is dependent."""
+        added = []
+        images = {}
+        for k, entries in alive_at[i]:
+            v = images.get(id(entries))
+            if v is None:
+                v = images[id(entries)] = [sum(e * x for e, x in zip(row, y) if e) for row in entries]
+            for pivot, row in bases[k]:
+                c = v[pivot] % p if p else v[pivot]
+                if c:
+                    d = row[pivot]
+                    v = [d * x - c * r for x, r in zip(v, row)]
+            if p:
+                v = [x % p for x in v]
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is None:
+                for done in added:
+                    bases[done].pop()
+                return None
+            if p:
+                inv = pow(v[lead], -1, p)
+                v = [x * inv % p for x in v]
+            else:
+                g = math.gcd(*v)
+                v = [x // g for x in v]
+            bases[k].append((lead, v))
+            added.append(k)
+        return added
+
+    chosen: list[tuple] = []
+    placed: list[list] = []
+    stack = [product(values, repeat=dims[0])] if dims else []
     tried = 0
-    found = None
-    stack = [[0, False]]
     while stack:
-        i = len(stack) - 1
-        k, has_max = stack[i]
-        if i == n:
-            stack.pop()
-            if require_max is not None and not has_max:
-                continue
+        for y in stack[-1]:
             tried += 1
             if tried > DEFAULT_SEARCH_BUDGET:
                 raise ResourceLimitError(
                     f"witness search exceeded the budget of {DEFAULT_SEARCH_BUDGET} candidates"
                 )
-            if isinstance(prunes, list) or _witness_failure(fam, assignment) is None:
-                found = dict(assignment)
+            slots = place(len(chosen), y)
+            if slots is not None:
+                chosen.append(y)
+                placed.append(slots)
                 break
-            continue
-        if k == len(values):
+        else:
             stack.pop()
-            del assignment[variables[i]]
+            if chosen:
+                chosen.pop()
+                for k in placed.pop():
+                    bases[k].pop()
             continue
-        stack[i][0] = k + 1
-        value = values[k]
-        assignment[variables[i]] = value
-        if not any(f.is_zero(evaluate(det, assignment)) for det in watched.get(i, ())):
-            stack.append([0, has_max or value == require_max])
-    if found is None:
+        if len(chosen) == len(dims):
+            break
+        stack.append(product(values, repeat=dims[len(chosen)]))
+    if len(chosen) < len(dims):
         return None
+    found = {(i, j): f.from_int(x) for i, y in enumerate(chosen) for j, x in enumerate(y)}
     failing = _witness_failure(fam, found)
     if failing is not None:
         raise AssertionError(f"search returned a non-witness failing at {failing}")

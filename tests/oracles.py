@@ -364,6 +364,33 @@ def evaluate_entrywise(fam, a, assignment):
     return Matrix(fam.field, rows, len(fam.columns[a]))
 
 
+def lex_first_witness(fam):
+    """The first grid point at which every A_a is invertible, or None.
+
+    The grid is GF(q)^vars in field order; over the rationals it is
+    {1..s}^vars for s = 1, 2, ..., D+1 (D = number of degrees with a
+    matrix), where stage s > 1 keeps only the points that use the value
+    s.  Every point is tried in lexicographic order and decided by
+    Laplace determinants of the entrywise-evaluated matrices.
+    """
+    f = fam.field
+    variables = fam.variables
+    if f.is_finite():
+        stages = [(list(f.elements()), None)]
+    else:
+        stages = [([f.from_int(v) for v in range(1, s + 1)], f.from_int(s) if s > 1 else None)
+                  for s in range(1, len(fam.columns) + 2)]
+    for values, required in stages:
+        for point in product(values, repeat=len(variables)):
+            if required is not None and required not in point:
+                continue
+            assignment = dict(zip(variables, point))
+            if all(not f.is_zero(det_laplace(f, evaluate_entrywise(fam, a, assignment).entries))
+                   for a in fam.degrees()):
+                return assignment
+    return None
+
+
 def brute_check_induced(gm, d):
     """Per-degree exhaustive subset condition on the summand images."""
     for a in dg.box(dg.zero(gm.n), gm.g):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -34,7 +35,7 @@ from stanleydepth.hilbert import (
     truncated_series,
     validate_decomposition,
 )
-from stanleydepth.polynomials import Poly, to_text, var_name
+from stanleydepth.polynomials import Poly, det_symbolic, poly_mul, reduce_exponents, to_text, var_name
 from stanleydepth.stanley import (
     CheckReport,
     StanleyWitness,
@@ -195,6 +196,18 @@ def test_check_finite_budget_error_names_the_product(ex36_f2, ex36_dec, monkeypa
         check_finite(build_matrices(ex36_f2, ex36_dec))
 
 
+def test_determinant_expansion_has_a_term_budget(ex36_f2, ex36_dec, monkeypatch):
+    monkeypatch.setattr(stanley, "DEFAULT_TERM_BUDGET", 1)
+    fam = build_matrices(ex36_f2, ex36_dec)
+    with pytest.raises(ResourceLimitError, match=r"^the determinant at degree \(2, 3\) exceeded the term budget of 1"):
+        fam.packed_det((2, 3))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["check", data_file("ex36.json"), data_file("ex36_dec.json"), "--field", "F2"])
+    assert code == 2
+    assert re.search(r"error: the determinant at degree \(\d+, \d+\) exceeded the term budget of 1", err.getvalue())
+
+
 def test_check_finite_stops_at_an_identically_zero_determinant():
     gm = modules.load_module_file(data_file("ex34.json"), field_override=F2)
     dec = HilbertDecomposition([({0, 1}, (1, 0)), ({0, 1}, (0, 1))])
@@ -251,6 +264,7 @@ def test_check_auto_decides_wide_matrices_before_building_them(monkeypatch):
 
     monkeypatch.setattr(SymbolicMatrixFamily, "matrices", property(built))
     monkeypatch.setattr(SymbolicMatrixFamily, "det", built)
+    monkeypatch.setattr(SymbolicMatrixFamily, "packed_det", built)
     gm = modules.build(modules.free(QQ, 1, [(0,)] * 7), (1,))
     assert check(gm, HilbertDecomposition([({0}, (0,))] * 7)).mode == "transversal"
     # an invalid decomposition gets the error build_matrices raises
@@ -399,6 +413,149 @@ def test_extract_witness_over_f2_prunes_zeros():
     witness = extract_witness(gm, d)
     assert witness.assignment == {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1}
     assert verify_witness(gm, d, witness) is None
+
+
+def _fractional_modules():
+    """Presentations whose power maps have denominators 3, 5 and 10."""
+    one = Fraction(1)
+    return [
+        modules.build(modules.ModulePresentation(1, QQ, [(0,), (0,)], [[(0, (1,), 3 * one), (1, (1,), 2 * one)]])),
+        modules.build(modules.ModulePresentation(2, QQ, [(0, 0)] * 3, [
+            [(0, (1, 0), 3 * one), (1, (1, 0), 2 * one)], [(0, (0, 1), 5 * one), (2, (0, 1), one)]])),
+    ]
+
+
+def _kernel_modules(field, count, seed):
+    """Small random modules, plus over Q two whose images are not integral."""
+    extra = _fractional_modules() if field == QQ else []
+    return oracles.random_modules(count, seed=seed, field=field) + extra
+
+
+def _kernel_families(field, count, seed):
+    """Families of the first partitions of the kernel modules, plus ex36's shipped one."""
+    ex36 = modules.load_module_file(data_file("ex36.json"), field_override=field)
+    fams = [build_matrices(ex36, hilbert.load_decomposition_file(data_file("ex36_dec.json"), ex36.g))]
+    for gm in _kernel_modules(field, count, seed):
+        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 3):
+            fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
+    return fams
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+def test_packed_determinants_match_the_poly_oracles(field):
+    for fam in _kernel_families(field, 8, seed=17):
+        for a in fam.degrees():
+            det = fam.det(a)
+            assert det == det_symbolic(fam.matrices[a], field)
+            assert det.terms == oracles.det_permutation_sum(field, fam.matrices[a])
+            assert (not fam.packed_det(a)) == det.is_zero()
+
+
+def _unpack_words(words, variables, q):
+    """A packed product as a Poly term map: variable k's exponent is
+    bits [k*w, (k+1)*w) of the word, w = q.bit_length()."""
+    w = q.bit_length()
+    terms = {}
+    for word, c in words.items():
+        exps = [(v, word >> (k * w) & ((1 << w) - 1)) for k, v in enumerate(variables)]
+        terms[tuple((v, e) for v, e in exps if e)] = c
+    return terms
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5])
+def test_packed_reduced_product_matches_the_poly_product(field):
+    q = field.cardinality
+    for fam in _kernel_families(field, 8, seed=23):
+        packed, poly = {0: field.one}, Poly.one(field)
+        # every factor twice, so that exponents wrap past q - 1 for q = 2, 3
+        for a in fam.degrees() * 2:
+            packed = stanley._reduced_product(packed, fam.packed_det(a), q)
+            poly = reduce_exponents(poly_mul(poly, fam.det(a)), q)
+            assert _unpack_words(packed, fam.variables, q) == poly.terms
+
+
+def test_packed_reduced_product_wraps_exponents_at_q():
+    # Y^4 * Y = Y^5 = Y over GF(5)
+    words = {4: 3}
+    assert stanley._reduced_product(words, {1: 2}, 5) == {1: 1}
+    assert stanley._reduced_product({1 << 3 | 4: 1}, {0b11: 1}, 5) == {2 << 3 | 1: 1}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+def test_witness_is_the_first_grid_point_of_the_brute_oracle(field):
+    compared = 0
+    for gm in _kernel_modules(field, 10, seed=61):
+        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 4):
+            d = partition_to_decomposition(partition, gm.g)
+            fam = build_matrices(gm, d)
+            if not check(gm, d, fam=fam).induced:
+                with pytest.raises(WitnessNotFoundError):
+                    extract_witness(gm, d, fam=fam, check_first=False)
+                continue
+            # the oracle walks the grid point by point: keep it under 3^8 points
+            if len(fam.variables) > 8 or (field.is_finite() and field.p ** len(fam.variables) > 3**8):
+                continue
+            witness = extract_witness(gm, d, fam=fam, check_first=False)
+            assert witness.assignment == oracles.lex_first_witness(fam)
+            compared += 1
+    assert compared >= 10
+
+
+def test_free_module_of_rank_seven_is_certified_over_q(tmp_path):
+    # one 7x7 matrix per degree: too wide to expand, so the old grid walk went unpruned
+    module = tmp_path / "r7.json"
+    module.write_text(json.dumps({"ring": {"n": 1, "field": "Q"}, "g": [1],
+                                  "module": {"kind": "free", "shifts": [[0]] * 7}}))
+    dec = tmp_path / "r7_dec.json"
+    dec.write_text(json.dumps({"summands": [{"vars": [1], "shift": [0], "mult": 7}]}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["sdepth", str(module), "--output", str(tmp_path / "sdepth.cert.json")]) == 0
+        assert main(["verify-cert", str(module), str(tmp_path / "sdepth.cert.json")]) == 0
+        assert main(["certify", str(module), str(dec), "--output", str(tmp_path / "r7.cert.json")]) == 0
+        assert main(["verify-cert", str(module), str(tmp_path / "r7.cert.json")]) == 0
+    assert out.getvalue().startswith("sdepth = 1\n")
+    assert out.getvalue().count("valid: ") == 2
+    witness = json.loads((tmp_path / "r7.cert.json").read_text())["witness"]
+    # all ones, then the first vectors of {1,2}^7 that keep the columns independent
+    assert witness == {f"Y[{i},{j}]": "2" if i > 1 and i + j == 9 else "1"
+                       for i in range(1, 8) for j in range(1, 8)}
+
+
+def test_free_module_of_rank_seven_is_certified_over_f5():
+    gm = modules.build(modules.free(F5, 1, [(0,)] * 7), (1,))
+    d = HilbertDecomposition([({0}, (0,))] * 7)
+    witness = extract_witness(gm, d)
+    assert witness.assignment == {(i, j): int(i + j == 6) for i in range(7) for j in range(7)}
+    assert verify_certificate(gm, certificate_json(gm, d, witness))[0]
+
+
+def test_witness_of_a_sampled_ex36_partition_over_f5(ex36_f5):
+    # the 94th seed-1 depth-1 sample of the finite-field benchmark; the
+    # determinant-pruned search took seconds on it
+    intervals = [((0, 3), (2, 3)), ((1, 2), (2, 3)), ((2, 1), (3, 1)), ((2, 2), (3, 2)), ((2, 3), (2, 3)),
+                 ((3, 0), (3, 0)), ((3, 0), (3, 1)), ((3, 2), (3, 3)), ((3, 3), (3, 3))]
+    d = hilbert.decomposition_from_json(
+        {"intervals": [{"a": list(a), "b": list(b)} for a, b in intervals]}, ex36_f5.g)
+    cert = certificate_json(ex36_f5, d, extract_witness(ex36_f5, d))
+    assert cert["witness"] == {
+        "Y[1,1]": "1", "Y[2,1]": "0", "Y[2,2]": "1", "Y[3,1]": "0", "Y[3,2]": "0", "Y[3,3]": "1",
+        "Y[4,1]": "1", "Y[5,1]": "0", "Y[5,2]": "1", "Y[6,1]": "1", "Y[7,1]": "1", "Y[7,2]": "0",
+        "Y[8,1]": "1", "Y[8,2]": "0", "Y[8,3]": "0", "Y[9,1]": "0", "Y[9,2]": "1",
+        "Y[10,1]": "1", "Y[10,2]": "0", "Y[11,1]": "1", "Y[11,2]": "0",
+        "Y[12,1]": "0", "Y[12,2]": "1", "Y[13,1]": "0", "Y[13,2]": "1",
+    }
+    assert verify_certificate(ex36_f5, cert)[0]
+
+
+@pytest.mark.extended
+def test_m6r9_partition_is_certified_over_q():
+    gm = modules.load_module_file(data_file("m6r9.json"))
+    d = hilbert.load_decomposition_file(data_file("m6r9_partition.json"), gm.g)
+    start = time.perf_counter()
+    cert = certificate_json(gm, d, extract_witness(gm, d))
+    certified = time.perf_counter() - start
+    assert verify_certificate(gm, cert)[0]
+    assert certified < 10, f"certify took {certified:.1f}s after load"
 
 
 def test_determinants_are_multilinear_and_block_homogeneous():
