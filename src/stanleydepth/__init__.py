@@ -50,7 +50,7 @@ from .modules import (
     monomial_ideal,
     quotient_by_monomial_ideal,
 )
-from .polynomials import Poly, det_symbolic, evaluate, reduce_exponents
+from .polynomials import Poly, evaluate, reduce_exponents
 from .polytope import (
     LinearSystem,
     build_hilbert_system,

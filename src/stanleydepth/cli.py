@@ -172,7 +172,7 @@ def cmd_verify_cert(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
             cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise StanleyDepthError(f"cannot read certificate {args.certificate}: {exc}") from exc
     ok, message = verify_certificate(gm, cert)
     print(("valid: " if ok else "invalid: ") + message)

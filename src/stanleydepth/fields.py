@@ -16,16 +16,37 @@ from fractions import Fraction
 from .errors import InputFormatError
 
 
+# Miller-Rabin with the first 12 primes as bases has no strong
+# pseudoprime below this bound (Sorenson and Webster, 2015).
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact below PRIME_TEST_LIMIT; n at or
+    above it raises InputFormatError."""
+    if n >= PRIME_TEST_LIMIT:
+        raise InputFormatError(
+            f"field order too large: primality is decided exactly only below {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in PRIME_TEST_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -37,9 +58,6 @@ class Field:
     def is_finite(self) -> bool:
         return self.cardinality != math.inf
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return not a
 
@@ -49,9 +67,6 @@ class Field:
 
     def to_json(self):
         raise NotImplementedError
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class RationalField(Field):
@@ -189,6 +204,8 @@ def field_from_name(name: str) -> Field:
     for prefix, suffix in (("GF(", ")"), ("F", ""), ("f", "")):
         if text.startswith(prefix) and text.endswith(suffix) and len(text) > len(prefix) + len(suffix):
             body = text[len(prefix) : len(text) - len(suffix)] if suffix else text[len(prefix) :]
-            if body.isdigit():
+            if body.isascii() and body.isdigit():
+                if len(body) > 100:  # far above PRIME_TEST_LIMIT, and maybe past int()'s digit limit
+                    raise InputFormatError(f"field order too large: {len(body)} digits")
                 return PrimeField(int(body))
     raise InputFormatError(f"unrecognized field name {name!r} (use Q or F<p>)")

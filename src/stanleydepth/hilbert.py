@@ -37,9 +37,6 @@ class TruncatedSeries:
     def coefficient(self, a: tuple) -> int:
         return self.coefficients.get(tuple(a), 0)
 
-    def total_mass(self) -> int:
-        return sum(self.coefficients.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
@@ -528,7 +525,7 @@ def load_decomposition_file(path, g: tuple):
             obj = json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also non-UTF-8 bytes and integers past int()'s digit limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return decomposition_from_json(obj, g)

@@ -37,14 +37,6 @@ class Matrix:
         self.ncols = ncols
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
         cols = [tuple(c) for c in columns]
         if cols:

@@ -403,7 +403,7 @@ def load_module_file(
             obj = json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also non-UTF-8 bytes and integers past int()'s digit limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         pres, g = load_module_json(obj, field_override)

@@ -6,17 +6,18 @@ memory and 1-based in text form. A monomial is a sorted tuple of
 Coefficients are raw scalars of a Field; zero coefficients are never
 stored, so the zero polynomial has an empty term map.
 
-Determinants use cofactor expansion with memoization on row subsets up
-to size 8 and fraction-free Bareiss elimination (with exact polynomial
-division) above that.
+The package forms no determinant here: `SymbolicMatrixFamily` expands
+its own on packed bitmasks and converts them to Poly for display and
+comparison.  Multiplication, exponent reduction and evaluation are the
+reference arithmetic the tests check those kernels against.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from .errors import InputFormatError, ResourceLimitError, ShapeError, UnboundVariableError
+from .errors import InputFormatError, ResourceLimitError, UnboundVariableError
 from .fields import Field
 
 Var = tuple[int, int]
@@ -193,101 +194,3 @@ def to_text(p: Poly) -> str:
         else:
             out += " + " + text
     return out
-
-
-def det_symbolic(grid: Sequence[Sequence[Poly]], field: Field | None = None) -> Poly:
-    """Exact determinant of a square grid of polynomials."""
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise ShapeError("determinant of a non-square matrix")
-    if n == 0:
-        if field is None:
-            raise ShapeError("empty determinant needs an explicit field")
-        return Poly.one(field)
-    field = grid[0][0].field
-    if n <= 8:
-        return _det_cofactor(grid, field)
-    return _det_bareiss(grid, field)
-
-
-def _det_cofactor(grid, field) -> Poly:
-    n = len(grid)
-    memo: dict[frozenset, Poly] = {}
-
-    def rec(rows: frozenset) -> Poly:
-        if not rows:
-            return Poly.one(field)
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = n - len(rows)
-        acc = Poly.zero(field)
-        for position, r in enumerate(sorted(rows)):
-            entry = grid[r][col]
-            if entry.is_zero():
-                continue
-            term = entry * rec(rows - {r})
-            acc = acc + term if position % 2 == 0 else acc - term
-        memo[rows] = acc
-        return acc
-
-    return rec(frozenset(range(n)))
-
-
-def _det_bareiss(grid, field) -> Poly:
-    n = len(grid)
-    a = [[grid[i][j] for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Poly.one(field)
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if pivot_row is None:
-            return Poly.zero(field)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = divexact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = Poly.zero(field)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def divexact(num: Poly, den: Poly) -> Poly:
-    """Exact polynomial division; raises if the division leaves a remainder."""
-    f = num.field
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
-        return num
-    den_vars = sorted(num.variables() | den.variables())
-    index = {v: i for i, v in enumerate(den_vars)}
-
-    def exps(mono: Monomial) -> tuple:
-        vec = [0] * len(den_vars)
-        for v, e in mono:
-            vec[index[v]] = e
-        return tuple(vec)
-
-    def lead(p: Poly) -> tuple:
-        return max(p.terms, key=exps)
-
-    den_lead = lead(den)
-    den_lead_exps = exps(den_lead)
-    den_lead_coeff = den.terms[den_lead]
-
-    quotient: dict[Monomial, object] = {}
-    rem = num
-    while not rem.is_zero():
-        mono = lead(rem)
-        mono_exps = exps(mono)
-        diff = [a - b for a, b in zip(mono_exps, den_lead_exps)]
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact polynomial division")
-        q_mono = tuple((v, d) for v, d in zip(den_vars, diff) if d > 0)
-        q_coeff = f.div(rem.terms[mono], den_lead_coeff)
-        quotient[q_mono] = q_coeff
-        rem = rem - Poly(f, {q_mono: q_coeff}) * den
-    return Poly(f, quotient)

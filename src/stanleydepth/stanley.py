@@ -8,18 +8,19 @@ basis of M_(S_i).  The decomposition is induced iff the generic
 generators can be specialized so that all A_a have full rank
 simultaneously: over an infinite field this means every det A_a is a
 nonzero polynomial; over GF(q) the product of the determinants must
-survive the exponent reduction modulo Y^q = Y.  Over infinite fields the
-per-degree rank condition is also equivalent to the existence of an
-independent transversal of the subspaces X^(a-S_i) M_(S_i), which
-`check_transversal` decides without symbolic determinants.
+survive the exponent reduction modulo Y^q = Y.
 
-Determinants are expanded once per degree into packed maps {bitmask of
-variables: coefficient}, under a term budget; the reduced product over
-GF(q) is computed on packed exponent words.  A witness is the
-lexicographically first point of a fixed grid, found by fixing one
-summand's coefficient vector at a time and rejecting a vector whose
-column falls in the span of the columns fixed before it at some degree;
-the search evaluates no determinant.
+det A_a is multilinear in its columns and column i holds only summand
+i's variables, so det A_a is nonzero iff one image column per summand
+can be picked linearly independent.  Over Q every degree is decided that
+way, by an independent transversal of the subspaces X^(a-S_i) M_(S_i);
+no determinant is formed.  Over GF(q) the determinants are expanded once
+per degree into packed maps {bitmask of variables: coefficient}, under a
+term budget, and the reduced product is computed on packed exponent
+words.  A witness is the lexicographically first point of a fixed grid,
+found by fixing one summand's coefficient vector at a time and rejecting
+a vector whose column falls in the span of the columns fixed before it
+at some degree; the search evaluates no determinant.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .transversal import max_independent_transversal
 BASIS_CONVENTION = "echelon-unit-cosets/1"
 DEFAULT_TERM_BUDGET = 10**6
 DEFAULT_SEARCH_BUDGET = 10**6
-SYMBOLIC_SIZE_LIMIT = 6
 CHECK_MODES = ("auto", "unified")
 
 
@@ -77,11 +77,12 @@ class SymbolicMatrixFamily:
     walk and keeps, for every degree a with alive summands, their indices
     (`columns[a]`) and the images X^(a - shift) of their pieces
     (`images[a]`, power maps M_shift -> M_a).  Column i of A_a is image i
-    applied to summand i's generic coefficients Y[i, *].  Determinants
-    are expanded from the images on first use into packed maps
-    {bitmask of variable positions: coefficient}, bit k standing for
-    `variables[k]`; `det` converts one to a Poly, and the Poly matrices
-    are built only when asked for.
+    applied to summand i's generic coefficients Y[i, *].
+    `first_singular_degree` is the one per-degree answer every check
+    reads.  Determinants are expanded from the images on first use into
+    packed maps {bitmask of variable positions: coefficient}, bit k
+    standing for `variables[k]`; `det` converts one to a Poly, and the
+    Poly matrices are built only when asked for.
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
@@ -125,6 +126,28 @@ class SymbolicMatrixFamily:
 
     def degrees(self) -> list[tuple]:
         return sorted(self.columns)
+
+    @cached_property
+    def first_singular_degree(self) -> tuple | None:
+        """The first degree whose det A_a is the zero polynomial, or None.
+
+        Column i of A_a is image i applied to summand i's variables, so
+        det A_a is the sum, over every pick of one image column per
+        summand, of that pick's numeric determinant times a monomial that
+        no other pick has: it is nonzero iff some pick is independent.
+        Over Q an independent transversal decides that; over GF(q) an
+        empty `packed_det` does, which the reduced product needs anyway.
+        """
+        for a in self.degrees():
+            if self.field.is_finite():
+                singular = not self.packed_det(a)
+            else:
+                dim = self.module.dim(a)
+                families = [image.columns() for image in self.images[a]]
+                singular = len(max_independent_transversal(self.field, dim, families)) < dim
+            if singular:
+                return a
+        return None
 
     def packed_det(self, a: tuple) -> dict:
         """det A_a as {bitmask of variable positions: coefficient}.
@@ -223,10 +246,6 @@ class SymbolicMatrixFamily:
             self._det_cache[a] = cached
         return cached
 
-    def max_dimension(self) -> int:
-        """The largest dim M_a, which is the size of A_a."""
-        return max((self.module.dim(a) for a in self.columns), default=0)
-
     def evaluate_at(self, a: tuple, assignment) -> Matrix:
         """The numeric matrix A_a(y)."""
         columns = []
@@ -256,17 +275,13 @@ class CheckReport:
         return self.verdict == "induced"
 
 
-def _first_zero_det(fam: SymbolicMatrixFamily) -> tuple | None:
-    """First degree whose determinant is the zero polynomial, or None."""
-    return next((a for a in fam.degrees() if not fam.packed_det(a)), None)
-
-
 def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
-    """Induced iff no determinant is the zero polynomial (infinite field)."""
+    """Induced iff no determinant is the zero polynomial (infinite field),
+    decided by independent transversals."""
     if fam.field.is_finite():
-        raise ModeError("the per-degree determinant criterion needs an infinite field")
-    a = _first_zero_det(fam)
-    return CheckReport("induced" if a is None else "not_induced", "symbolic", a)
+        raise ModeError("per-degree checks need an infinite field: they do not glue over finite fields")
+    a = fam.first_singular_degree
+    return CheckReport("induced" if a is None else "not_induced", "transversal", a)
 
 
 def _reduced_product(product: dict, factor: dict, q: int) -> dict:
@@ -353,7 +368,7 @@ def check_unified(fam: SymbolicMatrixFamily) -> CheckReport:
     )
     bound = max(occurrences.values(), default=0)
     if bound < q:
-        a = _first_zero_det(fam)
+        a = fam.first_singular_degree
         return CheckReport("induced" if a is None else "not_induced", "unified", a, a is not None,
                            detail=f"per-factor determinants (exponent bound {bound} < {q})")
     report = check_finite(fam)
@@ -361,29 +376,13 @@ def check_unified(fam: SymbolicMatrixFamily) -> CheckReport:
                        detail=f"expanded product (exponent bound {bound} >= {q})")
 
 
-def _check_images(fam: SymbolicMatrixFamily) -> CheckReport:
-    """Whether every A_a has an independent transversal of its image columns."""
-    if fam.field.is_finite():
-        raise ModeError(
-            "the transversal check needs an infinite field: per-degree checks do "
-            "not glue over finite fields"
-        )
-    for a in fam.degrees():
-        dim = fam.module.dim(a)
-        families = [image.columns() for image in fam.images[a]]
-        if len(max_independent_transversal(fam.field, dim, families)) < dim:
-            return CheckReport("not_induced", "transversal", failing_degree=a)
-    return CheckReport("induced", "transversal")
-
-
 def check_transversal(gm: GradedModule, d: HilbertDecomposition) -> CheckReport:
-    """Per-degree independent transversals of the summand image subspaces.
-
-    Equivalent to the determinant criterion over infinite fields, and
-    polynomial-time even when the matrices are large.  Per-degree checks
-    do not suffice over finite fields, so those are rejected.
+    """`check_infinite` of the family of d: per-degree independent
+    transversals of the summand image subspaces, polynomial-time even when
+    the matrices are large.  Per-degree checks do not suffice over finite
+    fields, so those are rejected.
     """
-    return _check_images(build_matrices(gm, d))
+    return check_infinite(build_matrices(gm, d))
 
 
 def check(
@@ -394,10 +393,8 @@ def check(
 ) -> CheckReport:
     """Whether d is induced; fam, when given, is the family of d.
 
-    auto picks the core from the field and the matrix sizes: finite
-    fields use the unified check; infinite fields use symbolic
-    determinants while every dim M_a is at most SYMBOLIC_SIZE_LIMIT, and
-    independent transversals beyond that.  "unified" runs the unified
+    auto picks the core from the field: finite fields use the unified
+    check, infinite fields `check_infinite`.  "unified" runs the unified
     check over any field.
     """
     if mode not in CHECK_MODES:
@@ -406,8 +403,6 @@ def check(
         fam = build_matrices(gm, d)
     if mode == "unified" or fam.field.is_finite():
         return check_unified(fam)
-    if fam.max_dimension() > SYMBOLIC_SIZE_LIMIT:
-        return _check_images(fam)
     return check_infinite(fam)
 
 
@@ -461,16 +456,20 @@ def extract_witness(
 ) -> StanleyWitness:
     """The lexicographically first witness of a deterministic grid.
 
-    Over GF(q) the grid is all of GF(q)^vars in field order.  Over the
+    Over GF(p) the grid is {0, ..., min(p, D+1) - 1}^vars in field order,
+    D = number of degrees with a matrix.  Each det A_a has degree <= 1 in
+    each variable, so their product has degree <= D in each; for p > D the
+    Combinatorial Nullstellensatz (Alon 1999), applied one variable at a
+    time, puts the lexicographically first witness of GF(p)^vars in
+    {0, ..., D}^vars, so the grid changes no witness.  Over the
     rationals it grows by stages: stage s is {1, ..., s}^vars, and a
     witness among {1, ..., D+1}^vars always exists when the decomposition
-    is induced (D = number of degrees with a matrix), so the search
-    terminates.  Stage s runs only when stage s-1 found nothing, so its
-    witness uses the value s somewhere and no point is returned twice.
-    The search fixes one summand's coefficient vector at a time and
-    rejects a vector as soon as its image at some degree lies in the span
-    of the columns already fixed there; the witness it returns is
-    re-verified by exact rank checks.
+    is induced, so the search terminates.  Stage s runs only when stage
+    s-1 found nothing, so its witness uses the value s somewhere and no
+    point is returned twice.  The search fixes one summand's coefficient
+    vector at a time and rejects a vector as soon as its image at some
+    degree lies in the span of the columns already fixed there; the
+    witness it returns is re-verified by exact rank checks.
     """
     if fam is None:
         fam = build_matrices(gm, d)
@@ -481,11 +480,11 @@ def extract_witness(
                 f"no witness exists: decomposition is not induced ({report.mode} "
                 f"check{f' fails at degree {report.failing_degree}' if report.failing_degree else ''})"
             )
-    if fam.max_dimension() <= SYMBOLIC_SIZE_LIMIT and _first_zero_det(fam) is not None:
+    if fam.first_singular_degree is not None:
         raise WitnessNotFoundError("no witness exists: a determinant vanishes identically")
 
     if fam.field.is_finite():
-        candidate = _search(fam, list(fam.field.elements()))
+        candidate = _search(fam, list(range(min(fam.field.cardinality, len(fam.columns) + 1))))
         if candidate is None:
             raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
         return candidate

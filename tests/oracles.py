@@ -519,7 +519,8 @@ def unshared_build(presentation, g):
         if cached is not None:
             return cached
         if src == dst:
-            out = Matrix.identity(f, pieces[src].dim)
+            out = Matrix(f, [[f.one if i == j else f.zero for j in range(pieces[src].dim)]
+                             for i in range(pieces[src].dim)])
         else:
             k = max(i for i in range(n) if dst[i] > src[i])
             mid = dg.sub(dst, dg.unit(n, k))

@@ -65,6 +65,33 @@ def test_info_honors_field_and_g_overrides():
     assert "total dimension on [0, g] = 8\n" in out
 
 
+def test_info_over_a_large_prime_field_is_immediate(tmp_path):
+    # 2^61 - 1: trial division up to its square root would take minutes
+    start = time.perf_counter()
+    code, out, _ = run("info", M2, "--field", "F2305843009213693951")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "field = GF(2305843009213693951)\n" in out
+    module = load_json("m2.json")
+    module["ring"]["field"] = {"Fp": 2**89 - 1}
+    (tmp_path / "big.json").write_text(json.dumps(module))
+    code, out, err = run("info", tmp_path / "big.json")
+    assert (code, out) == (2, "") and "field order too large" in err
+
+
+def test_integers_too_long_to_parse_exit_with_code_two(tmp_path):
+    huge = "7" * 5000  # past int()'s default digit limit
+    code, out, err = run("info", M2, "--field", "F" + huge)
+    assert (code, out, err) == (2, "", "error: field order too large: 5000 digits\n")
+    (tmp_path / "module.json").write_text(
+        '{"ring": {"n": 2, "field": {"Fp": %s}}, "module": {"kind": "free", "shifts": [[0, 0]]}}' % huge)
+    (tmp_path / "dec.json").write_text('{"summands": [{"vars": [1, 2], "shift": [0, 0], "mult": %s}]}' % huge)
+    (tmp_path / "cert.json").write_text('{"format": %s}' % huge)
+    for argv in (("info", tmp_path / "module.json"), ("check", M2, tmp_path / "dec.json"),
+                 ("verify-cert", M2, tmp_path / "cert.json")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and "digit" in err, argv
+
+
 def test_info_reports_undetermined_modules(undetermined_module):
     code, out, _ = run("info", undetermined_module)
     assert code == 0
@@ -168,7 +195,7 @@ def test_verify_cert_rejects_unreadable_files(tmp_path):
 def test_check_reports_verdict_and_exit_code():
     code, out, err = run("check", EX36, EX36_DEC)
     assert (code, out) == (0, "induced\n")
-    assert err == "mode: symbolic\n"
+    assert err == "mode: transversal\n"
     code, out, _ = run("check", EX34, EX34_DEC)
     assert (code, out) == (1, "not_induced (failing degree 1,1)\n")
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stanleydepth import fields
 from stanleydepth.errors import InputFormatError
 from stanleydepth.fields import GF, QQ, PrimeField, field_from_json, field_from_name, is_prime
 
@@ -13,12 +14,31 @@ rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 
 def test_is_prime_small_cases():
     def oracle(n):
-        return n >= 2 and all(n % d for d in range(2, n))
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
-    for n in range(-3, 200):
+    for n in range(-3, 10_000):
         assert is_prime(n) == oracle(n), n
     assert is_prime(7919)
     assert not is_prime(7917)
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_accepts_large_primes():
+    # strong pseudoprimes to base 2, to the primes up to 7, and to the primes
+    # up to 31: only the twelfth base, 37, exposes the last one
+    assert not any(is_prime(n) for n in (2047, 3215031751, 3825123056546413051))
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 9)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+
+def test_field_orders_beyond_the_exact_primality_test_are_input_errors():
+    # the bound is itself a strong pseudoprime to the first 12 prime bases
+    for order in (fields.PRIME_TEST_LIMIT, 2**89 - 1):
+        with pytest.raises(InputFormatError, match="field order too large"):
+            PrimeField(order)
+        with pytest.raises(InputFormatError, match="field order too large"):
+            field_from_json({"Fp": order})
+    # the largest prime below the bound is still a field order
+    assert PrimeField(318665857834031151167441).p == fields.PRIME_TEST_LIMIT - 20
 
 
 def test_rationals_are_exact():
@@ -120,7 +140,7 @@ def test_gf5_matches_integer_arithmetic(a, b):
     assert f.mul(a, b) == (a * b) % 5
     assert f.sub(a, b) == (a - b) % 5
     if b:
-        assert f.mul(f.div(a, b), b) == a % 5
+        assert f.mul(f.mul(a, f.inv(b)), b) == a % 5
 
 
 def test_is_zero_over_both_field_kinds():

