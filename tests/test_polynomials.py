@@ -1,12 +1,17 @@
 from fractions import Fraction
 
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import data_file
+from stanleydepth import hilbert, modules
 from stanleydepth.errors import InputFormatError, UnboundVariableError
 from stanleydepth.fields import GF, QQ
+from stanleydepth.hilbert import enumerate_partitions, partition_to_decomposition, truncated_series
 from stanleydepth.polynomials import (
     Poly,
     evaluate,
@@ -16,6 +21,7 @@ from stanleydepth.polynomials import (
     to_text,
     var_name,
 )
+from stanleydepth.stanley import build_matrices
 
 
 def y(i, j=1, field=QQ):
@@ -168,3 +174,34 @@ def test_evaluate_is_a_ring_homomorphism(p, partial):
     assignment = {v: partial.get(v, Fraction(1)) for v in p.variables()}
     doubled = p + p
     assert evaluate(doubled, assignment) == 2 * evaluate(p, assignment)
+
+
+def _shipped_family(name):
+    gm = modules.load_module_file(data_file(f"{name}.json"))
+    return build_matrices(gm, hilbert.load_decomposition_file(data_file(f"{name}_dec.json"), gm.g))
+
+
+def test_det_with_a_zero_row_is_zero():
+    # ex34 at degree (1,1): A_a = [[Y[1,1], Y[2,1]], [0, 0]]
+    fam = _shipped_family("ex34")
+    grid = fam.matrices[(1, 1)]
+    assert grid[0] == [y(1), y(2)] and all(e.is_zero() for e in grid[1])
+    assert fam.det((1, 1)).is_zero()
+
+
+def test_det_two_by_two_factors():
+    # ex36 at degree (3,3): A_a = [[Y[1,2] - Y[1,1], 0], [Y[1,1], Y[5,1]]]
+    fam = _shipped_family("ex36")
+    grid = fam.matrices[(3, 3)]
+    assert grid == [[y(1, 2) - y(1, 1), Poly.zero(QQ)], [y(1, 1), y(5, 1)]]
+    assert fam.det((3, 3)) == (y(1, 2) - y(1, 1)) * y(5, 1)
+
+
+@given(st.integers(0, 10**6))
+def test_det_matches_permutation_sum_oracle(seed):
+    for gm in oracles.random_modules(1, seed=seed):
+        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 3):
+            fam = build_matrices(gm, partition_to_decomposition(partition, gm.g))
+            for a in fam.degrees():
+                expected = oracles.det_permutation_sum(QQ, fam.matrices[a])
+                assert oracles.dict_from_poly(fam.det(a)) == expected
