@@ -183,9 +183,14 @@ def cmd_export_polytope(args) -> int:
     gm = _load_module(args)
     require_g_determined(gm)
     if args.system == "hilbert":
+        for flag, value in (("--max-subset", args.max_subset), ("--depth", args.depth)):
+            if value is not None:
+                raise StanleyDepthError(f"{flag} applies to --system stanley only")
         system = polytope.build_hilbert_system(gm)
     else:
-        if args.max_subset == "inf":
+        if args.max_subset is None:
+            max_subset = polytope.DEFAULT_MAX_SUBSET
+        elif args.max_subset == "inf":
             max_subset = None
         else:
             try:
@@ -280,10 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-polytope", help="write the counting system (.sip or .lp)")
     _add_module_arguments(p)
     p.add_argument("--system", choices=("hilbert", "stanley"), default="hilbert")
-    p.add_argument("--max-subset", default=str(polytope.DEFAULT_MAX_SUBSET),
-                   help="subset size cap for rank inequalities, or 'inf'")
+    p.add_argument("--max-subset", default=None,
+                   help="subset size cap for rank inequalities, or 'inf' "
+                        f"(stanley system only; default {polytope.DEFAULT_MAX_SUBSET})")
     p.add_argument("--depth", type=int, default=None,
-                   help="drop variables with fewer than this many free coordinates")
+                   help="drop variables with fewer than this many free coordinates "
+                        "(stanley system only)")
     p.add_argument("--format", choices=("sip", "lp"), default="sip")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_export_polytope)

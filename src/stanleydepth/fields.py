@@ -61,10 +61,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return not a
 
-    # elements, in a fixed order, for exhaustive searches over finite fields
-    def elements(self):
-        raise ValueError("cannot enumerate an infinite field")
-
     def to_json(self):
         raise NotImplementedError
 
@@ -154,9 +150,6 @@ class PrimeField(Field):
 
     def from_int(self, k: int):
         return k % self.p
-
-    def elements(self):
-        return range(self.p)
 
     def parse(self, text: str):
         try:

@@ -103,10 +103,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.entries for x in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -219,10 +215,6 @@ class Subspace:
             if not f.is_zero(c):
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
         return tuple(v)
-
-    def contains(self, vector: Sequence) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vector))
 
     def __eq__(self, other):
         return (

@@ -2,8 +2,8 @@
 
 A presentation lists generator degrees and homogeneous relation rows;
 build() computes every graded piece M_a for a in the box [0, g+1] by
-exact linear algebra, together with the multiplication maps
-X_k : M_a -> M_(a+e_k).
+exact linear algebra; the maps X^(b-a) : M_a -> M_b between them are
+formed on first use.
 
 The degree-a piece is the span of the monomial multiples
 {X^(a - deg e_i) e_i : deg e_i <= a} (one ambient coordinate per
@@ -143,17 +143,14 @@ class GradedModule:
                 f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
             )
         self.pieces: dict[tuple, GradedPiece] = {}
-        self.mult_maps: dict[tuple, Matrix] = {}
-        self._power_cache: dict[tuple, Matrix] = {}
-        # transfer maps keyed by the ids of their two shared pieces, which
-        # self.pieces keeps alive for the module's lifetime
+        # the only table of maps: X^(b-a) keyed by the ids of its two shared
+        # pieces, which self.pieces keeps alive for the module's lifetime
         self._transfers: dict[tuple, Matrix] = {}
         self._build()
 
     def _build(self) -> None:
         """One GradedPiece per signature (the generators and relations of
-        degree <= a), stored under every degree with that signature, and
-        one multiplication map per pair of pieces."""
+        degree <= a), stored under every degree with that signature."""
         pres = self.presentation
         f = self.field
         by_signature: dict[tuple, GradedPiece] = {}
@@ -177,11 +174,6 @@ class GradedModule:
                 nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
                 piece = by_signature[(gens, rels)] = GradedPiece(gens, sub, basis, nonpivots)
             self.pieces[a] = piece
-        for a, src in self.pieces.items():
-            for k in range(self.n):
-                if a[k] < self.top[k]:
-                    b = a[:k] + (a[k] + 1,) + a[k + 1:]
-                    self.mult_maps[(a, k)] = self._transfer(src, self.pieces[b])
 
     def _transfer(self, src: GradedPiece, dst: GradedPiece) -> Matrix:
         """X^(b-a) : M_a -> M_b for pieces src = M_a, dst = M_b with a <= b.
@@ -190,7 +182,7 @@ class GradedModule:
         column; multiplying by the monomial keeps its generator, so the
         image is that generator's ambient coordinate in dst, reduced there.
         Reduction commutes with inclusion, so the map depends only on the
-        two pieces and is built once per pair.
+        two pieces and is built once per pair, on first use.
         """
         key = (id(src), id(dst))
         out = self._transfers.get(key)
@@ -215,21 +207,20 @@ class GradedModule:
         return self.piece(a).dim
 
     def mult_map(self, a: tuple, k: int) -> Matrix:
-        key = (tuple(a), k)
-        if key not in self.mult_maps:
-            raise RangeError(f"multiplication map at {key} is outside the computed box")
-        return self.mult_maps[key]
+        """The map X_k : M_a -> M_(a+e_k)."""
+        a = tuple(a)
+        src = self.pieces.get(a)
+        dst = self.pieces.get(a[:k] + (a[k] + 1,) + a[k + 1:]) if 0 <= k < len(a) else None
+        if src is None or dst is None:
+            raise RangeError(f"multiplication map at {(a, k)} is outside the computed box")
+        return self._transfer(src, dst)
 
     def power_map(self, src: tuple, dst: tuple) -> Matrix:
-        """The map X^(dst-src) : M_src -> M_dst, cached per (src, dst) pair."""
+        """The map X^(dst-src) : M_src -> M_dst."""
         src, dst = tuple(src), tuple(dst)
         if not dg.leq(src, dst):
             raise RangeError(f"power map needs src <= dst, got {src}, {dst}")
-        key = (src, dst)
-        out = self._power_cache.get(key)
-        if out is None:
-            out = self._power_cache[key] = self._transfer(self.piece(src), self.piece(dst))
-        return out
+        return self._transfer(self.piece(src), self.piece(dst))
 
     def is_zero_module(self) -> bool:
         return all(p.dim == 0 for p in self.pieces.values())
@@ -240,17 +231,21 @@ class GradedModule:
         coordinate) order.  Degrees that share a map share its verdict, so
         each distinct map is ranked once."""
         isomorphisms = set()
-        for (a, k), m in self.mult_maps.items():
-            if a[k] != self.g[k] or id(m) in isomorphisms:
-                continue
-            if m.nrows != m.ncols or m.rank() != m.nrows:
-                return (a, k)
-            isomorphisms.add(id(m))
+        for a in self.pieces:
+            for k in range(self.n):
+                if a[k] != self.g[k]:
+                    continue
+                m = self.mult_map(a, k)
+                if id(m) in isomorphisms:
+                    continue
+                if m.nrows != m.ncols or m.rank() != m.nrows:
+                    return (a, k)
+                isomorphisms.add(id(m))
         return None
 
 
 def build(presentation: ModulePresentation, g: tuple | None = None) -> GradedModule:
-    """Compute all graded pieces and multiplication maps on [0, g+1]."""
+    """Compute all graded pieces on [0, g+1]."""
     if g is None:
         g = presentation.default_g()
     return GradedModule(presentation, g)

@@ -103,9 +103,7 @@ class SymbolicMatrixFamily:
         for l in self.summand_dims:
             self._offsets.append(self._offsets[-1] + l)
         self._packed_cache: dict[tuple, dict] = {}
-        self._integral_cache: dict[tuple, tuple] = {}
-        self._integer_entries: dict[int, tuple] = {}
-        self._det_cache: dict[tuple, Poly] = {}
+        self._integral: dict[int, tuple] = {}
 
     @cached_property
     def matrices(self) -> dict[tuple, list[list[Poly]]]:
@@ -163,9 +161,11 @@ class SymbolicMatrixFamily:
         if cached is not None:
             return cached
         p = self.field.cardinality if self.field.is_finite() else 0
-        images, scale = self._integral_images(a)
+        scale = 1
         layer = {0: {0: 1}}
-        for i, entries in zip(self.columns[a], images):
+        for i, image in zip(self.columns[a], self.images[a]):
+            entries, factor = self._integral_image(image)
+            scale *= factor
             base = self._offsets[i]
             rows = []
             for r, row in enumerate(entries):
@@ -203,48 +203,33 @@ class SymbolicMatrixFamily:
         self._packed_cache[a] = det
         return det
 
-    def _integral_images(self, a: tuple) -> tuple[list[tuple], int]:
-        """The entries of images[a] as ints, and the factor this
-        multiplies det A_a by.
+    def _integral_image(self, image: Matrix) -> tuple[tuple, int]:
+        """The entries of one image as ints, and the factor they were
+        multiplied by.
 
-        Over GF(p) they are the images' own entries and the factor is 1.
-        Over Q each row of A_a is multiplied by the lcm of its
-        denominators, which keeps the rank; the factor is the product of
-        those lcms.  Images that need no scaling are converted once and
-        shared by every degree that has them.
+        Over GF(p) they are the image's own entries and the factor is 1.
+        Over Q the image is multiplied by the lcm of its denominators,
+        which scales one column of every A_a that has it and keeps every
+        rank; each distinct image is converted once, on first use.
         """
-        cached = self._integral_cache.get(a)
-        if cached is not None:
-            return cached
-        images = self.images[a]
         if self.field.is_finite():
-            cached = [image.entries for image in images], 1
-        else:
-            scales = [math.lcm(*(e.denominator for image in images for e in image.entries[r]))
-                      for r in range(self.module.dim(a))]
-            if any(scale != 1 for scale in scales):
-                cached = [tuple(tuple(int(e * scale) for e in row) for row, scale in zip(image.entries, scales))
-                          for image in images], math.prod(scales)
-            else:
-                for image in images:
-                    if id(image) not in self._integer_entries:
-                        self._integer_entries[id(image)] = tuple(tuple(int(e) for e in row) for row in image.entries)
-                cached = [self._integer_entries[id(image)] for image in images], 1
-        self._integral_cache[a] = cached
+            return image.entries, 1
+        cached = self._integral.get(id(image))
+        if cached is None:
+            scale = math.lcm(*(e.denominator for row in image.entries for e in row))
+            cached = self._integral[id(image)] = (
+                tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in image.entries),
+                scale,
+            )
         return cached
 
     def det(self, a: tuple) -> Poly:
         """det A_a as a Poly, converted from `packed_det`."""
-        a = tuple(a)
-        cached = self._det_cache.get(a)
-        if cached is None:
-            variables = self.variables
-            cached = Poly(self.field, {
-                tuple((variables[k], 1) for k in range(mask.bit_length()) if mask >> k & 1): c
-                for mask, c in self.packed_det(a).items()
-            })
-            self._det_cache[a] = cached
-        return cached
+        variables = self.variables
+        return Poly(self.field, {
+            tuple((variables[k], 1) for k in range(mask.bit_length()) if mask >> k & 1): c
+            for mask, c in self.packed_det(a).items()
+        })
 
     def evaluate_at(self, a: tuple, assignment) -> Matrix:
         """The numeric matrix A_a(y)."""
@@ -461,7 +446,10 @@ def extract_witness(
     each variable, so their product has degree <= D in each; for p > D the
     Combinatorial Nullstellensatz (Alon 1999), applied one variable at a
     time, puts the lexicographically first witness of GF(p)^vars in
-    {0, ..., D}^vars, so the grid changes no witness.  Over the
+    {0, ..., D}^vars, so the grid changes no witness.  Scaling one
+    summand's vector by a nonzero constant keeps every rank, so that
+    witness gives each summand a vector whose first nonzero coordinate is
+    1, and the search tries no other vector.  Over the
     rationals it grows by stages: stage s is {1, ..., s}^vars, and a
     witness among {1, ..., D+1}^vars always exists when the decomposition
     is induced, so the search terminates.  Stage s runs only when stage
@@ -509,17 +497,19 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     alive reduces to zero there; no completion can then give that matrix
     full rank, and a vector accepted at every degree extends each basis
     by one.  So the first complete assignment is the lexicographically
-    first witness.  The stack holds one vector iterator per fixed
-    summand, so the depth is not bounded by the recursion limit; every
-    vector tried counts against DEFAULT_SEARCH_BUDGET.
+    first witness.  Over GF(p) a vector whose first nonzero coordinate
+    is not 1 is skipped untried (`extract_witness` says why).  The stack
+    holds one vector iterator per fixed summand, so the depth is not
+    bounded by the recursion limit; every vector tried counts against
+    DEFAULT_SEARCH_BUDGET.
     """
     f = fam.field
     p = f.cardinality if f.is_finite() else 0
     dims = fam.summand_dims
     alive_at: list[list] = [[] for _ in dims]
     for k, a in enumerate(fam.degrees()):
-        for i, entries in zip(fam.columns[a], fam._integral_images(a)[0]):
-            alive_at[i].append((k, entries))
+        for i, image in zip(fam.columns[a], fam.images[a]):
+            alive_at[i].append((k, fam._integral_image(image)[0]))
     bases: list[list] = [[] for _ in fam.columns]
 
     def place(i, y) -> list | None:
@@ -558,6 +548,8 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     tried = 0
     while stack:
         for y in stack[-1]:
+            if p and next((x for x in y if x), 1) != 1:
+                continue
             tried += 1
             if tried > DEFAULT_SEARCH_BUDGET:
                 raise ResourceLimitError(

@@ -39,10 +39,12 @@ def max_independent_transversal(
         picked = False
         for v in vectors:
             v = tuple(v)
-            if not picked and not span.contains(v):
-                span = span.extended([v])
-                selected.add(len(items))
-                picked = True
+            if not picked:
+                grown = span.extended([v])
+                if grown.dim > span.dim:
+                    span = grown
+                    selected.add(len(items))
+                    picked = True
             items.append((i, v))
     if len(selected) in (len(families), ambient_dim):
         return [items[t] for t in sorted(selected)]
@@ -58,17 +60,16 @@ def _augmenting_path(field, ambient_dim, items, selected):
     f = field
     sel = sorted(selected)
     used_classes = {items[t][0]: t for t in sel}
-    span = Subspace(f, ambient_dim, [items[t][1] for t in sel])
+    coordinates, annihilator = _coordinate_map(f, ambient_dim, [items[t][1] for t in sel])
 
     outside = [t for t in range(len(items)) if t not in selected]
     sources = [t for t in outside if items[t][0] not in used_classes]
-    sinks = {t for t in outside if not span.contains(items[t][1])}
+    sinks = {t for t in outside if any(annihilator.apply(items[t][1]))}
 
     # Fundamental circuits in the linear matroid: for t outside the span
     # question is settled; otherwise the support of the expression of
     # vector(t) in the selected vectors gives the exchange arcs t -> x.
     circuits: dict[int, set[int]] = {}
-    coordinates = _coordinate_map(f, ambient_dim, [items[t][1] for t in sel])
     for t in outside:
         if t not in sinks:
             coords = coordinates.apply(items[t][1])
@@ -110,10 +111,13 @@ def _walk(parent, end):
     return path
 
 
-def _coordinate_map(field: Field, ambient_dim: int, vectors) -> Matrix:
-    """A matrix T with T v = the coordinates of v in the given independent
-    vectors, for every v in their span: the top rows of the transform that
-    row-reduces [vectors as columns | identity]."""
+def _coordinate_map(field: Field, ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
+    """Matrices T and N for the given independent vectors: T v is the
+    coordinates of v in them for every v in their span, and N v = 0 iff v
+    lies in their span.  They are the top and bottom rows of the
+    transform that row-reduces [vectors as columns | identity]; the
+    vectors' columns take the first pivots, so the bottom rows annihilate
+    them and have rank ambient_dim - len(vectors)."""
     k = len(vectors)
     augmented = Matrix(
         field,
@@ -122,4 +126,5 @@ def _coordinate_map(field: Field, ambient_dim: int, vectors) -> Matrix:
         k + ambient_dim,
     )
     reduced, _pivots = augmented.rref()
-    return Matrix(field, [row[k:] for row in reduced.entries[:k]], ambient_dim)
+    transform = [row[k:] for row in reduced.entries]
+    return Matrix(field, transform[:k], ambient_dim), Matrix(field, transform[k:], ambient_dim)

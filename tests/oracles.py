@@ -308,7 +308,7 @@ def _unseeded_augmenting_path(f, ambient_dim, items, selected):
     span = Subspace(f, ambient_dim, [items[t][1] for t in sel])
     outside = [t for t in range(len(items)) if t not in selected]
     sources = [t for t in outside if items[t][0] not in used_classes]
-    sinks = {t for t in outside if not span.contains(items[t][1])}
+    sinks = {t for t in outside if any(span.reduce(items[t][1]))}
     circuits = {}
     for t in outside:
         if t in sinks:
@@ -376,7 +376,7 @@ def lex_first_witness(fam):
     f = fam.field
     variables = fam.variables
     if f.is_finite():
-        stages = [(list(f.elements()), None)]
+        stages = [(range(f.p), None)]
     else:
         stages = [([f.from_int(v) for v in range(1, s + 1)], f.from_int(s) if s > 1 else None)
                   for s in range(1, len(fam.columns) + 2)]

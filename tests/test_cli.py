@@ -276,6 +276,13 @@ def test_export_polytope_stanley_system():
     assert code == 2 and "--max-subset must be an integer or 'inf'" in err
 
 
+@pytest.mark.parametrize("options", [("--depth", "5"), ("--max-subset", "4"), ("--max-subset", "inf", "--depth", "1")],
+                         ids=["depth", "max-subset", "both"])
+def test_export_polytope_hilbert_system_rejects_stanley_options(options):
+    code, out, err = run("export-polytope", M2, "--system", "hilbert", *options)
+    assert (code, out, err) == (2, "", f"error: {options[0]} applies to --system stanley only\n")
+
+
 def _solution_text(assignments):
     return "".join(f"{name} {value}\n" for name, value in assignments.items())
 

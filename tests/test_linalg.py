@@ -83,7 +83,7 @@ def test_from_columns_and_transpose_round_trip():
 
 def test_zero_and_identity_constructors():
     z = Matrix(QQ, [[QQ.zero] * 3] * 2)
-    assert z.is_zero() and z.rank() == 0
+    assert z.rank() == 0
     assert Matrix(GF(3), [[int(i == j) for j in range(4)] for i in range(4)]).rank() == 4
 
 
@@ -109,8 +109,8 @@ def test_rref_recombination_over_gf5(m):
 def test_subspace_reduce_and_contains():
     s = Subspace(QQ, 3, [[Fraction(1), Fraction(0), Fraction(1)]])
     assert s.dim == 1
-    assert s.contains([Fraction(2), Fraction(0), Fraction(2)])
-    assert not s.contains([Fraction(1), Fraction(1), Fraction(1)])
+    assert not any(s.reduce([Fraction(2), Fraction(0), Fraction(2)]))
+    assert any(s.reduce([Fraction(1), Fraction(1), Fraction(1)]))
     reduced = s.reduce([Fraction(1), Fraction(2), Fraction(3)])
     assert reduced[0] == 0  # pivot coordinate is cleared
     assert s.reduce(reduced) == reduced
@@ -171,7 +171,7 @@ def test_quotient_basis_complements_subspace(vectors):
     # representatives and the subspace together span the ambient space
     assert Matrix(QQ, list(sub.basis) + reps, 3).rank() == 3
     for rep in reps:
-        assert not sub.contains(rep)
+        assert any(sub.reduce(rep))
 
 
 @given(matrices(QQ, small_fraction, max_side=3))

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -183,10 +184,15 @@ def test_bad_g_vectors_rejected():
 def test_out_of_box_queries_raise_range_error(m2):
     with pytest.raises(RangeError):
         m2.dim((5, 5))
-    with pytest.raises(RangeError):
-        m2.mult_map((2, 2), 0)
-    with pytest.raises(RangeError):
+    for a, k in [((2, 2), 0), ((0, 2), 1), ((3, 0), 0), ((0, 0), 2), ((0, 0), -1), ((0,), 0)]:
+        with pytest.raises(RangeError, match=re.escape(f"multiplication map at {(a, k)} is outside")):
+            m2.mult_map(a, k)
+    with pytest.raises(RangeError, match=re.escape("power map needs src <= dst, got (1, 1), (0, 0)")):
         m2.power_map((1, 1), (0, 0))
+    for src, dst in [((0, 0), (3, 0)), ((-1, 0), (0, 0))]:
+        outside = dst if src == (0, 0) else src
+        with pytest.raises(RangeError, match=re.escape(f"degree {outside} is outside the computed box")):
+            m2.power_map(src, dst)
 
 
 def test_multiplication_maps_commute(ex34, ex36):
@@ -320,9 +326,8 @@ def assert_matches_unshared(gm):
     assert list(gm.pieces) == list(ref.pieces)
     for a, piece in ref.pieces.items():
         assert piece_data(gm.pieces[a]) == piece_data(piece), a
-    assert list(gm.mult_maps) == list(ref.mult_maps)
-    for key, m in ref.mult_maps.items():
-        assert gm.mult_maps[key] == m, key
+    for (a, k), m in ref.mult_maps.items():
+        assert gm.mult_map(a, k) == m, (a, k)
     for src in ref.pieces:
         for dst in dg.box(src, gm.top):
             assert gm.power_map(src, dst) == ref.power_map(src, dst), (src, dst)
@@ -349,12 +354,13 @@ def test_shared_build_matches_the_unshared_build_on_shipped_modules(name, field)
 def test_degrees_with_one_signature_share_one_piece_and_one_map(name, pieces, maps):
     gm = modules.load_module_file(data_file(name))
     assert len({id(p) for p in gm.pieces.values()}) == pieces
-    assert len({id(m) for m in gm.mult_maps.values()}) == maps
+    mult_maps = [gm.mult_map(a, k) for a in gm.pieces for k in range(gm.n) if a[k] < gm.top[k]]
+    assert len({id(m) for m in mult_maps}) == maps
 
 
 def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
     gm = modules.load_module_file(data_file("m6r9.json"))
-    boundary = [key for key in gm.mult_maps if key[0][key[1]] == gm.g[key[1]]]
+    boundary = [(a, k) for a in gm.pieces for k in range(gm.n) if a[k] == gm.g[k]]
     assert len(boundary) == 1458
     calls = []
     original = Matrix.rank

@@ -91,11 +91,6 @@ def test_matrix_family_columns_and_variables(ex34_fam):
     assert ex34_fam.variables == ((0, 0), (1, 0))
 
 
-def test_matrix_family_det_is_cached(ex34_fam):
-    assert ex34_fam.det((1, 1)) is ex34_fam.det([1, 1])
-    assert ex34_fam.det((1, 1)).is_zero()
-
-
 @functools.cache
 def _families(field):
     """Families of ex36 with its shipped decomposition and of the first
@@ -446,12 +441,15 @@ def test_extract_witness_over_f2_prunes_zeros():
 
 
 def _fractional_modules():
-    """Presentations whose power maps have denominators 3, 5 and 10."""
+    """Presentations whose power maps have denominators 3, 5 and 10; the
+    last one's images need the factors 1, 3, 5 and 15."""
     one = Fraction(1)
     return [
         modules.build(modules.ModulePresentation(1, QQ, [(0,), (0,)], [[(0, (1,), 3 * one), (1, (1,), 2 * one)]])),
         modules.build(modules.ModulePresentation(2, QQ, [(0, 0)] * 3, [
             [(0, (1, 0), 3 * one), (1, (1, 0), 2 * one)], [(0, (0, 1), 5 * one), (2, (0, 1), one)]])),
+        modules.build(modules.ModulePresentation(2, QQ, [(0, 0)] * 3, [
+            [(0, (1, 0), 3 * one), (1, (1, 0), 2 * one)], [(1, (0, 1), 5 * one), (2, (0, 1), 7 * one)]])),
     ]
 
 
@@ -555,6 +553,20 @@ def test_witness_is_the_first_grid_point_of_the_brute_oracle(field):
     assert compared >= 10
 
 
+def test_witness_over_q_is_the_brute_oracles_where_columns_have_different_denominators():
+    # each image is made integral by the lcm of its own denominators, so
+    # the columns of one A_a can carry different factors
+    gm = _fractional_modules()[-1]
+    mixed = 0
+    for partition in islice(enumerate_partitions(truncated_series(gm), 0), 4):
+        d = partition_to_decomposition(partition, gm.g)
+        fam = build_matrices(gm, d)
+        mixed += any(len({math.lcm(*(e.denominator for row in image.entries for e in row))
+                          for image in fam.images[a]}) > 1 for a in fam.degrees())
+        assert extract_witness(gm, d, fam=fam).assignment == oracles.lex_first_witness(fam)
+    assert mixed == 3
+
+
 @pytest.mark.parametrize("p", [7, 11, 13, 17])
 def test_witness_grid_holds_the_first_witness_of_the_whole_field(p):
     field = PrimeField(p)
@@ -572,14 +584,19 @@ def test_witness_grid_holds_the_first_witness_of_the_whole_field(p):
     assert compared >= 20
 
 
-@pytest.mark.extended
-def test_ex36_is_certified_over_a_million_element_field(tmp_path):
+def test_ex36_is_certified_over_a_million_element_field(tmp_path, monkeypatch):
+    # the first witness gives each summand a vector with leading coefficient 1;
+    # trying the other scalar multiples too took 270,130 candidates
+    monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 2000)
     cert = tmp_path / "ex36.cert.json"
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["certify", data_file("ex36.json"), data_file("ex36_dec.json"), "--field", "F1000003",
                      "--output", str(cert)]) == 0
         assert main(["verify-cert", data_file("ex36.json"), str(cert), "--field", "F1000003"]) == 0
     assert out.getvalue().endswith("valid: witness gives full rank at every degree of [0, (3,3)]\n")
+    assert json.loads(cert.read_text())["witness"] == {
+        "Y[1,1]": "1", "Y[1,2]": "2", "Y[2,1]": "0", "Y[2,2]": "1", "Y[3,1]": "1", "Y[4,1]": "1", "Y[5,1]": "1",
+        "Y[6,1]": "1", "Y[6,2]": "0", "Y[7,1]": "0", "Y[7,2]": "1", "Y[7,3]": "0", "Y[8,1]": "1", "Y[8,2]": "0"}
 
 
 def test_free_module_of_rank_seven_is_certified_over_q(tmp_path):
