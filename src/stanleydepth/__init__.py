@@ -56,7 +56,6 @@ from .polytope import (
     build_hilbert_system,
     build_stanley_inequalities,
     check_u_vector,
-    export_ip,
     export_lp,
     export_sip,
     import_solution,

@@ -202,12 +202,8 @@ def cmd_export_polytope(args) -> int:
         system = polytope.build_stanley_inequalities(gm, max_subset=max_subset,
                                                      min_depth=args.depth)
     comment = f"module: {os.path.basename(args.module)}; system: {args.system}"
-    if args.output and args.output != "-":
-        sip_path, lp_path = polytope.export_ip(system, args.output, comment)
-        print(f"wrote {sip_path} and {lp_path}")
-    else:
-        text = polytope.export_lp(system) if args.format == "lp" else polytope.export_sip(system, comment)
-        sys.stdout.write(text)
+    text = polytope.export_lp(system) if args.format == "lp" else polytope.export_sip(system, comment)
+    _write_output(args.output, text)
     _progress(f"{len(system.variables)} variables, {len(system.rows)} rows")
     return 0
 
@@ -219,7 +215,7 @@ def cmd_import_solution(args) -> int:
     try:
         with open(args.solution, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise StanleyDepthError(f"cannot read solution {args.solution}: {exc}") from exc
     d = polytope.import_solution(gm, system, text)
     values = polytope.decomposition_to_point(system, d)
@@ -292,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop variables with fewer than this many free coordinates "
                         "(stanley system only)")
     p.add_argument("--format", choices=("sip", "lp"), default="sip")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default=None, help="write the system in --format (default stdout)")
     p.set_defaults(func=cmd_export_polytope)
 
     p = sub.add_parser("import-solution", help="read a solver point back as a decomposition")

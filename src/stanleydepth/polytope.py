@@ -278,17 +278,6 @@ def export_lp(system: LinearSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_ip(system: LinearSystem, path: str, comment: str = "") -> tuple[str, str]:
-    """Write the native .sip file at `path` and its LP-format twin next to
-    it (same name, .lp suffix).  Returns both paths."""
-    sip_path = str(path)
-    root = sip_path[: -len(".sip")] if sip_path.endswith(".sip") else sip_path
-    lp_path = root + ".lp"
-    write_text(sip_path, export_sip(system, comment))
-    write_text(lp_path, export_lp(system))
-    return sip_path, lp_path
-
-
 def write_text(path, text: str) -> None:
     """Write text to the file at path; an unwritable path raises
     StanleyDepthError instead of OSError."""

@@ -12,15 +12,16 @@ survive the exponent reduction modulo Y^q = Y.
 
 det A_a is multilinear in its columns and column i holds only summand
 i's variables, so det A_a is nonzero iff one image column per summand
-can be picked linearly independent.  Over Q every degree is decided that
-way, by an independent transversal of the subspaces X^(a-S_i) M_(S_i);
-no determinant is formed.  Over GF(q) the determinants are expanded once
-per degree into packed maps {bitmask of variables: coefficient}, under a
-term budget, and the reduced product is computed on packed exponent
-words.  A witness is the lexicographically first point of a fixed grid,
-found by fixing one summand's coefficient vector at a time and rejecting
-a vector whose column falls in the span of the columns fixed before it
-at some degree; the search evaluates no determinant.
+can be picked linearly independent, over every field.  Every degree is
+decided that way, by an independent transversal of the subspaces
+X^(a-S_i) M_(S_i); no determinant is formed.  Only the GF(q) product,
+needed when some variable may reach exponent q, expands the determinants
+into packed maps {bitmask of variables: coefficient}, under a term
+budget, and reduces it on packed exponent words.  A witness is the
+lexicographically first point of a fixed grid, found by fixing one
+summand's coefficient vector at a time and rejecting a vector whose
+column falls in the span of the columns fixed before it at some degree;
+the search evaluates no determinant.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ class SymbolicMatrixFamily:
     (`images[a]`, power maps M_shift -> M_a).  Column i of A_a is image i
     applied to summand i's generic coefficients Y[i, *].
     `first_singular_degree` is the one per-degree answer every check
-    reads.  Determinants are expanded from the images on first use into
-    packed maps {bitmask of variable positions: coefficient}, bit k
-    standing for `variables[k]`; `det` converts one to a Poly, and the
-    Poly matrices are built only when asked for.
+    reads.  `packed_det` expands a determinant from the images into a
+    packed map {bitmask of variable positions: coefficient}, bit k
+    standing for `variables[k]`, each time it is asked; `det` converts
+    one to a Poly, and the Poly matrices are built only when asked for.
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
@@ -102,7 +103,6 @@ class SymbolicMatrixFamily:
         self._offsets = [0]
         for l in self.summand_dims:
             self._offsets.append(self._offsets[-1] + l)
-        self._packed_cache: dict[tuple, dict] = {}
         self._integral: dict[int, tuple] = {}
 
     @cached_property
@@ -133,17 +133,13 @@ class SymbolicMatrixFamily:
         det A_a is the sum, over every pick of one image column per
         summand, of that pick's numeric determinant times a monomial that
         no other pick has: it is nonzero iff some pick is independent.
-        Over Q an independent transversal decides that; over GF(q) an
-        empty `packed_det` does, which the reduced product needs anyway.
+        An independent transversal decides that over every field, so no
+        determinant is expanded.
         """
         for a in self.degrees():
-            if self.field.is_finite():
-                singular = not self.packed_det(a)
-            else:
-                dim = self.module.dim(a)
-                families = [image.columns() for image in self.images[a]]
-                singular = len(max_independent_transversal(self.field, dim, families)) < dim
-            if singular:
+            dim = self.module.dim(a)
+            families = [image.columns() for image in self.images[a]]
+            if len(max_independent_transversal(self.field, dim, families)) < dim:
                 return a
         return None
 
@@ -154,12 +150,10 @@ class SymbolicMatrixFamily:
         set of rows used so far.  Column i holds only summand i's
         variables, so each monomial is squarefree and multiplying by an
         entry term is a bitwise or.  Raises ResourceLimitError once the
-        partial sums hold more than DEFAULT_TERM_BUDGET terms.
+        partial sums hold more than DEFAULT_TERM_BUDGET terms.  Only the
+        GF(q) reduced product (`check_finite`, once per degree) and `det`
+        call this, so nothing is cached.
         """
-        a = tuple(a)
-        cached = self._packed_cache.get(a)
-        if cached is not None:
-            return cached
         p = self.field.cardinality if self.field.is_finite() else 0
         scale = 1
         layer = {0: {0: 1}}
@@ -198,10 +192,7 @@ class SymbolicMatrixFamily:
                 if poly:
                     layer[used] = poly
         det = next(iter(layer.values()), {})
-        if not p:
-            det = {m: Fraction(c, scale) for m, c in det.items()}
-        self._packed_cache[a] = det
-        return det
+        return det if p else {m: Fraction(c, scale) for m, c in det.items()}
 
     def _integral_image(self, image: Matrix) -> tuple[tuple, int]:
         """The entries of one image as ints, and the factor they were

@@ -251,13 +251,17 @@ def test_certify_writes_a_certificate(tmp_path):
 
 
 def test_export_polytope_writes_both_formats(tmp_path):
-    base = tmp_path / "sys.sip"
-    code, out, err = run("export-polytope", M2, "--output", base)
-    assert code == 0
-    assert out == f"wrote {base} and {tmp_path / 'sys.lp'}\n"
-    assert err == "9 variables, 4 rows\n"
+    # --output writes exactly the text --format selects, and nothing else
+    for fmt, name in (("sip", "sys.sip"), ("lp", "x.lp")):
+        _, stdout, _ = run("export-polytope", M2, "--format", fmt)
+        path = tmp_path / name
+        code, out, err = run("export-polytope", M2, "--format", fmt, "--output", path)
+        assert (code, out) == (0, "")
+        assert err == f"wrote {path}\n9 variables, 4 rows\n"
+        assert path.read_text() == stdout
+    assert stdout.startswith("Minimize\n")
     assert (tmp_path / "sys.sip").read_text().startswith("# module: m2.json; system: hilbert\n")
-    assert (tmp_path / "sys.lp").read_text().startswith("Minimize\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.sip", "x.lp"]
 
 
 def test_export_polytope_stdout_formats():
@@ -345,6 +349,14 @@ def test_import_solution_over_finite_fields_defers_the_verdict(tmp_path):
     code, out, err = run("import-solution", M2, sol, "--field", "F2")
     assert (code, out) == (0, "hilbert_decomposition\n")
     assert "finite field" in err
+
+
+def test_import_solution_rejects_a_file_that_is_not_utf8(tmp_path):
+    sol = tmp_path / "sol.txt"
+    sol.write_bytes(b"\xff\xfe")
+    code, out, err = run("import-solution", M2, sol)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read solution {sol}: ")
 
 
 def test_errors_exit_with_code_two(tmp_path):

@@ -27,7 +27,6 @@ from stanleydepth.polytope import (
     build_stanley_inequalities,
     check_u_vector,
     decomposition_to_point,
-    export_ip,
     export_lp,
     export_sip,
     import_solution,
@@ -268,16 +267,6 @@ def test_export_lp_keeps_empty_rows_well_formed():
     rows = [polytope.LinearRow((), "==", 0, (9,))]
     system = polytope.LinearSystem(1, (0,), variables, rows)
     assert " r0: 0 u_0__1 = 0\n" in export_lp(system)
-
-
-def test_export_ip_writes_both_files(tmp_path, free_line_system):
-    _gm, system = free_line_system
-    sip, lp = export_ip(system, tmp_path / "sys.sip", comment="pair")
-    assert sip.endswith("sys.sip") and lp.endswith("sys.lp")
-    assert open(sip).read() == export_sip(system, comment="pair")
-    assert open(lp).read() == export_lp(system)
-    sip2, lp2 = export_ip(system, tmp_path / "bare")
-    assert sip2.endswith("bare") and lp2.endswith("bare.lp")
 
 
 def test_parse_solution_accepts_both_name_forms(free_line_system):

@@ -267,9 +267,10 @@ def test_check_auto_decides_wide_matrices_before_building_them(monkeypatch):
         check(gm, HilbertDecomposition([({0}, (0,))] * 6))
 
 
-def test_no_determinant_is_expanded_over_q(monkeypatch, m2, ex34, ex34_dec, ex36, ex36_dec):
+def test_no_determinant_is_expanded_unless_the_bound_reaches_q(
+        monkeypatch, m2, ex34, ex34_dec, ex36, ex36_f5, ex36_dec):
     def expanded(*_args):
-        raise AssertionError("a determinant was expanded over Q")
+        raise AssertionError("a determinant was expanded below the exponent bound")
 
     monkeypatch.setattr(SymbolicMatrixFamily, "packed_det", expanded)
     assert check(ex36, ex36_dec).induced and not check(ex34, ex34_dec).induced
@@ -277,9 +278,15 @@ def test_no_determinant_is_expanded_over_q(monkeypatch, m2, ex34, ex34_dec, ex36
     assert check_unified(build_matrices(ex34, ex34_dec)).failing_degree == (1, 1)
     assert check_transversal(ex36, ex36_dec).induced
     assert sdepth(m2).value == sdepth(ex34).value == 1
-    with contextlib.redirect_stdout(io.StringIO()):
+    # over F5 the exponent bound of ex36_dec is 4 < 5
+    assert check(ex36_f5, ex36_dec).detail == "per-factor determinants (exponent bound 4 < 5)"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["certify", data_file("ex36.json"), data_file("ex36_dec.json")]) == 0
         assert main(["certify", data_file("ex34.json"), data_file("ex34_dec.json")]) == 1
+        assert main(["certify", data_file("ex36.json"), data_file("ex36_dec.json"), "--field", "F5"]) == 0
+        assert main(["check", data_file("m6r9.json"), data_file("m6r9_partition.json"),
+                     "--field", "F1000003"]) == 0
+    assert out.getvalue().endswith("\ninduced [per-factor determinants (exponent bound 32 < 1000003)]\n")
 
 
 def test_a_wide_vanishing_determinant_skips_the_witness_search(monkeypatch):
@@ -481,8 +488,8 @@ def test_packed_determinants_match_the_poly_oracles(field):
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5])
 def test_first_singular_degree_is_the_first_zero_determinant(field):
     # det A_a vanishes iff no pick of one image column per summand is
-    # independent, over every field; Q answers by transversals, GF(q) by
-    # packed determinants
+    # independent, over every field; every field answers by transversals,
+    # and the permutation-sum oracle checks that answer
     ex34 = modules.load_module_file(data_file("ex34.json"), field_override=field)
     fams = [build_matrices(ex34, hilbert.load_decomposition_file(data_file("ex34_dec.json"), ex34.g))]
     for gm in _kernel_modules(field, 12, seed=17):
