@@ -32,6 +32,7 @@ from .stanley import (
     build_matrices,
     certificate_json,
     check,
+    check_transversal,
     extract_witness,
     sdepth,
     verify_certificate,
@@ -60,7 +61,7 @@ def _parse_g(text: str | None):
 
 
 def _load_module(args):
-    field = field_from_name(args.field) if args.field else None
+    field = field_from_name(args.field) if args.field is not None else None
     return load_module_file(args.module, field_override=field, g_override=_parse_g(args.g))
 
 
@@ -109,7 +110,7 @@ def cmd_hdepth(args) -> int:
     require_g_determined(gm)
     value, partition = hdepth(gm, return_partition=True)
     print(f"hdepth = {'inf' if value == math.inf else value}")
-    if args.output and partition is not None:
+    if args.output is not None:
         _write_output(args.output, _json_text(partition_to_json(partition)))
     return 0
 
@@ -121,7 +122,7 @@ def cmd_sdepth(args) -> int:
     for zset, shift in result.decomposition.summands:
         zs = ",".join(str(j + 1) for j in sorted(zset))
         print(f"summand shift=({','.join(str(x) for x in shift)}) vars={{{zs}}}")
-    if args.output:
+    if args.output is not None:
         if result.witness is None:
             raise StanleyDepthError("cannot write a certificate without a witness "
                                     "(drop --no-witness)")
@@ -162,7 +163,7 @@ def cmd_certify(args) -> int:
     witness = extract_witness(gm, d, fam=fam, check_first=False)
     cert = certificate_json(gm, d, witness)
     _write_output(args.output, _json_text(cert))
-    if args.output and args.output != "-":
+    if args.output is not None and args.output != "-":
         print("induced; certificate written")
     return 0
 
@@ -218,9 +219,8 @@ def cmd_import_solution(args) -> int:
     except (OSError, ValueError) as exc:
         raise StanleyDepthError(f"cannot read solution {args.solution}: {exc}") from exc
     d = polytope.import_solution(gm, system, text)
-    values = polytope.decomposition_to_point(system, d)
     if not gm.field.is_finite():
-        failing = polytope.check_u_vector(gm, system, values)
+        failing = check_transversal(gm, d).failing_degree
         if failing is not None:
             print(f"not_induced (failing degree {','.join(str(x) for x in failing)})")
             return 1
@@ -228,7 +228,7 @@ def cmd_import_solution(args) -> int:
     else:
         _progress("finite field: run `check` on the written decomposition for a verdict")
         print("hilbert_decomposition")
-    if args.output:
+    if args.output is not None:
         _write_output(args.output, _json_text(decomposition_to_json(d)))
     return 0
 

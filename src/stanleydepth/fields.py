@@ -87,7 +87,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.one / a
 
     def pow(self, a, e: int):
         return a**e

@@ -260,7 +260,7 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int):
         if applied is not None:
             chosen.pop()
             search.restore(applied)
-        covers = search.covers(element)
+        covers = search.covers(element)[0]
         applied = None
         while pos < len(covers):
             cover = covers[pos]
@@ -290,7 +290,8 @@ class _CoverSearch:
     subtracts its interval's weight and the key names the residual
     exactly.  Residuals proved to have no partition are remembered in
     `dead` by that key, and those on the path of a partition found in
-    `alive`.
+    `alive`.  Each cell's covers are listed once; `feasible` tries only
+    their tight tail.
     """
 
     def __init__(self, series: TruncatedSeries, min_depth: int):
@@ -307,8 +308,7 @@ class _CoverSearch:
         self.key = sum(w * count for w, count in zip(self.weights, self.residual))
         self.dead: set[int] = set()
         self.alive: set[int] = {0}
-        self._covers: dict[int, list] = {}
-        self._tight: dict[int, list] = {}
+        self._covers: dict[int, tuple[list, int]] = {}
 
     def _cover(self, a: tuple, b: tuple) -> tuple:
         """(b, cell indices of [a, b], summed weight)."""
@@ -318,25 +318,18 @@ class _CoverSearch:
     def _contact(self, b: tuple) -> int:
         return sum(1 for x, y in zip(b, self.g) if x == y)
 
-    def covers(self, element: int) -> list:
-        """Covers at a cell of contact >= min_depth, by descending contact,
-        then lexicographically."""
+    def covers(self, element: int) -> tuple[list, int]:
+        """Covers at a cell a of contact >= min_depth, by descending contact,
+        then lexicographically, and the index of the first tight one: no
+        [a, b] has contact below contact(a), so the covers of contact
+        max(min_depth, contact(a)) are the tail."""
         cached = self._covers.get(element)
         if cached is None:
             a = self.cells[element]
+            tight = max(self.min_depth, self._contact(a))
             ranked = sorted((-self._contact(b), b) for b in dg.box(a, self.g))
-            cached = [self._cover(a, b) for rho, b in ranked if -rho >= self.min_depth]
-            self._covers[element] = cached
-        return cached
-
-    def tight_covers(self, element: int) -> list:
-        """Covers at a cell of contact exactly max(min_depth, forced)."""
-        cached = self._tight.get(element)
-        if cached is None:
-            a = self.cells[element]
-            contact = max(self.min_depth, self._contact(a))
-            cached = [self._cover(a, b) for b in dg.box(a, self.g) if self._contact(b) == contact]
-            self._tight[element] = cached
+            covers = [self._cover(a, b) for rho, b in ranked if -rho >= self.min_depth]
+            cached = self._covers[element] = covers, sum(1 for rho, _b in ranked if -rho > tight)
         return cached
 
     def fits(self, cover: tuple) -> bool:
@@ -373,14 +366,15 @@ class _CoverSearch:
             return True
         if self.key in dead:
             return False
-        # [key, cell index, position of the next cover, applied cover or None]
-        frames = [[self.key, self.first_positive(start), 0, None]]
+        # [key, cell index, its covers, position of the next cover, applied
+        # cover or None]; the position starts at the first tight cover
+        element = self.first_positive(start)
+        frames = [[self.key, element, *self.covers(element), None]]
         while frames:
             frame = frames[-1]
-            key, element, pos, applied = frame
+            key, element, covers, pos, applied = frame
             if applied is not None:
                 self.restore(applied)
-            covers = self.tight_covers(element)
             applied = None
             while pos < len(covers):
                 cover = covers[pos]
@@ -392,14 +386,15 @@ class _CoverSearch:
                 dead.add(key)
                 frames.pop()
                 continue
-            frame[2], frame[3] = pos, applied
+            frame[3], frame[4] = pos, applied
             self.apply(applied)
             if self.key in self.alive:
                 for frame in reversed(frames):
-                    self.restore(frame[3])
+                    self.restore(frame[4])
                     self.alive.add(frame[0])
                 return True
-            frames.append([self.key, self.first_positive(element), 0, None])
+            element = self.first_positive(element)
+            frames.append([self.key, element, *self.covers(element), None])
         return False
 
 

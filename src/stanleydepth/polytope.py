@@ -30,7 +30,6 @@ from .linalg import Subspace
 from .modules import GradedModule
 from .stanley import check_transversal
 
-FULL_ENUMERATION_BOX_LIMIT = 20
 DEFAULT_MAX_SUBSET = 4
 INEQUALITY_ROW_BUDGET = 2 * 10**6
 
@@ -121,49 +120,47 @@ def build_stanley_inequalities(
 ) -> LinearSystem:
     """Equalities plus rank inequalities.
 
-    max_subset caps |J| (None = all nonempty J, refused when the box
-    [0, g] has more than 20 degrees); any cap keeps the system a
-    relaxation whose integer points may still need the exact check.
-    min_depth drops every variable with |Z| below the bound.
+    max_subset caps |J| (None = all nonempty J); any cap keeps the system
+    a relaxation whose integer points may still need the exact check.
+    min_depth drops every variable with |Z| below the bound.  Z = all
+    coordinates is admissible, so the shifts below a are the box [0, a];
+    its size counts a's rows before any is built.
     """
     if max_subset is not None and max_subset < 1:
         raise PreconditionError(f"max_subset must be at least 1, got {max_subset}")
     if min_depth is not None and not 0 <= min_depth <= gm.n:
         raise PreconditionError(f"min_depth must be within [0, {gm.n}], got {min_depth}")
-    if max_subset is None:
-        size = dg.box_size(dg.zero(gm.n), gm.g)
-        if size > FULL_ENUMERATION_BOX_LIMIT:
-            raise ResourceLimitError(
-                f"subset enumeration over a box of {size} degrees spans up to "
-                f"2^{size} sets per degree; pass a max_subset cap"
-            )
+    origin = dg.zero(gm.n)
+    caps = {}
+    count = 0
+    for a in dg.box(origin, gm.g):
+        size = dg.box_size(origin, a)
+        caps[a] = size if max_subset is None else min(max_subset, size)
+        for k in range(1, caps[a] + 1):
+            count += comb(size, k)
+            if count > INEQUALITY_ROW_BUDGET:
+                raise ResourceLimitError(
+                    f"more than INEQUALITY_ROW_BUDGET = {INEQUALITY_ROW_BUDGET} inequality rows; "
+                    "pass a max_subset cap or lower max_subset"
+                )
     variables = omega_variables(gm.n, gm.g)
     if min_depth is not None:
         variables = [v for v in variables if len(v.zset) >= min_depth]
     alive, rows = _equality_rows(gm, variables)
-    shifts = sorted({v.shift for v in variables})
-    count = 0
     for a, alive_at_a in alive.items():
-        below = [b for b in shifts if dg.leq(b, a)]
-        cap = len(below) if max_subset is None else min(max_subset, len(below))
-        count += sum(comb(len(below), size) for size in range(1, cap + 1))
-        if count > INEQUALITY_ROW_BUDGET:
-            raise ResourceLimitError(
-                f"more than {INEQUALITY_ROW_BUDGET} inequality rows; "
-                "lower max_subset"
-            )
-        rows.extend(_rank_rows(gm, a, below, alive_at_a, variables, cap))
+        rows.extend(_rank_rows(gm, a, alive_at_a, variables, caps[a]))
     return LinearSystem(gm.n, gm.g, variables, rows, max_subset=max_subset)
 
 
-def _rank_rows(gm: GradedModule, a: tuple, below: list, alive: list, variables, cap: int):
-    """The rank rows at degree a, for every J of 1..cap shifts from
-    `below`, ordered by size and then lexicographically.
+def _rank_rows(gm: GradedModule, a: tuple, alive: list, variables, cap: int):
+    """The rank rows at degree a, for every J of 1..cap shifts from the
+    box [0, a], ordered by size and then lexicographically.
 
     A depth-first walk over J extends the span of J[:-1] by the images of
     J[-1]'s summands, so at most cap spans are alive at once; a span that
     already fills M_a is passed down unchanged.
     """
+    below = list(dg.box(dg.zero(gm.n), a))
     alive_from = {b: () for b in below}
     for i in alive:
         shift = variables[i].shift

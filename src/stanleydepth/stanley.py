@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 
 from . import degrees as dg
 from .errors import (
@@ -80,10 +80,12 @@ class SymbolicMatrixFamily:
     (`images[a]`, power maps M_shift -> M_a).  Column i of A_a is image i
     applied to summand i's generic coefficients Y[i, *].
     `first_singular_degree` is the one per-degree answer every check
-    reads.  `packed_det` expands a determinant from the images into a
-    packed map {bitmask of variable positions: coefficient}, bit k
-    standing for `variables[k]`, each time it is asked; `det` converts
-    one to a Poly, and the Poly matrices are built only when asked for.
+    reads, and `exponent_bound` the one bound on the determinant product
+    that picks the finite-field check and sizes the witness grid.
+    `packed_det` expands a determinant from the images into a packed map
+    {bitmask of variable positions: coefficient}, bit k standing for
+    `variables[k]`, each time it is asked; `det` converts one to a Poly,
+    and the Poly matrices are built only when asked for.
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
@@ -142,6 +144,18 @@ class SymbolicMatrixFamily:
             if len(max_independent_transversal(self.field, dim, families)) < dim:
                 return a
         return None
+
+    @cached_property
+    def exponent_bound(self) -> int:
+        """The most matrices A_a any one variable appears in: a bound on its
+        exponent in the product of the determinants, each squarefree."""
+        return max(Counter(
+            (i, j)
+            for a, alive in self.columns.items()
+            for i, image in zip(alive, self.images[a])
+            for j, column in enumerate(zip(*image.entries))
+            if any(column)
+        ).values(), default=0)
 
     def packed_det(self, a: tuple) -> dict:
         """det A_a as {bitmask of variable positions: coefficient}.
@@ -322,27 +336,16 @@ def check_finite(fam: SymbolicMatrixFamily) -> CheckReport:
 def check_unified(fam: SymbolicMatrixFamily) -> CheckReport:
     """One check for both field kinds.
 
-    Every determinant is squarefree in the Y[i,j] (one column per
-    summand, linear entries), so each variable's exponent in the expanded
-    product is at most the number of matrices it appears in: the degrees
-    where its summand is alive and its image column is nonzero.  When
-    that bound stays below the field size, exponent reduction cannot
-    change the product and per-factor nonzeroness decides; otherwise fall
-    back to the expanded finite-field computation.
+    When the exponent bound stays below the field size, exponent
+    reduction cannot change the product and per-factor nonzeroness
+    decides; otherwise fall back to the expanded finite-field computation.
     """
     if not fam.field.is_finite():
         report = check_infinite(fam)
         return CheckReport(report.verdict, "unified", report.failing_degree,
                            detail="infinite field; per-factor determinants")
     q = fam.field.cardinality
-    occurrences = Counter(
-        (i, j)
-        for a, alive in fam.columns.items()
-        for i, image in zip(alive, fam.images[a])
-        for j in range(image.ncols)
-        if any(row[j] for row in image.entries)
-    )
-    bound = max(occurrences.values(), default=0)
+    bound = fam.exponent_bound
     if bound < q:
         a = fam.first_singular_degree
         return CheckReport("induced" if a is None else "not_induced", "unified", a, a is not None,
@@ -432,23 +435,23 @@ def extract_witness(
 ) -> StanleyWitness:
     """The lexicographically first witness of a deterministic grid.
 
-    Over GF(p) the grid is {0, ..., min(p, D+1) - 1}^vars in field order,
-    D = number of degrees with a matrix.  Each det A_a has degree <= 1 in
-    each variable, so their product has degree <= D in each; for p > D the
+    B is the family's exponent bound: the product of the determinants
+    has degree <= B in each variable.  Over GF(p) the grid is
+    {0, ..., min(p, B+1) - 1}^vars in field order; for p > B the
     Combinatorial Nullstellensatz (Alon 1999), applied one variable at a
     time, puts the lexicographically first witness of GF(p)^vars in
-    {0, ..., D}^vars, so the grid changes no witness.  Scaling one
+    {0, ..., B}^vars, so the grid changes no witness.  Scaling one
     summand's vector by a nonzero constant keeps every rank, so that
     witness gives each summand a vector whose first nonzero coordinate is
-    1, and the search tries no other vector.  Over the
-    rationals it grows by stages: stage s is {1, ..., s}^vars, and a
-    witness among {1, ..., D+1}^vars always exists when the decomposition
-    is induced, so the search terminates.  Stage s runs only when stage
-    s-1 found nothing, so its witness uses the value s somewhere and no
-    point is returned twice.  The search fixes one summand's coefficient
-    vector at a time and rejects a vector as soon as its image at some
-    degree lies in the span of the columns already fixed there; the
-    witness it returns is re-verified by exact rank checks.
+    1, and the search tries no other vector.  Over the rationals it grows
+    by stages: stage s is {1, ..., s}^vars, and a witness among
+    {1, ..., B+1}^vars always exists when the decomposition is induced,
+    so the search terminates.  Stage s runs only when stage s-1 found
+    nothing, so its witness uses the value s somewhere and no point is
+    returned twice.  The search fixes one summand's coefficient vector at
+    a time and rejects a vector as soon as its image at some degree lies
+    in the span of the columns already fixed there; the witness it
+    returns is re-verified by exact rank checks.
     """
     if fam is None:
         fam = build_matrices(gm, d)
@@ -463,27 +466,29 @@ def extract_witness(
         raise WitnessNotFoundError("no witness exists: a determinant vanishes identically")
 
     if fam.field.is_finite():
-        candidate = _search(fam, list(range(min(fam.field.cardinality, len(fam.columns) + 1))))
+        candidate = _search(fam, list(range(min(fam.field.cardinality, fam.exponent_bound + 1))))
         if candidate is None:
             raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
         return candidate
 
-    for stage in range(1, len(fam.columns) + 2):
+    for stage in count(1):
         candidate = _search(fam, list(range(1, stage + 1)))
         if candidate is not None:
             return candidate
-    raise WitnessNotFoundError(
-        "no witness within the guaranteed bound; the decomposition is not induced"
-    )
+        if stage > fam.exponent_bound:
+            raise WitnessNotFoundError(
+                "no witness within the guaranteed bound; the decomposition is not induced"
+            )
 
 
 def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     """Depth-first search over the summands' coefficient vectors, each
     taken from values^dim in lexicographic order.
 
-    `values` are ints.  Every degree keeps an echelon basis of the
-    columns fixed so far (forward elimination in the order they were
-    added; unit pivots over GF(p), fraction-free integer rows over Q).  A
+    `values` are ints: the grid `extract_witness` sizes by the exponent
+    bound.  Every degree keeps an echelon basis of the columns fixed so
+    far (forward elimination in the order they were added; unit pivots
+    over GF(p), fraction-free integer rows over Q).  A
     vector is rejected when its image at a degree where its summand is
     alive reduces to zero there; no completion can then give that matrix
     full rank, and a vector accepted at every degree extends each basis

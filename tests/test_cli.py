@@ -453,6 +453,28 @@ def test_an_unwritable_output_exits_with_code_two(tmp_path, argv):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", M2, "--field", ""),
+    ("check", EX36, EX36_DEC, "--field", ""),
+    ("hdepth", M2, "--output", ""),
+    ("sdepth", M2, "--output", ""),
+    ("certify", EX36, EX36_DEC, "--output", ""),
+    ("export-polytope", M2, "--output", ""),
+    ("import-solution", M2, "<solution>", "--output", ""),
+])
+def test_an_empty_field_or_output_exits_with_code_two(tmp_path, argv):
+    # an empty value is a bad value, not a missing option
+    solution = tmp_path / "sol.txt"
+    solution.write_text("".join(f"{name} {int(name in ('u[0,1;{1,2}]', 'u[1,0;{1}]'))}\n"
+                                for name in M2_NAMES))
+    argv = [solution if a == "<solution>" else a for a in argv]
+    code, _, err = run(*argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    if "--field" in argv:
+        assert err == "error: unrecognized field name '' (use Q or F<p>)\n"
+
+
 @pytest.mark.parametrize("options, message", [
     (("--max-subset", "0"), "error: max_subset must be at least 1, got 0\n"),
     (("--max-subset", "-3"), "error: max_subset must be at least 1, got -3\n"),

@@ -151,3 +151,8 @@ def test_sub_subtracts_without_negating(field, monkeypatch):
     # extra scalar per entry
     monkeypatch.setattr(type(field), "neg", lambda *_: pytest.fail("sub called neg"))
     assert field.sub(field.from_int(3), field.from_int(4)) == field.from_int(-1)
+
+
+def test_rational_inverse_of_an_int_is_a_fraction():
+    assert QQ.inv(-35) == Fraction(-1, 35) and type(QQ.inv(-35)) is Fraction
+    assert type(QQ.inv(Fraction(2, 3))) is Fraction

@@ -8,6 +8,7 @@ import oracles
 from stanleydepth.errors import DimensionMismatchError, ShapeError
 from stanleydepth.fields import GF, QQ
 from stanleydepth.linalg import Matrix, Subspace, quotient_basis
+from stanleydepth.transversal import max_independent_transversal
 
 
 def qmat(entries):
@@ -180,3 +181,14 @@ def test_square_determinant_vs_rank(m):
         return
     det = oracles.det_laplace(QQ, m.entries)
     assert (det != 0) == (m.rank() == m.nrows)
+
+
+def test_rank_over_q_of_an_int_matrix_is_exact():
+    # entries given as ints: a float pivot inverse used to round the rank up to 3
+    rows = [[-35, 13, 47], [7, 10, 33], [-126, 9, 42]]
+    reduced, pivots = Matrix(QQ, rows).rref()
+    assert pivots == (0, 1)
+    assert reduced.entries == ((1, 0, Fraction(-41, 441)), (0, 1, Fraction(212, 63)), (0, 0, 0))
+    assert not any(isinstance(x, float) for row in reduced.entries for x in row)
+    assert Subspace(QQ, 3, rows).dim == 2
+    assert len(max_independent_transversal(QQ, 3, [[row] for row in rows])) == 2

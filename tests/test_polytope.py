@@ -184,6 +184,17 @@ def test_inequality_row_budget(m2, monkeypatch):
         build_stanley_inequalities(m2, max_subset=None)
 
 
+def test_row_budget_refuses_before_any_row_is_built(m2, monkeypatch):
+    monkeypatch.setattr(polytope, "_rank_rows", lambda *_: pytest.fail("a rank row was built"))
+    # the top degree of an uncapped box of 21 degrees alone has 2^21 - 1 rows
+    gm = modules.build(modules.free(QQ, 1, [(0,)]), (20,))
+    with pytest.raises(ResourceLimitError, match="max_subset cap"):
+        build_stanley_inequalities(gm, max_subset=None)
+    monkeypatch.setattr(polytope, "INEQUALITY_ROW_BUDGET", 5)
+    with pytest.raises(ResourceLimitError, match="lower max_subset"):
+        build_stanley_inequalities(m2, max_subset=None)
+
+
 def test_check_u_vector_verdicts(ex34, ex34_dec, ex36, ex36_dec):
     sys34 = build_hilbert_system(ex34)
     assert check_u_vector(ex34, sys34, decomposition_to_point(sys34, ex34_dec)) == (1, 1)

@@ -225,6 +225,8 @@ def test_check_unified_reports_the_exponent_bound(ex36_f2, ex36_f5, ex36_dec):
     report5 = check_unified(build_matrices(ex36_f5, ex36_dec))
     assert report5.induced and report5.p_tilde_zero is False
     assert report5.detail == "per-factor determinants (exponent bound 4 < 5)"
+    fam = build_matrices(ex36_f5, ex36_dec)
+    assert (fam.exponent_bound, len(fam.columns)) == (4, 10)
 
 
 def test_check_transversal_agrees_with_symbolic(ex34, ex34_dec, ex36, ex36_dec):
@@ -577,18 +579,21 @@ def test_witness_over_q_is_the_brute_oracles_where_columns_have_different_denomi
 @pytest.mark.parametrize("p", [7, 11, 13, 17])
 def test_witness_grid_holds_the_first_witness_of_the_whole_field(p):
     field = PrimeField(p)
-    compared = 0
-    for gm in _kernel_modules(field, 12, seed=71):
+    compared = narrower = 0
+    for gm in _kernel_modules(field, 20, seed=71):
         for partition in islice(enumerate_partitions(truncated_series(gm), 0), 4):
             d = partition_to_decomposition(partition, gm.g)
             fam = build_matrices(gm, d)
             if not check(gm, d, fam=fam).induced:
                 continue
-            assert len(fam.columns) + 1 < p  # the grid {0..D} is narrower than GF(p)
+            assert fam.exponent_bound + 1 < p  # the grid {0..B} is narrower than GF(p)
+            # the grid used to be {0..D}, D the number of degrees with a matrix
+            narrower += fam.exponent_bound < len(fam.columns)
             whole_field = stanley._search(fam, list(range(p)))
             assert extract_witness(gm, d, fam=fam, check_first=False) == whole_field
             compared += 1
     assert compared >= 20
+    assert narrower >= 20
 
 
 def test_ex36_is_certified_over_a_million_element_field(tmp_path, monkeypatch):
