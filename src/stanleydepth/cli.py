@@ -73,6 +73,18 @@ def _write_output(path: str | None, text: str) -> None:
         _progress(f"wrote {path}")
 
 
+def _report(lines: list[str], path: str | None, text: str | None) -> None:
+    """Print the result lines and hand text to --output.  A file is
+    written before anything is printed, so a failed write leaves stdout
+    empty; with `-` the text follows the lines on stdout."""
+    if path is not None and path != "-":
+        _write_output(path, text)
+    for line in lines:
+        print(line)
+    if path == "-":
+        sys.stdout.write(text)
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -109,27 +121,27 @@ def cmd_hdepth(args) -> int:
     gm = _load_module(args)
     require_g_determined(gm)
     value, partition = hdepth(gm, return_partition=True)
-    print(f"hdepth = {'inf' if value == math.inf else value}")
-    if args.output is not None:
-        _write_output(args.output, _json_text(partition_to_json(partition)))
+    text = None if args.output is None else _json_text(partition_to_json(partition))
+    _report([f"hdepth = {'inf' if value == math.inf else value}"], args.output, text)
     return 0
 
 
 def cmd_sdepth(args) -> int:
     gm = _load_module(args)
     result = sdepth(gm, with_witness=not args.no_witness)
-    print(f"sdepth = {'inf' if result.value == math.inf else result.value}")
+    lines = [f"sdepth = {'inf' if result.value == math.inf else result.value}"]
     for zset, shift in result.decomposition.summands:
         zs = ",".join(str(j + 1) for j in sorted(zset))
-        print(f"summand shift=({','.join(str(x) for x in shift)}) vars={{{zs}}}")
+        lines.append(f"summand shift=({','.join(str(x) for x in shift)}) vars={{{zs}}}")
+    text = None
     if args.output is not None:
         if result.witness is None:
             raise StanleyDepthError("cannot write a certificate without a witness "
                                     "(drop --no-witness)")
-        cert = certificate_json(gm, result.decomposition, result.witness)
-        _write_output(args.output, _json_text(cert))
+        text = _json_text(certificate_json(gm, result.decomposition, result.witness))
         if args.output != "-":
-            print(f"certificate: {args.output}")
+            lines.append(f"certificate: {args.output}")
+    _report(lines, args.output, text)
     return 0
 
 
@@ -224,12 +236,12 @@ def cmd_import_solution(args) -> int:
         if failing is not None:
             print(f"not_induced (failing degree {','.join(str(x) for x in failing)})")
             return 1
-        print("induced")
+        line = "induced"
     else:
         _progress("finite field: run `check` on the written decomposition for a verdict")
-        print("hilbert_decomposition")
-    if args.output is not None:
-        _write_output(args.output, _json_text(decomposition_to_json(d)))
+        line = "hilbert_decomposition"
+    text = None if args.output is None else _json_text(decomposition_to_json(d))
+    _report([line], args.output, text)
     return 0
 
 

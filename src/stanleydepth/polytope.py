@@ -157,8 +157,11 @@ def _rank_rows(gm: GradedModule, a: tuple, alive: list, variables, cap: int):
     box [0, a], ordered by size and then lexicographically.
 
     A depth-first walk over J extends the span of J[:-1] by the images of
-    J[-1]'s summands, so at most cap spans are alive at once; a span that
-    already fills M_a is passed down unchanged.
+    J[-1]'s summands.  The images grow with the shift (b <= b' <= a gives
+    X^(a-b) M_b inside X^(a-b') M_b'), so few distinct spans occur: each
+    is interned by its reduced-echelon basis, which is canonical, and the
+    sum of interned span s with the images of shift k is reduced once and
+    then looked up by (s, k).  A span that fills M_a extends to itself.
     """
     below = list(dg.box(dg.zero(gm.n), a))
     alive_from = {b: () for b in below}
@@ -166,21 +169,31 @@ def _rank_rows(gm: GradedModule, a: tuple, alive: list, variables, cap: int):
         shift = variables[i].shift
         alive_from[shift] = alive_from[shift] + (i,)
     images = [gm.power_map(b, a).columns() for b in below]
+    spans = [Subspace.zero(gm.field, gm.dim(a))]
+    index_of = {spans[0].basis: 0}
+    sums: dict[tuple[int, int], int] = {}
     by_size: list[list[LinearRow]] = [[] for _ in range(cap + 1)]
-    # frame: next index into below, span of J, support of J, J
-    frames = [[0, Subspace.zero(gm.field, gm.dim(a)), (), ()]]
+    # frame: next index into below, index of the span of J, support of J, J
+    frames = [[0, 0, (), ()]]
     while frames:
         frame = frames[-1]
-        k, span, support, J = frame
+        k, s, support, J = frame
         if k == len(below):
             frames.pop()
             continue
         frame[0] = k + 1
+        t = sums.get((s, k))
+        if t is None:
+            span = spans[s].extended(images[k])
+            t = index_of.setdefault(span.basis, len(spans))
+            if t == len(spans):
+                spans.append(span)
+            sums[s, k] = t
         b = below[k]
-        span, support, J = span.extended(images[k]), support + alive_from[b], J + (b,)
-        by_size[len(J)].append(LinearRow(support, "<=", span.dim, (a, J)))
+        support, J = support + alive_from[b], J + (b,)
+        by_size[len(J)].append(LinearRow(support, "<=", spans[t].dim, (a, J)))
         if len(J) < cap:
-            frames.append([k + 1, span, support, J])
+            frames.append([k + 1, t, support, J])
     return [row for rows in by_size for row in rows]
 
 
@@ -240,6 +253,9 @@ def check_u_vector(gm: GradedModule, system: LinearSystem, values) -> tuple | No
 
 
 def export_sip(system: LinearSystem, comment: str = "") -> str:
+    """The system in the native format.  Each shift's coordinates are
+    formatted once per call, and every row label joins the cached texts."""
+    coords = _ShiftText()
     lines = []
     if comment:
         for line in comment.splitlines():
@@ -254,7 +270,7 @@ def export_sip(system: LinearSystem, comment: str = "") -> str:
         op = "==" if row.sense == "==" else "<="
         kind = "eq" if row.sense == "==" else "le"
         terms = " + ".join([names[i] for i in row.support]) or "0"
-        lines.append(f"{kind} {_label_text(row.label)}: {terms} {op} {row.rhs}")
+        lines.append(f"{kind} {_label_text(row.label, coords)}: {terms} {op} {row.rhs}")
     return "\n".join(lines) + "\n"
 
 
@@ -285,12 +301,20 @@ def write_text(path, text: str) -> None:
         raise StanleyDepthError(f"cannot write {path}: {exc}") from exc
 
 
-def _label_text(label) -> str:
+class _ShiftText(dict):
+    """Shift -> its comma-joined coordinates, each formatted on first use."""
+
+    def __missing__(self, shift):
+        text = self[shift] = ",".join(map(str, shift))
+        return text
+
+
+def _label_text(label, coords: _ShiftText) -> str:
+    """`[a]` for an equality row, `[a]{b1|b2|..}` for the rank row of (a, J)."""
     if isinstance(label, tuple) and label and isinstance(label[0], tuple):
         a, J = label
-        shifts = "|".join(",".join(str(x) for x in b) for b in J)
-        return f"[{','.join(str(x) for x in a)}]{{{shifts}}}"
-    return "[" + ",".join(str(x) for x in label) + "]"
+        return f"[{coords[a]}]{{{'|'.join([coords[b] for b in J])}}}"
+    return f"[{coords[label]}]"
 
 
 def parse_solution(text: str, system: LinearSystem) -> list[int]:
@@ -336,7 +360,7 @@ def import_solution(gm: GradedModule, system: LinearSystem, text: str) -> Hilber
     violated = system.violated_row(values)
     if violated is not None and violated.sense == "==":
         raise RangeError(
-            f"equality at degree {_label_text(violated.label)} violated: "
+            f"equality at degree {_label_text(violated.label, _ShiftText())} violated: "
             f"expected {violated.rhs}"
         )
     return point_to_decomposition(system, values)

@@ -153,8 +153,8 @@ def test_sdepth_writes_a_verifiable_certificate(tmp_path):
 def test_sdepth_no_witness_skips_the_certificate(tmp_path):
     code, out, _ = run("sdepth", M2, "--no-witness")
     assert code == 0 and "sdepth = 1" in out
-    code, _, err = run("sdepth", M2, "--no-witness", "--output", tmp_path / "c.json")
-    assert code == 2 and "drop --no-witness" in err
+    code, out, err = run("sdepth", M2, "--no-witness", "--output", tmp_path / "c.json")
+    assert code == 2 and out == "" and "drop --no-witness" in err
 
 
 def test_sdepth_output_is_deterministic():
@@ -447,8 +447,8 @@ def test_an_unwritable_output_exits_with_code_two(tmp_path, argv):
                                 for name in M2_NAMES))
     target = tmp_path / "missing" / "out.json"
     argv = [solution if a == "<solution>" else a for a in argv]
-    code, _, err = run(*argv, "--output", target)
-    assert code == 2
+    code, out, err = run(*argv, "--output", target)
+    assert code == 2 and out == ""
     assert err == f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n"
     assert not target.parent.exists()
 

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import islice
 
 import pytest
@@ -21,6 +22,7 @@ from stanleydepth.hilbert import (
     partition_to_decomposition,
     truncated_series,
 )
+from stanleydepth.linalg import Subspace
 from stanleydepth.polytope import (
     OmegaVariable,
     build_hilbert_system,
@@ -161,6 +163,34 @@ def test_rank_rows_match_the_per_subset_builder_on_shipped_modules(name):
             system = build_stanley_inequalities(gm, max_subset=max_subset, min_depth=min_depth)
             expected = oracles.per_subset_stanley_inequalities(gm, max_subset, min_depth)
             assert system.rows == expected.rows
+
+
+def test_rank_rows_reduce_each_distinct_span_and_shift_once(ex36, monkeypatch):
+    calls = []
+    extended = Subspace.extended
+
+    def counted(self, vectors):
+        calls.append(vectors)
+        return extended(self, vectors)
+
+    monkeypatch.setattr(Subspace, "extended", counted)
+    system = build_stanley_inequalities(ex36, max_subset=4)
+    # one reduction per rank row would be 4,859 of them
+    assert len(system.rows) == 4875
+    assert 0 < len(calls) <= 300
+
+
+@pytest.mark.parametrize("max_subset, sip, lp", [
+    (4, "a9eac9e556d1c3952223e637fe684dec10d9d487e47c1e6e978c1a86bfefb0f7",
+     "9430291184f4b47fef4728804ccc182df11a324b7e8e1bbc0eb4c029b0831675"),
+    (None, "414e45e50a975627fb69f1f424c8855a1b5c57aaaba9e3d19a16ff07766ed325",
+     "1e40d04e29e002c3d872ff6ddf0ca12cfef641800dbc9900edf1683eceab38e6"),
+])
+def test_stanley_export_bytes_of_ex36(ex36, max_subset, sip, lp):
+    system = build_stanley_inequalities(ex36, max_subset=max_subset)
+    text = export_sip(system, "module: ex36.json; system: stanley")
+    assert hashlib.sha256(text.encode()).hexdigest() == sip
+    assert hashlib.sha256(export_lp(system).encode()).hexdigest() == lp
 
 
 def test_min_depth_drops_shallow_variables(m2):
