@@ -65,24 +65,27 @@ def _load_module(args):
     return load_module_file(args.module, field_override=field, g_override=_parse_g(args.g))
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+def _report(lines: list[str], path: str | None, text: str | None) -> None:
+    """Print the result lines and hand text to --output: None drops it,
+    `-` prints it after the lines, and a file is written before anything
+    is printed, so a failed write leaves stdout empty."""
+    if path is not None and path != "-":
         polytope.write_text(path, text)
         _progress(f"wrote {path}")
-
-
-def _report(lines: list[str], path: str | None, text: str | None) -> None:
-    """Print the result lines and hand text to --output.  A file is
-    written before anything is printed, so a failed write leaves stdout
-    empty; with `-` the text follows the lines on stdout."""
-    if path is not None and path != "-":
-        _write_output(path, text)
     for line in lines:
         print(line)
     if path == "-":
         sys.stdout.write(text)
+
+
+def _verdict_line(report) -> str:
+    """`verdict (failing degree a) [detail]`, each part only when known."""
+    line = report.verdict
+    if report.failing_degree is not None:
+        line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
+    if report.detail:
+        line += f" [{report.detail}]"
+    return line
 
 
 def _json_text(obj) -> str:
@@ -150,12 +153,7 @@ def cmd_check(args) -> int:
     require_g_determined(gm)
     d = load_decomposition_file(args.decomposition, gm.g)
     report = check(gm, d)
-    line = report.verdict
-    if report.failing_degree is not None:
-        line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
-    if report.detail:
-        line += f" [{report.detail}]"
-    print(line)
+    print(_verdict_line(report))
     _progress(f"mode: {report.mode}")
     return 0 if report.induced else 1
 
@@ -167,16 +165,12 @@ def cmd_certify(args) -> int:
     fam = build_matrices(gm, d)
     report = check(gm, d, fam=fam)
     if not report.induced:
-        line = "not_induced"
-        if report.failing_degree is not None:
-            line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
-        print(line)
+        print(_verdict_line(report))
+        _progress(f"mode: {report.mode}")
         return 1
     witness = extract_witness(gm, d, fam=fam, check_first=False)
-    cert = certificate_json(gm, d, witness)
-    _write_output(args.output, _json_text(cert))
-    if args.output is not None and args.output != "-":
-        print("induced; certificate written")
+    lines = [] if args.output == "-" else ["induced; certificate written"]
+    _report(lines, args.output, _json_text(certificate_json(gm, d, witness)))
     return 0
 
 
@@ -216,7 +210,7 @@ def cmd_export_polytope(args) -> int:
                                                      min_depth=args.depth)
     comment = f"module: {os.path.basename(args.module)}; system: {args.system}"
     text = polytope.export_lp(system) if args.format == "lp" else polytope.export_sip(system, comment)
-    _write_output(args.output, text)
+    _report([], args.output, text)
     _progress(f"{len(system.variables)} variables, {len(system.rows)} rows")
     return 0
 
@@ -232,11 +226,11 @@ def cmd_import_solution(args) -> int:
         raise StanleyDepthError(f"cannot read solution {args.solution}: {exc}") from exc
     d = polytope.import_solution(gm, system, text)
     if not gm.field.is_finite():
-        failing = check_transversal(gm, d).failing_degree
-        if failing is not None:
-            print(f"not_induced (failing degree {','.join(str(x) for x in failing)})")
+        report = check_transversal(gm, d)
+        line = _verdict_line(report)
+        if not report.induced:
+            print(line)
             return 1
-        line = "induced"
     else:
         _progress("finite field: run `check` on the written decomposition for a verdict")
         line = "hilbert_decomposition"
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check and extract a witness certificate")
     _add_module_arguments(p)
     p.add_argument("decomposition", help="decomposition (JSON file)")
-    p.add_argument("--output", default=None, help="certificate path (default stdout)")
+    p.add_argument("--output", default="-", help="certificate path (default stdout)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify-cert", help="re-check a certificate from scratch")
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop variables with fewer than this many free coordinates "
                         "(stanley system only)")
     p.add_argument("--format", choices=("sip", "lp"), default="sip")
-    p.add_argument("--output", default=None, help="write the system in --format (default stdout)")
+    p.add_argument("--output", default="-", help="write the system in --format (default stdout)")
     p.set_defaults(func=cmd_export_polytope)
 
     p = sub.add_parser("import-solution", help="read a solver point back as a decomposition")

@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import count, product
+from itertools import accumulate, count, product
 
 from . import degrees as dg
 from .errors import (
@@ -102,10 +101,7 @@ class SymbolicMatrixFamily:
         self.images: dict[tuple, list[Matrix]] = {
             a: [gm.power_map(shifts[i], a) for i in indices] for a, indices in self.columns.items()
         }
-        self._offsets = [0]
-        for l in self.summand_dims:
-            self._offsets.append(self._offsets[-1] + l)
-        self._integral: dict[int, tuple] = {}
+        self._offsets = list(accumulate(self.summand_dims, initial=0))
 
     @cached_property
     def matrices(self) -> dict[tuple, list[list[Poly]]]:
@@ -163,20 +159,19 @@ class SymbolicMatrixFamily:
         Cofactor expansion column by column, keeping one partial sum per
         set of rows used so far.  Column i holds only summand i's
         variables, so each monomial is squarefree and multiplying by an
-        entry term is a bitwise or.  Raises ResourceLimitError once the
-        partial sums hold more than DEFAULT_TERM_BUDGET terms.  Only the
-        GF(q) reduced product (`check_finite`, once per degree) and `det`
-        call this, so nothing is cached.
+        entry term is a bitwise or.  Coefficients are the images' own
+        entries: ints reduced mod p after each column over GF(p), Fractions
+        over Q.  Raises ResourceLimitError once the partial sums hold more
+        than DEFAULT_TERM_BUDGET terms.  Only the GF(q) reduced product
+        (`check_finite`, once per degree) and `det` call this, so nothing
+        is cached.
         """
         p = self.field.cardinality if self.field.is_finite() else 0
-        scale = 1
-        layer = {0: {0: 1}}
+        layer = {0: {0: self.field.one}}
         for i, image in zip(self.columns[a], self.images[a]):
-            entries, factor = self._integral_image(image)
-            scale *= factor
             base = self._offsets[i]
             rows = []
-            for r, row in enumerate(entries):
+            for r, row in enumerate(image.entries):
                 terms = [(1 << (base + j), c) for j, c in enumerate(row) if c]
                 if terms:
                     rows.append((r, terms, [(bit, -c) for bit, c in terms]))
@@ -205,28 +200,7 @@ class SymbolicMatrixFamily:
                 poly = {m: c % p for m, c in poly.items() if c % p} if p else {m: c for m, c in poly.items() if c}
                 if poly:
                     layer[used] = poly
-        det = next(iter(layer.values()), {})
-        return det if p else {m: Fraction(c, scale) for m, c in det.items()}
-
-    def _integral_image(self, image: Matrix) -> tuple[tuple, int]:
-        """The entries of one image as ints, and the factor they were
-        multiplied by.
-
-        Over GF(p) they are the image's own entries and the factor is 1.
-        Over Q the image is multiplied by the lcm of its denominators,
-        which scales one column of every A_a that has it and keeps every
-        rank; each distinct image is converted once, on first use.
-        """
-        if self.field.is_finite():
-            return image.entries, 1
-        cached = self._integral.get(id(image))
-        if cached is None:
-            scale = math.lcm(*(e.denominator for row in image.entries for e in row))
-            cached = self._integral[id(image)] = (
-                tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in image.entries),
-                scale,
-            )
-        return cached
+        return next(iter(layer.values()), {})
 
     def det(self, a: tuple) -> Poly:
         """det A_a as a Poly, converted from `packed_det`."""
@@ -486,9 +460,13 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     taken from values^dim in lexicographic order.
 
     `values` are ints: the grid `extract_witness` sizes by the exponent
-    bound.  Every degree keeps an echelon basis of the columns fixed so
-    far (forward elimination in the order they were added; unit pivots
-    over GF(p), fraction-free integer rows over Q).  A
+    bound.  Each distinct image becomes integer rows once per call: its
+    own entries over GF(p), its entries times the lcm of their
+    denominators over Q (a column scale, which keeps every rank).  Every
+    degree keeps an echelon basis of the columns fixed so far (forward
+    elimination in the order they were added; unit pivots over GF(p),
+    fraction-free integer rows over Q); on `Subspace`'s Fraction rows,
+    `certify` of data/m6r9 over Q takes about four times as long.  A
     vector is rejected when its image at a degree where its summand is
     alive reduces to zero there; no completion can then give that matrix
     full rank, and a vector accepted at every degree extends each basis
@@ -503,9 +481,18 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     p = f.cardinality if f.is_finite() else 0
     dims = fam.summand_dims
     alive_at: list[list] = [[] for _ in dims]
+    integral: dict[int, tuple] = {}
     for k, a in enumerate(fam.degrees()):
         for i, image in zip(fam.columns[a], fam.images[a]):
-            alive_at[i].append((k, fam._integral_image(image)[0]))
+            entries = integral.get(id(image))
+            if entries is None:
+                entries = image.entries
+                if not p:
+                    scale = math.lcm(*(e.denominator for row in entries for e in row))
+                    entries = tuple(tuple(e.numerator * (scale // e.denominator) for e in row)
+                                    for row in entries)
+                integral[id(image)] = entries
+            alive_at[i].append((k, entries))
     bases: list[list] = [[] for _ in fam.columns]
 
     def place(i, y) -> list | None:
@@ -580,7 +567,6 @@ class SdepthResult:
     value: object  # int, or math.inf for the zero module
     decomposition: HilbertDecomposition
     witness: StanleyWitness | None
-    partition: object = None
 
 
 def sdepth(gm: GradedModule, with_witness: bool = True) -> SdepthResult:
@@ -604,7 +590,7 @@ def sdepth(gm: GradedModule, with_witness: bool = True) -> SdepthResult:
                 witness = None
                 if with_witness:
                     witness = extract_witness(gm, d, fam=fam, check_first=False)
-                return SdepthResult(s, d, witness, partition)
+                return SdepthResult(s, d, witness)
     raise AssertionError("the all-singletons partition at s = 0 is always induced")
 
 

@@ -11,6 +11,12 @@ spanning vector) pairs; one matroid restricts picks to one per family,
 the other to linearly independent vector sets.  Augmenting along a
 shortest source-to-sink path in the exchange digraph grows the common
 independent set until maximum.
+
+The exchange arcs come from one tagged echelon basis, the span of the
+rows [vector(x) | e_x] over the picks x.  Reducing [vector(t) | 0] by it
+leaves a nonzero vector part iff t is a sink; otherwise the tag part is
+minus t's coordinates in the picks, and its support is t's fundamental
+circuit, the picks x with an arc t -> x.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from collections import deque
 from collections.abc import Sequence
 
 from .fields import Field
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 
 
 def max_independent_transversal(
@@ -55,25 +61,23 @@ def max_independent_transversal(
         selected.symmetric_difference_update(path)
 
 
-def _augmenting_path(field, ambient_dim, items, selected):
+def _augmenting_path(f, ambient_dim, items, selected):
     """Shortest augmenting path in the exchange digraph, or None at maximum."""
-    f = field
     sel = sorted(selected)
-    used_classes = {items[t][0]: t for t in sel}
-    coordinates, annihilator = _coordinate_map(f, ambient_dim, [items[t][1] for t in sel])
+    used_classes = {items[t][0] for t in sel}
+    tags = [tuple(f.one if y == x else f.zero for y in sel) for x in sel]
+    tagged = Subspace(f, ambient_dim + len(sel), [items[x][1] + tag for x, tag in zip(sel, tags)])
 
     outside = [t for t in range(len(items)) if t not in selected]
     sources = [t for t in outside if items[t][0] not in used_classes]
-    sinks = {t for t in outside if any(annihilator.apply(items[t][1]))}
-
-    # Fundamental circuits in the linear matroid: for t outside the span
-    # question is settled; otherwise the support of the expression of
-    # vector(t) in the selected vectors gives the exchange arcs t -> x.
+    sinks: set[int] = set()
     circuits: dict[int, set[int]] = {}
     for t in outside:
-        if t not in sinks:
-            coords = coordinates.apply(items[t][1])
-            circuits[t] = {x for x, c in zip(sel, coords) if not f.is_zero(c)}
+        reduced = tagged.reduce(items[t][1] + (f.zero,) * len(sel))
+        if any(reduced[:ambient_dim]):
+            sinks.add(t)
+        else:
+            circuits[t] = {x for x, c in zip(sel, reduced[ambient_dim:]) if not f.is_zero(c)}
 
     parent: dict[int, int | None] = {}
     queue: deque[int] = deque()
@@ -99,32 +103,9 @@ def _augmenting_path(field, ambient_dim, items, selected):
                 if y not in parent and items[y][0] == family:
                     parent[y] = u
                     if y in sinks:
-                        return _walk(parent, y)
+                        path = [y]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path
                     queue.append(y)
     return None
-
-
-def _walk(parent, end):
-    path = [end]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _coordinate_map(field: Field, ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
-    """Matrices T and N for the given independent vectors: T v is the
-    coordinates of v in them for every v in their span, and N v = 0 iff v
-    lies in their span.  They are the top and bottom rows of the
-    transform that row-reduces [vectors as columns | identity]; the
-    vectors' columns take the first pivots, so the bottom rows annihilate
-    them and have rank ambient_dim - len(vectors)."""
-    k = len(vectors)
-    augmented = Matrix(
-        field,
-        [[v[i] for v in vectors] + [field.one if j == i else field.zero for j in range(ambient_dim)]
-         for i in range(ambient_dim)],
-        k + ambient_dim,
-    )
-    reduced, _pivots = augmented.rref()
-    transform = [row[k:] for row in reduced.entries]
-    return Matrix(field, transform[:k], ambient_dim), Matrix(field, transform[k:], ambient_dim)

@@ -250,6 +250,18 @@ def test_certify_writes_a_certificate(tmp_path):
     assert code == 0 and out.startswith("valid:")
 
 
+@pytest.mark.parametrize("module, decomposition, field, line", [
+    (EX36, EX36_DEC, "F2", "not_induced [expanded product (exponent bound 4 >= 2)]"),
+    (EX34, EX34_DEC, "Q", "not_induced (failing degree 1,1)"),
+    (EX34, EX34_DEC, "F5", "not_induced (failing degree 1,1) [per-factor determinants (exponent bound 2 < 5)]"),
+])
+def test_certify_prints_the_verdict_line_of_check(module, decomposition, field, line):
+    for command in ("check", "certify"):
+        code, out, err = run(command, module, decomposition, "--field", field)
+        assert (code, out) == (1, line + "\n")
+        assert err == f"mode: {'transversal' if field == 'Q' else 'unified'}\n"
+
+
 def test_export_polytope_writes_both_formats(tmp_path):
     # --output writes exactly the text --format selects, and nothing else
     for fmt, name in (("sip", "sys.sip"), ("lp", "x.lp")):

@@ -711,7 +711,6 @@ def test_sdepth_of_the_maximal_ideal_in_two_variables(m2):
         (frozenset({0}), (1, 0)),
     )
     assert result.witness.assignment == {(0, 0): 1, (1, 0): 1}
-    assert result.partition is not None
     assert verify_witness(m2, result.decomposition, result.witness) is None
 
 

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +9,7 @@ import oracles
 from stanleydepth import degrees as dg
 from stanleydepth.fields import GF, QQ, PrimeField
 from stanleydepth.linalg import Matrix
+from stanleydepth import transversal
 from stanleydepth.transversal import max_independent_transversal
 
 F2 = PrimeField(2)
@@ -84,7 +87,7 @@ def test_transversal_matches_min_max_bound_rational(families):
 
 
 @given(st.one_of(
-    st.tuples(st.just(QQ), _families_strategy(st.integers(-2, 2).map(Fraction))),
+    st.tuples(st.just(QQ), _families_strategy(st.fractions(-3, 3, max_denominator=4))),
     st.tuples(st.just(F2), _families_strategy(st.integers(0, 1))),
     st.tuples(st.just(GF(3)), _families_strategy(st.integers(0, 2))),
 ))
@@ -107,3 +110,45 @@ def test_seeded_search_returns_the_unseeded_picks_on_shipped_degrees(ex34, ex34_
             assert max_independent_transversal(QQ, dim, families) == (
                 oracles.unseeded_max_independent_transversal(QQ, dim, families)
             )
+
+
+def _chain(field, length, scale):
+    """Families [e_j, e_(j+1)] for j < length - 1, then [e_0]: the seeding
+    picks e_j for family j, so the last family needs the augmenting path
+    that shifts every earlier family up by one, with 2 * length - 1 items."""
+    def unit(j):
+        return tuple(scale if k == j else field.zero for k in range(length))
+    return [[unit(j), unit(j + 1)] for j in range(length - 1)] + [[unit(0)]]
+
+
+@pytest.mark.parametrize("field, entries", [
+    (QQ, [Fraction(-3, 2), Fraction(1, 3), Fraction(0), Fraction(2), Fraction(-1, 4)]),
+    (F2, [0, 1]),
+    (GF(3), [0, 1, 2]),
+    (GF(5), [0, 1, 2, 3, 4]),
+])
+def test_augmenting_paths_match_the_unseeded_search(field, entries, monkeypatch):
+    rng = random.Random(7)
+    corpus = [(length, _chain(field, length, entries[1])) for length in (2, 3, 4)]
+    for _ in range(150):
+        ambient = rng.randint(2, 4)
+        corpus.append((ambient, [
+            [tuple(rng.choice(entries) for _ in range(ambient)) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(2, 5))
+        ]))
+    lengths = []
+    search = transversal._augmenting_path
+
+    def counted(*args):
+        path = search(*args)
+        if path is not None:
+            lengths.append(len(path))
+        return path
+
+    monkeypatch.setattr(transversal, "_augmenting_path", counted)
+    for ambient, families in corpus:
+        picks = max_independent_transversal(field, ambient, families)
+        assert picks == oracles.unseeded_max_independent_transversal(field, ambient, families)
+        assert len(picks) == oracles.max_transversal_bound(field, ambient, families)
+    assert max(lengths) >= 5
+    assert sum(length >= 3 for length in lengths) >= 3
