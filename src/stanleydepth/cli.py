@@ -78,16 +78,6 @@ def _report(lines: list[str], path: str | None, text: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _verdict_line(report) -> str:
-    """`verdict (failing degree a) [detail]`, each part only when known."""
-    line = report.verdict
-    if report.failing_degree is not None:
-        line += f" (failing degree {','.join(str(x) for x in report.failing_degree)})"
-    if report.detail:
-        line += f" [{report.detail}]"
-    return line
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -153,7 +143,7 @@ def cmd_check(args) -> int:
     require_g_determined(gm)
     d = load_decomposition_file(args.decomposition, gm.g)
     report = check(gm, d)
-    print(_verdict_line(report))
+    print(report.verdict_line())
     _progress(f"mode: {report.mode}")
     return 0 if report.induced else 1
 
@@ -165,7 +155,7 @@ def cmd_certify(args) -> int:
     fam = build_matrices(gm, d)
     report = check(gm, d, fam=fam)
     if not report.induced:
-        print(_verdict_line(report))
+        print(report.verdict_line())
         _progress(f"mode: {report.mode}")
         return 1
     witness = extract_witness(gm, d, fam=fam, check_first=False)
@@ -227,7 +217,7 @@ def cmd_import_solution(args) -> int:
     d = polytope.import_solution(gm, system, text)
     if not gm.field.is_finite():
         report = check_transversal(gm, d)
-        line = _verdict_line(report)
+        line = report.verdict_line()
         if not report.induced:
             print(line)
             return 1

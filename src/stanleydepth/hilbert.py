@@ -21,6 +21,8 @@ from .modules import GradedModule
 # Most summands a decomposition file may stand for, counted before any
 # list of them is built; an interval counts every summand it stands for.
 DECOMPOSITION_SUMMAND_LIMIT = 10**6
+# Most cells the memo of admissible summand shapes holds (see `alive_summands`).
+SHAPE_MEMO_CELLS = 2**18
 
 
 class TruncatedSeries:
@@ -167,20 +169,64 @@ def _summand_shape_failure(zset, shift, g, n):
     return None
 
 
+def _alive_box(g: tuple, zset, shift: tuple):
+    """The cells of [0, g] where summand (Z, b) is alive, in lexicographic
+    order: the box from b to the corner equal to g on Z and to b
+    elsewhere, clipped at 0; empty when the corner leaves [0, g]."""
+    corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
+    if not dg.leq(corner, g):
+        return iter(())
+    return dg.box(tuple(max(x, 0) for x in shift), corner)
+
+
+class _ShapeMemo(dict):
+    """(g, Z, b) -> the cells of an admissible summand shape (one that
+    passes `_summand_shape_failure`), as `_alive_box` lists them.
+
+    Only admissible shapes are stored, so a hit also answers the shape
+    check.  Storing a shape that would take the memo past
+    SHAPE_MEMO_CELLS cells empties it first, and a shape of more cells
+    than that is not stored.
+    """
+
+    held = 0
+
+    def admit(self, g: tuple, zset: frozenset, shift: tuple):
+        """The cells of (Z, b) over [0, g], stored; None when the shape is
+        not admissible."""
+        if _summand_shape_failure(zset, shift, g, len(g)) is not None:
+            return None
+        cells = tuple(_alive_box(g, zset, shift))
+        if self.held + len(cells) > SHAPE_MEMO_CELLS:
+            self.clear()
+            self.held = 0
+        if len(cells) <= SHAPE_MEMO_CELLS:
+            self[g, zset, shift] = cells
+            self.held += len(cells)
+        return cells
+
+
+_SHAPES = _ShapeMemo()
+
+
 def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
     """For each degree a of [0, g], the ascending indices of the summands
     (Z, b) alive at a: b <= a and a - b is supported in Z.
 
     Summand (Z, b) is alive on the box from b to the corner equal to g on
     Z and to b elsewhere; cells of that box outside [0, g] are skipped.
+    The cells of an admissible shape are computed once per (g, Z, b) and
+    then read from the shape memo, so a call costs one lookup and the
+    appends per summand; any other shape is walked on every call.  Z and
+    b may be any iterables; the dict and its lists are new on every call.
     """
     g = tuple(g)
     alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(len(g)), g)}
     for i, (zset, shift) in enumerate(summands):
-        corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
-        if dg.leq(corner, g):
-            for a in dg.box(tuple(max(x, 0) for x in shift), corner):
-                alive[a].append(i)
+        zset, shift = frozenset(zset), tuple(shift)
+        cells = _SHAPES.get((g, zset, shift)) or _SHAPES.admit(g, zset, shift)
+        for a in _alive_box(g, zset, shift) if cells is None else cells:
+            alive[a].append(i)
     return alive
 
 
@@ -202,14 +248,14 @@ def validated_alive(d: HilbertDecomposition, gm: GradedModule):
 
     Checks the summand shape constraints (shift within [0, g], forced
     coordinates present in Z) and, for every a in [0, g], that the number
-    of summands alive at a equals dim M_a.  The alive map is the one
-    `alive_summands` walk this takes.
+    of summands alive at a equals dim M_a.  A shape found in the shape
+    memo is admissible and is not checked again.  The alive map is the
+    one `alive_summands` walk this takes.
     """
     g = gm.g
-    n = gm.n
     for zset, shift in d.summands:
-        failure = _summand_shape_failure(zset, shift, g, n)
-        if failure:
+        if (g, zset, shift) not in _SHAPES and _SHAPES.admit(g, zset, shift) is None:
+            failure = _summand_shape_failure(zset, shift, g, gm.n)
             return None, ValidationFailure("shape", None, failure)
     alive = alive_summands(d.summands, g)
     for a, indices in alive.items():

@@ -14,8 +14,10 @@ a Stanley decomposition (over an infinite field).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from . import degrees as dg
 from .errors import (
@@ -32,6 +34,8 @@ from .stanley import check_transversal
 
 DEFAULT_MAX_SUBSET = 4
 INEQUALITY_ROW_BUDGET = 2 * 10**6
+# Most boxes whose Ω table (`_omega_table`) is kept.
+OMEGA_TABLE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,28 @@ class OmegaVariable:
         return f"u_{coords}__{zs}"
 
 
-def omega_variables(n: int, g: tuple) -> list[OmegaVariable]:
-    """All admissible pairs, shifts in lex order, Z sets by sorted tuple."""
+class _OmegaTable:
+    """One list of Ω variables over the box [0, g], with what every layer
+    reads of it: `names` and `lp_names` (the two spellings of each
+    variable), `by_name` (either spelling -> position), `index` (variable
+    -> position) and `supports` (degree -> positions of the variables
+    alive there, the support of its equality row).  No part is handed
+    out or changed, so one table serves every system of its list."""
+
+    def __init__(self, g: tuple, variables: tuple):
+        self.variables = variables
+        self.names = tuple(v.name() for v in variables)
+        self.lp_names = tuple(v.lp_name() for v in variables)
+        self.by_name = {name: i for names in (self.names, self.lp_names) for i, name in enumerate(names)}
+        self.index = {v: i for i, v in enumerate(variables)}
+        alive = alive_summands([(v.zset, v.shift) for v in variables], g)
+        self.supports = {a: tuple(indices) for a, indices in alive.items()}
+
+
+@lru_cache(maxsize=OMEGA_TABLE_LIMIT)
+def _omega_table(n: int, g: tuple) -> _OmegaTable:
+    """The table of every admissible pair, shifts in lex order, Z sets by
+    sorted tuple; one per (n, g), the last OMEGA_TABLE_LIMIT kept."""
     out = []
     indices = list(range(n))
     for b in dg.box(dg.zero(n), g):
@@ -64,11 +88,25 @@ def omega_variables(n: int, g: tuple) -> list[OmegaVariable]:
             extensions.extend(combinations(free, r))
         for ext in sorted(extensions):
             out.append(OmegaVariable(b, forced | frozenset(ext)))
-    return out
+    return _OmegaTable(g, tuple(out))
 
 
-@dataclass(frozen=True)
-class LinearRow:
+def _table_of(system: LinearSystem) -> _OmegaTable:
+    """The table of the system's variables: the shared one of (n, g) when
+    it holds all of them, else a table of its own list (a `min_depth`
+    system, or a list built or changed by hand), built for this call."""
+    g, variables = tuple(system.g), tuple(system.variables)
+    table = _omega_table(system.n, g)
+    return table if variables == table.variables else _OmegaTable(g, variables)
+
+
+def omega_variables(n: int, g: tuple) -> list[OmegaVariable]:
+    """All admissible pairs, shifts in lex order, Z sets by sorted tuple:
+    a new list of the variables of the shared table of (n, g)."""
+    return list(_omega_table(n, tuple(g)).variables)
+
+
+class LinearRow(NamedTuple):
     """sum of u over `support` (indices into the variable list) compared
     with rhs; sense is "==" or "<="."""
 
@@ -86,9 +124,6 @@ class LinearSystem:
     rows: list[LinearRow]
     max_subset: int | None = None
 
-    def index(self) -> dict[OmegaVariable, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
     def violated_row(self, values) -> LinearRow | None:
         """First row the assignment breaks, or None."""
         for row in self.rows:
@@ -100,17 +135,15 @@ class LinearSystem:
         return None
 
 
-def _equality_rows(gm: GradedModule, variables: list[OmegaVariable]):
-    """The variable indices alive at each degree a, and the rows saying
-    that they add up to dim M_a."""
-    alive = alive_summands([(v.zset, v.shift) for v in variables], gm.g)
-    return alive, [LinearRow(tuple(alive[a]), "==", gm.dim(a), a) for a in alive]
+def _equality_rows(gm: GradedModule, table: _OmegaTable) -> list[LinearRow]:
+    """One row per degree a: the variables alive at a add up to dim M_a."""
+    return [LinearRow(support, "==", gm.dim(a), a) for a, support in table.supports.items()]
 
 
 def build_hilbert_system(gm: GradedModule) -> LinearSystem:
     """One equality per degree of [0, g]: alive summand count = dim M_a."""
-    variables = omega_variables(gm.n, gm.g)
-    return LinearSystem(gm.n, gm.g, variables, _equality_rows(gm, variables)[1])
+    table = _omega_table(gm.n, gm.g)
+    return LinearSystem(gm.n, gm.g, list(table.variables), _equality_rows(gm, table))
 
 
 def build_stanley_inequalities(
@@ -143,16 +176,16 @@ def build_stanley_inequalities(
                     f"more than INEQUALITY_ROW_BUDGET = {INEQUALITY_ROW_BUDGET} inequality rows; "
                     "pass a max_subset cap or lower max_subset"
                 )
-    variables = omega_variables(gm.n, gm.g)
-    if min_depth is not None:
-        variables = [v for v in variables if len(v.zset) >= min_depth]
-    alive, rows = _equality_rows(gm, variables)
-    for a, alive_at_a in alive.items():
-        rows.extend(_rank_rows(gm, a, alive_at_a, variables, caps[a]))
-    return LinearSystem(gm.n, gm.g, variables, rows, max_subset=max_subset)
+    table = _omega_table(gm.n, gm.g)
+    if min_depth:
+        table = _OmegaTable(gm.g, tuple(v for v in table.variables if len(v.zset) >= min_depth))
+    rows = _equality_rows(gm, table)
+    for a, support in table.supports.items():
+        rows.extend(_rank_rows(gm, a, support, table.variables, caps[a]))
+    return LinearSystem(gm.n, gm.g, list(table.variables), rows, max_subset=max_subset)
 
 
-def _rank_rows(gm: GradedModule, a: tuple, alive: list, variables, cap: int):
+def _rank_rows(gm: GradedModule, a: tuple, alive: tuple, variables: tuple, cap: int):
     """The rank rows at degree a, for every J of 1..cap shifts from the
     box [0, a], ordered by size and then lexicographically.
 
@@ -198,7 +231,7 @@ def _rank_rows(gm: GradedModule, a: tuple, alive: list, variables, cap: int):
 
 
 def decomposition_to_point(system: LinearSystem, d: HilbertDecomposition) -> list[int]:
-    index = system.index()
+    index = _table_of(system).index
     values = [0] * len(system.variables)
     for zset, shift in d.summands:
         v = OmegaVariable(tuple(shift), frozenset(zset))
@@ -263,7 +296,7 @@ def export_sip(system: LinearSystem, comment: str = "") -> str:
     if system.max_subset is not None:
         lines.append(f"# relaxation: subset size capped at {system.max_subset}")
     lines.append(f"ip {system.n} " + " ".join(str(x) for x in system.g))
-    names = [v.name() for v in system.variables]
+    names = _table_of(system).names
     for name in names:
         lines.append(f"var {name} >= 0 integer")
     for row in system.rows:
@@ -275,7 +308,7 @@ def export_sip(system: LinearSystem, comment: str = "") -> str:
 
 
 def export_lp(system: LinearSystem) -> str:
-    names = [v.lp_name() for v in system.variables]
+    names = _table_of(system).lp_names
     lines = ["Minimize", " obj: 0", "Subject To"]
     for idx, row in enumerate(system.rows):
         terms = " + ".join([names[i] for i in row.support]) or f"0 {names[0]}"
@@ -319,11 +352,11 @@ def _label_text(label, coords: _ShiftText) -> str:
 
 def parse_solution(text: str, system: LinearSystem) -> list[int]:
     """Strict reader: every variable assigned exactly once, values are
-    nonnegative integers, no unknown names."""
-    by_name = {}
-    for i, v in enumerate(system.variables):
-        by_name[v.name()] = i
-        by_name[v.lp_name()] = i
+    nonnegative integers, no unknown names.  Both spellings of every name
+    are read from the system's Ω table, which a system of all the
+    variables of its box shares with every other such system."""
+    table = _table_of(system)
+    by_name = table.by_name
     values: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -345,10 +378,10 @@ def parse_solution(text: str, system: LinearSystem) -> list[int]:
         if value < 0:
             raise InputFormatError(f"line {lineno}: {name!r} is negative")
         values[i] = value
-    missing = [system.variables[i].name() for i in range(len(system.variables)) if i not in values]
+    missing = [name for i, name in enumerate(table.names) if i not in values]
     if missing:
         raise InputFormatError(f"solution misses {len(missing)} variables, first {missing[0]}")
-    return [values[i] for i in range(len(system.variables))]
+    return [values[i] for i in range(len(table.variables))]
 
 
 def import_solution(gm: GradedModule, system: LinearSystem, text: str) -> HilbertDecomposition:

@@ -238,6 +238,16 @@ class CheckReport:
     def induced(self) -> bool:
         return self.verdict == "induced"
 
+    def verdict_line(self) -> str:
+        """`verdict (failing degree a) [detail]`, each part only when known:
+        the one form every command and error message gives a verdict in."""
+        line = self.verdict
+        if self.failing_degree is not None:
+            line += f" (failing degree {','.join(str(x) for x in self.failing_degree)})"
+        if self.detail:
+            line += f" [{self.detail}]"
+        return line
+
 
 def check_infinite(fam: SymbolicMatrixFamily) -> CheckReport:
     """Induced iff no determinant is the zero polynomial (infinite field),
@@ -432,10 +442,7 @@ def extract_witness(
     if check_first:
         report = check(gm, d, fam=fam)
         if not report.induced:
-            raise WitnessNotFoundError(
-                f"no witness exists: decomposition is not induced ({report.mode} "
-                f"check{f' fails at degree {report.failing_degree}' if report.failing_degree else ''})"
-            )
+            raise WitnessNotFoundError(f"no witness exists: {report.verdict_line()}")
     if fam.first_singular_degree is not None:
         raise WitnessNotFoundError("no witness exists: a determinant vanishes identically")
 

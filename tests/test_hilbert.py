@@ -160,6 +160,73 @@ def test_alive_summands_matches_the_predicate(case):
         assert indices == [i for i, (z, b) in enumerate(summands) if oracles.is_alive(z, b, a)]
 
 
+@given(summand_lists(), st.sampled_from([list, set, frozenset]))
+def test_alive_summands_reads_the_shape_memo_like_the_predicate(case, zform):
+    # Z as a list or set and b and g as lists, asked twice: the second call
+    # reads every admissible shape from the memo the first call filled
+    g, summands = case
+    spelled = [(zform(z), list(b)) for z, b in summands]
+    for _ in range(2):
+        alive = alive_summands(spelled, list(g))
+        assert list(alive) == list(dg.box(dg.zero(len(g)), g))
+        for a, indices in alive.items():
+            assert indices == [i for i, (z, b) in enumerate(summands) if oracles.is_alive(z, b, a)]
+
+
+@pytest.fixture(scope="module")
+def free_modules():
+    """A free module of rank 1 for each g that `summand_lists` draws."""
+    built = {}
+
+    def free_module(g):
+        if g not in built:
+            built[g] = modules.build(modules.free(QQ, len(g), [dg.zero(len(g))]), g)
+        return built[g]
+    return free_module
+
+
+@given(summand_lists())
+def test_validation_reports_the_shape_failure_of_the_first_bad_summand(free_modules, case):
+    # a shape the memo holds is admissible; one it does not hold is checked,
+    # before and after the memo has seen every shape of the decomposition
+    g, summands = case
+    gm = free_modules(g)
+    d = HilbertDecomposition(summands)
+    failures = [hilbert._summand_shape_failure(z, b, g, len(g)) for z, b in d.summands]
+    first = next((f for f in failures if f is not None), None)
+    for _ in range(2):
+        failure = validate_decomposition(d, gm)
+        if first is None:
+            assert failure is None or failure.kind == "count"
+        else:
+            assert (failure.kind, failure.degree, failure.detail) == ("shape", None, first)
+
+
+def test_the_shape_memo_holds_at_most_its_cell_bound(monkeypatch):
+    monkeypatch.setattr(hilbert, "_SHAPES", hilbert._ShapeMemo())
+    monkeypatch.setattr(hilbert, "SHAPE_MEMO_CELLS", 10)
+    g = (2, 2)
+    shapes = [(z, b) for b in dg.box((0, 0), g) for z in ({0, 1}, {0}, {1}, set())]
+    shapes.append(({0, 1}, (0, 0)))  # its 9 cells start the memo over
+    for _ in range(2):
+        alive = alive_summands(shapes, g)
+        assert 0 < hilbert._SHAPES.held <= 10
+        assert hilbert._SHAPES.held == sum(len(cells) for cells in hilbert._SHAPES.values())
+        for a, indices in alive.items():
+            assert indices == [i for i, (z, b) in enumerate(shapes) if oracles.is_alive(z, b, a)]
+
+
+def test_a_changed_alive_map_changes_no_later_answer():
+    g = (1, 2)
+    summands = [({0, 1}, (0, 0)), ({1}, (1, 0)), ([0], [0, 2])]
+    first = alive_summands(summands, g)
+    expected = {a: list(indices) for a, indices in first.items()}
+    for indices in first.values():
+        indices.append(99)
+    first[(5, 5)] = [1]
+    assert alive_summands(summands, g) == expected
+
+
 def test_validate_accepts_a_known_good_decomposition(ex34, ex34_dec):
     assert validate_decomposition(ex34_dec, ex34) is None
 

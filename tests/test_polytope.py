@@ -331,6 +331,55 @@ def test_parse_solution_error_matrix(free_line_system):
             parse_solution(text, system)
 
 
+def _solution_text(system, values, lp=False):
+    return "".join(f"{v.lp_name() if lp else v.name()} {x}\n" for v, x in zip(system.variables, values))
+
+
+def test_a_min_depth_system_round_trips_through_parse_solution(ex36, ex36_dec):
+    system = build_stanley_inequalities(ex36, max_subset=1, min_depth=1)
+    full = build_hilbert_system(ex36)
+    assert 0 < len(system.variables) < len(full.variables)
+    point = decomposition_to_point(system, ex36_dec)
+    assert point_to_decomposition(system, point).canonical() == ex36_dec.canonical()
+    for lp in (False, True):
+        assert parse_solution(_solution_text(system, point, lp), system) == point
+    with pytest.raises(InputFormatError, match="unknown variable 'u\\[0,0;\\{\\}\\]'"):
+        parse_solution(_solution_text(full, decomposition_to_point(full, ex36_dec)), system)
+    names = [line.split()[1] for line in export_sip(system).splitlines() if line.startswith("var ")]
+    assert names == [v.name() for v in system.variables]
+
+
+def test_changed_systems_and_variable_lists_change_no_later_answer(m2):
+    d = HilbertDecomposition([({0, 1}, (0, 1)), ({0}, (1, 0))])
+    variables = omega_variables(2, (1, 1))
+    expected_names = [v.name() for v in variables]
+    variables.reverse()
+    variables.pop()
+    assert [v.name() for v in omega_variables(2, (1, 1))] == expected_names
+    system = build_hilbert_system(m2)
+    rows, point = list(system.rows), decomposition_to_point(system, d)
+    text = _solution_text(system, point)
+    system.variables.reverse()
+    system.rows.clear()
+    # the changed system answers for its own variable list ...
+    assert decomposition_to_point(system, d) == point[::-1]
+    assert parse_solution(text, system) == point[::-1]
+    assert export_sip(system).splitlines()[1] == "var u[1,1;{1,2}] >= 0 integer"
+    # ... and every later system is built and read as before
+    again = build_hilbert_system(m2)
+    assert [v.name() for v in again.variables] == expected_names
+    assert again.rows == rows
+    assert decomposition_to_point(again, d) == point
+    assert parse_solution(text, again) == point
+
+
+def test_the_omega_tables_are_bounded():
+    for top in range(polytope.OMEGA_TABLE_LIMIT + 2):
+        assert len(omega_variables(1, (top,))) == 2 * top + 1
+    info = polytope._omega_table.cache_info()
+    assert info.maxsize == info.currsize == polytope.OMEGA_TABLE_LIMIT
+
+
 def test_import_solution_round_trip(free_line_system):
     gm, system = free_line_system
     d = import_solution(gm, system, "u[0;{}] 0\nu[0;{1}] 1\nu[1;{1}] 0\n")

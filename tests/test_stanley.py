@@ -429,9 +429,16 @@ def test_verify_witness_checks_the_variable_set(m2):
         verify_witness(m2, d, {(0, 0): Fraction(1), (1, 0): Fraction(1), (8, 0): Fraction(1)})
 
 
-def test_extract_witness_refuses_non_induced_decompositions(ex34, ex34_dec):
-    with pytest.raises(WitnessNotFoundError, match=r"not induced .*\(1, 1\)"):
-        extract_witness(ex34, ex34_dec)
+def test_extract_witness_refuses_non_induced_decompositions(ex34, ex34_dec, ex36_f2, ex36_dec):
+    # the error carries the verdict line `check` prints, detail included
+    for gm, d, line in [
+        (ex34, ex34_dec, "not_induced (failing degree 1,1)"),
+        (ex36_f2, ex36_dec, "not_induced [expanded product (exponent bound 4 >= 2)]"),
+    ]:
+        assert check(gm, d).verdict_line() == line
+        with pytest.raises(WitnessNotFoundError) as caught:
+            extract_witness(gm, d)
+        assert str(caught.value) == f"no witness exists: {line}"
 
 
 def test_extract_witness_search_budget(m2, monkeypatch):
