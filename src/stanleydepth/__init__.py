@@ -37,7 +37,7 @@ from .hilbert import (
     truncated_series,
     validate_decomposition,
 )
-from .linalg import Matrix, Subspace, quotient_basis
+from .linalg import Matrix, Subspace
 from .modules import (
     GradedModule,
     ModulePresentation,

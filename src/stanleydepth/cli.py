@@ -32,7 +32,6 @@ from .stanley import (
     build_matrices,
     certificate_json,
     check,
-    check_transversal,
     extract_witness,
     sdepth,
     verify_certificate,
@@ -215,17 +214,12 @@ def cmd_import_solution(args) -> int:
     except (OSError, ValueError) as exc:
         raise StanleyDepthError(f"cannot read solution {args.solution}: {exc}") from exc
     d = polytope.import_solution(gm, system, text)
-    if not gm.field.is_finite():
-        report = check_transversal(gm, d)
-        line = report.verdict_line()
-        if not report.induced:
-            print(line)
-            return 1
-    else:
-        _progress("finite field: run `check` on the written decomposition for a verdict")
-        line = "hilbert_decomposition"
+    report = check(gm, d)
+    if not report.induced:
+        print(report.verdict_line())
+        return 1
     text = None if args.output is None else _json_text(decomposition_to_json(d))
-    _report([line], args.output, text)
+    _report([report.verdict_line()], args.output, text)
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from . import degrees as dg
@@ -169,19 +170,23 @@ def _summand_shape_failure(zset, shift, g, n):
     return None
 
 
-def _alive_box(g: tuple, zset, shift: tuple):
-    """The cells of [0, g] where summand (Z, b) is alive, in lexicographic
-    order: the box from b to the corner equal to g on Z and to b
-    elsewhere, clipped at 0; empty when the corner leaves [0, g]."""
-    corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
-    if not dg.leq(corner, g):
-        return iter(())
-    return dg.box(tuple(max(x, 0) for x in shift), corner)
+def admissible_shapes(g: tuple):
+    """Every summand shape (Z, b) that passes `_summand_shape_failure`
+    over [0, g]: shifts in lex order, and at each shift the Z sets by the
+    sorted tuple of their coordinates beyond the forced ones."""
+    n = len(g)
+    for b in dg.box(dg.zero(n), g):
+        forced = frozenset(j for j in range(n) if b[j] == g[j])
+        free = [j for j in range(n) if j not in forced]
+        extensions = sorted(ext for r in range(len(free) + 1) for ext in combinations(free, r))
+        for ext in extensions:
+            yield forced | frozenset(ext), b
 
 
 class _ShapeMemo(dict):
-    """(g, Z, b) -> the cells of an admissible summand shape (one that
-    passes `_summand_shape_failure`), as `_alive_box` lists them.
+    """(g, Z, b) -> the cells of [0, g] where an admissible summand shape
+    is alive, in lexicographic order: the box from b to the corner equal
+    to g on Z and to b elsewhere.
 
     Only admissible shapes are stored, so a hit also answers the shape
     check.  Storing a shape that would take the memo past
@@ -192,11 +197,13 @@ class _ShapeMemo(dict):
     held = 0
 
     def admit(self, g: tuple, zset: frozenset, shift: tuple):
-        """The cells of (Z, b) over [0, g], stored; None when the shape is
-        not admissible."""
-        if _summand_shape_failure(zset, shift, g, len(g)) is not None:
-            return None
-        cells = tuple(_alive_box(g, zset, shift))
+        """The cells of (Z, b) over [0, g], stored; ShapeError with
+        `_summand_shape_failure`'s text when the shape is not admissible."""
+        failure = _summand_shape_failure(zset, shift, g, len(g))
+        if failure is not None:
+            raise ShapeError(failure)
+        corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
+        cells = tuple(dg.box(shift, corner))
         if self.held + len(cells) > SHAPE_MEMO_CELLS:
             self.clear()
             self.held = 0
@@ -213,19 +220,17 @@ def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
     """For each degree a of [0, g], the ascending indices of the summands
     (Z, b) alive at a: b <= a and a - b is supported in Z.
 
-    Summand (Z, b) is alive on the box from b to the corner equal to g on
-    Z and to b elsewhere; cells of that box outside [0, g] are skipped.
-    The cells of an admissible shape are computed once per (g, Z, b) and
-    then read from the shape memo, so a call costs one lookup and the
-    appends per summand; any other shape is walked on every call.  Z and
+    Every summand must be admissible; the first that is not raises
+    ShapeError with `_summand_shape_failure`'s text.  The cells of a
+    shape are computed once per (g, Z, b) and then read from the shape
+    memo, so a call costs one lookup and the appends per summand.  Z and
     b may be any iterables; the dict and its lists are new on every call.
     """
     g = tuple(g)
     alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(len(g)), g)}
     for i, (zset, shift) in enumerate(summands):
         zset, shift = frozenset(zset), tuple(shift)
-        cells = _SHAPES.get((g, zset, shift)) or _SHAPES.admit(g, zset, shift)
-        for a in _alive_box(g, zset, shift) if cells is None else cells:
+        for a in _SHAPES.get((g, zset, shift)) or _SHAPES.admit(g, zset, shift):
             alive[a].append(i)
     return alive
 
@@ -246,18 +251,15 @@ def validated_alive(d: HilbertDecomposition, gm: GradedModule):
     """(alive map of d, None) when d is a Hilbert decomposition of gm;
     otherwise (None, first failure).
 
-    Checks the summand shape constraints (shift within [0, g], forced
-    coordinates present in Z) and, for every a in [0, g], that the number
-    of summands alive at a equals dim M_a.  A shape found in the shape
-    memo is admissible and is not checked again.  The alive map is the
-    one `alive_summands` walk this takes.
+    The one `alive_summands` walk checks the summand shapes (shift within
+    [0, g], forced coordinates present in Z) with one shape-memo lookup
+    per summand; then, for every a in [0, g], the number of summands
+    alive at a must equal dim M_a.
     """
-    g = gm.g
-    for zset, shift in d.summands:
-        if (g, zset, shift) not in _SHAPES and _SHAPES.admit(g, zset, shift) is None:
-            failure = _summand_shape_failure(zset, shift, g, gm.n)
-            return None, ValidationFailure("shape", None, failure)
-    alive = alive_summands(d.summands, g)
+    try:
+        alive = alive_summands(d.summands, gm.g)
+    except ShapeError as exc:
+        return None, ValidationFailure("shape", None, str(exc))
     for a, indices in alive.items():
         if len(indices) != gm.dim(a):
             return None, ValidationFailure("count", a, f"decomposition covers {len(indices)}, module has {gm.dim(a)}")

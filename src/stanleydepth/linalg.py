@@ -228,17 +228,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
-
-
-def quotient_basis(ambient_dim: int, sub: Subspace) -> list[tuple]:
-    """Coset representatives for K^n / sub: unit vectors at non-pivot columns,
-    in ascending column order."""
-    if sub.ambient_dim != ambient_dim:
-        raise DimensionMismatchError("subspace ambient does not match")
-    f = sub.field
-    pivot_set = set(sub.pivots)
-    reps = []
-    for c in range(ambient_dim):
-        if c not in pivot_set:
-            reps.append(tuple(f.one if i == c else f.zero for i in range(ambient_dim)))
-    return reps

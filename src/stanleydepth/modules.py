@@ -8,9 +8,10 @@ formed on first use.
 The degree-a piece is the span of the monomial multiples
 {X^(a - deg e_i) e_i : deg e_i <= a} (one ambient coordinate per
 generator, ordered by generator index) modulo the span of the degree-a
-multiples of the relations.  The coset basis follows the canonical
-convention of linalg.quotient_basis, which makes every downstream
-certificate reproducible.
+multiples of the relations.  Its coset basis is the canonical one of
+linalg: the unit vectors at the non-pivot columns of the relation
+subspace, by ascending column, which makes every downstream certificate
+reproducible.
 
 M_a depends only on the signature of a: which generators and which
 relations have degree <= a.  Degrees with one signature share one
@@ -33,7 +34,7 @@ from .errors import (
     ShapeError,
 )
 from .fields import Field, field_from_json
-from .linalg import Matrix, Subspace, quotient_basis
+from .linalg import Matrix, Subspace
 
 # Largest box [0, g+1], counted in degrees, that build() will fill.
 BOX_DEGREE_LIMIT = 10**5
@@ -105,12 +106,11 @@ class GradedPiece:
 
     gens: tuple[int, ...]
     relation_subspace: Subspace
-    coset_basis: tuple[tuple, ...]
     nonpivot_columns: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.coset_basis)
+        return len(self.nonpivot_columns)
 
     def coords(self, ambient_vector) -> tuple:
         """Coordinates of an ambient vector in the coset basis."""
@@ -169,10 +169,9 @@ class GradedModule:
                         vec[p] = f.add(vec[p], coeff)
                     vectors.append(vec)
                 sub = Subspace(f, ambient, vectors)
-                basis = tuple(quotient_basis(ambient, sub))
                 pivot_set = set(sub.pivots)
                 nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
-                piece = by_signature[(gens, rels)] = GradedPiece(gens, sub, basis, nonpivots)
+                piece = by_signature[(gens, rels)] = GradedPiece(gens, sub, nonpivots)
             self.pieces[a] = piece
 
     def _transfer(self, src: GradedPiece, dst: GradedPiece) -> Matrix:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from . import degrees as dg
@@ -27,23 +26,27 @@ from .errors import (
     ResourceLimitError,
     StanleyDepthError,
 )
-from .hilbert import HilbertDecomposition, alive_summands
+from .hilbert import HilbertDecomposition, admissible_shapes, alive_summands
 from .linalg import Subspace
 from .modules import GradedModule
 from .stanley import check_transversal
 
 DEFAULT_MAX_SUBSET = 4
 INEQUALITY_ROW_BUDGET = 2 * 10**6
+# Most equality-row support entries of one box's Ω table, counted before
+# any variable is built (see `_omega_table`).
+OMEGA_SUPPORT_BUDGET = 2 * 10**6
 # Most boxes whose Ω table (`_omega_table`) is kept.
 OMEGA_TABLE_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class OmegaVariable:
-    """An admissible summand shape: shift b plus variable set Z."""
+class OmegaVariable(NamedTuple):
+    """An admissible summand shape K[Z](-b) as the pair (Z, b) that a
+    HilbertDecomposition holds: a variable equals, and hashes as, the
+    summand it counts, so either is looked up as the other."""
 
-    shift: tuple
     zset: frozenset
+    shift: tuple
 
     def name(self) -> str:
         coords = ",".join(str(x) for x in self.shift)
@@ -57,12 +60,12 @@ class OmegaVariable:
 
 
 class _OmegaTable:
-    """One list of Ω variables over the box [0, g], with what every layer
+    """One tuple of Ω variables over the box [0, g], with what every layer
     reads of it: `names` and `lp_names` (the two spellings of each
     variable), `by_name` (either spelling -> position), `index` (variable
     -> position) and `supports` (degree -> positions of the variables
     alive there, the support of its equality row).  No part is handed
-    out or changed, so one table serves every system of its list."""
+    out or changed, so one table serves every system of its variables."""
 
     def __init__(self, g: tuple, variables: tuple):
         self.variables = variables
@@ -70,40 +73,28 @@ class _OmegaTable:
         self.lp_names = tuple(v.lp_name() for v in variables)
         self.by_name = {name: i for names in (self.names, self.lp_names) for i, name in enumerate(names)}
         self.index = {v: i for i, v in enumerate(variables)}
-        alive = alive_summands([(v.zset, v.shift) for v in variables], g)
+        alive = alive_summands(variables, g)
         self.supports = {a: tuple(indices) for a, indices in alive.items()}
 
 
 @lru_cache(maxsize=OMEGA_TABLE_LIMIT)
 def _omega_table(n: int, g: tuple) -> _OmegaTable:
-    """The table of every admissible pair, shifts in lex order, Z sets by
-    sorted tuple; one per (n, g), the last OMEGA_TABLE_LIMIT kept."""
-    out = []
-    indices = list(range(n))
-    for b in dg.box(dg.zero(n), g):
-        forced = frozenset(j for j in indices if b[j] == g[j])
-        free = [j for j in indices if j not in forced]
-        extensions = []
-        for r in range(len(free) + 1):
-            extensions.extend(combinations(free, r))
-        for ext in sorted(extensions):
-            out.append(OmegaVariable(b, forced | frozenset(ext)))
-    return _OmegaTable(g, tuple(out))
+    """The table of every admissible shape of [0, g], in the order of
+    `hilbert.admissible_shapes`; one per (n, g), the last
+    OMEGA_TABLE_LIMIT kept.
 
-
-def _table_of(system: LinearSystem) -> _OmegaTable:
-    """The table of the system's variables: the shared one of (n, g) when
-    it holds all of them, else a table of its own list (a `min_depth`
-    system, or a list built or changed by hand), built for this call."""
-    g, variables = tuple(system.g), tuple(system.variables)
-    table = _omega_table(system.n, g)
-    return table if variables == table.variables else _OmegaTable(g, variables)
-
-
-def omega_variables(n: int, g: tuple) -> list[OmegaVariable]:
-    """All admissible pairs, shifts in lex order, Z sets by sorted tuple:
-    a new list of the variables of the shared table of (n, g)."""
-    return list(_omega_table(n, tuple(g)).variables)
+    At coordinate j a summand alive at a_j has j in Z and b_j <= a_j, or
+    b_j = a_j < g_j, so the equality rows hold prod_j (g_j + (g_j + 1)
+    (g_j + 2) / 2) support entries in all; past OMEGA_SUPPORT_BUDGET the
+    box is refused before any variable is built.
+    """
+    support = prod(x + (x + 1) * (x + 2) // 2 for x in g)
+    if support > OMEGA_SUPPORT_BUDGET:
+        raise ResourceLimitError(
+            f"the polytope variables of g = {g} have {support} equality-row support "
+            f"entries, more than OMEGA_SUPPORT_BUDGET = {OMEGA_SUPPORT_BUDGET}"
+        )
+    return _OmegaTable(g, tuple(OmegaVariable(*shape) for shape in admissible_shapes(g)))
 
 
 class LinearRow(NamedTuple):
@@ -116,13 +107,25 @@ class LinearRow(NamedTuple):
     label: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
+    """A tuple of rows over the variables of one Ω table.
+
+    The system cannot change, so the table resolved once, when it is
+    built, answers every later read: exports, point conversions and
+    solution parsing.  A system of every variable of its box holds the
+    shared table of (n, g); a `min_depth` system holds one of its own.
+    """
+
     n: int
     g: tuple
-    variables: list[OmegaVariable]
-    rows: list[LinearRow]
+    table: _OmegaTable
+    rows: tuple
     max_subset: int | None = None
+
+    @property
+    def variables(self) -> tuple:
+        return self.table.variables
 
     def violated_row(self, values) -> LinearRow | None:
         """First row the assignment breaks, or None."""
@@ -143,7 +146,7 @@ def _equality_rows(gm: GradedModule, table: _OmegaTable) -> list[LinearRow]:
 def build_hilbert_system(gm: GradedModule) -> LinearSystem:
     """One equality per degree of [0, g]: alive summand count = dim M_a."""
     table = _omega_table(gm.n, gm.g)
-    return LinearSystem(gm.n, gm.g, list(table.variables), _equality_rows(gm, table))
+    return LinearSystem(gm.n, gm.g, table, tuple(_equality_rows(gm, table)))
 
 
 def build_stanley_inequalities(
@@ -182,7 +185,7 @@ def build_stanley_inequalities(
     rows = _equality_rows(gm, table)
     for a, support in table.supports.items():
         rows.extend(_rank_rows(gm, a, support, table.variables, caps[a]))
-    return LinearSystem(gm.n, gm.g, list(table.variables), rows, max_subset=max_subset)
+    return LinearSystem(gm.n, gm.g, table, tuple(rows), max_subset)
 
 
 def _rank_rows(gm: GradedModule, a: tuple, alive: tuple, variables: tuple, cap: int):
@@ -231,13 +234,12 @@ def _rank_rows(gm: GradedModule, a: tuple, alive: tuple, variables: tuple, cap: 
 
 
 def decomposition_to_point(system: LinearSystem, d: HilbertDecomposition) -> list[int]:
-    index = _table_of(system).index
-    values = [0] * len(system.variables)
-    for zset, shift in d.summands:
-        v = OmegaVariable(tuple(shift), frozenset(zset))
-        i = index.get(v)
+    index = system.table.index
+    values = [0] * len(index)
+    for summand in d.summands:
+        i = index.get(summand)
         if i is None:
-            raise InputFormatError(f"summand {v.name()} is not an admissible variable")
+            raise InputFormatError(f"summand {OmegaVariable(*summand).name()} is not an admissible variable")
         values[i] += 1
     return values
 
@@ -251,7 +253,8 @@ def point_to_decomposition(system: LinearSystem, values) -> HilbertDecomposition
     for v, count in zip(system.variables, values):
         if count < 0:
             raise InputFormatError(f"negative multiplicity for {v.name()}")
-        summands.extend((v.zset, v.shift) for _ in range(count))
+        if count:
+            summands += [v] * count
     return HilbertDecomposition(summands)
 
 
@@ -296,7 +299,7 @@ def export_sip(system: LinearSystem, comment: str = "") -> str:
     if system.max_subset is not None:
         lines.append(f"# relaxation: subset size capped at {system.max_subset}")
     lines.append(f"ip {system.n} " + " ".join(str(x) for x in system.g))
-    names = _table_of(system).names
+    names = system.table.names
     for name in names:
         lines.append(f"var {name} >= 0 integer")
     for row in system.rows:
@@ -308,7 +311,7 @@ def export_sip(system: LinearSystem, comment: str = "") -> str:
 
 
 def export_lp(system: LinearSystem) -> str:
-    names = _table_of(system).lp_names
+    names = system.table.lp_names
     lines = ["Minimize", " obj: 0", "Subject To"]
     for idx, row in enumerate(system.rows):
         terms = " + ".join([names[i] for i in row.support]) or f"0 {names[0]}"
@@ -353,9 +356,8 @@ def _label_text(label, coords: _ShiftText) -> str:
 def parse_solution(text: str, system: LinearSystem) -> list[int]:
     """Strict reader: every variable assigned exactly once, values are
     nonnegative integers, no unknown names.  Both spellings of every name
-    are read from the system's Ω table, which a system of all the
-    variables of its box shares with every other such system."""
-    table = _table_of(system)
+    are read from the system's Ω table."""
+    table = system.table
     by_name = table.by_name
     values: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

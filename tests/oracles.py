@@ -18,7 +18,7 @@ from collections import deque
 from stanleydepth import degrees as dg
 from stanleydepth import hilbert, modules, polynomials, polytope
 from stanleydepth.fields import QQ
-from stanleydepth.linalg import Matrix, Subspace, quotient_basis
+from stanleydepth.linalg import Matrix, Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +423,9 @@ def per_subset_stanley_inequalities(gm, max_subset=polytope.DEFAULT_MAX_SUBSET, 
     Subspace of all stacked images per (a, J), J from itertools.combinations,
     row supports from the alive predicate.  The shared-prefix builder must
     produce exactly these rows in this order."""
-    variables = polytope.omega_variables(gm.n, gm.g)
+    variables = polytope.build_hilbert_system(gm).variables
     if min_depth is not None:
-        variables = [v for v in variables if len(v.zset) >= min_depth]
+        variables = tuple(v for v in variables if len(v.zset) >= min_depth)
     box = list(dg.box(dg.zero(gm.n), gm.g))
     rows = []
     for a in box:
@@ -443,7 +443,7 @@ def per_subset_stanley_inequalities(gm, max_subset=polytope.DEFAULT_MAX_SUBSET, 
                 vectors = [col for b in J for col in gm.power_map(b, a).columns()]
                 rhs = Subspace(gm.field, gm.dim(a), vectors).dim if vectors else 0
                 rows.append(polytope.LinearRow(support, "<=", rhs, (a, J)))
-    return polytope.LinearSystem(gm.n, gm.g, variables, rows, max_subset=max_subset)
+    return SimpleNamespace(variables=variables, rows=tuple(rows))
 
 
 def _alive_at(v, a):
@@ -477,6 +477,7 @@ def unshared_build(presentation, g):
     n = presentation.n
     top = dg.add(g, dg.ones(n))
     pieces = {}
+    coset_bases = {}
     mult_maps = {}
     for a in dg.box(dg.zero(n), top):
         gens = tuple(i for i, d in enumerate(presentation.generator_degrees) if dg.leq(d, a))
@@ -491,10 +492,10 @@ def unshared_build(presentation, g):
                     vec[p] = f.add(vec[p], coeff)
                 vectors.append(vec)
         sub = Subspace(f, ambient, vectors)
-        basis = tuple(quotient_basis(ambient, sub))
         pivot_set = set(sub.pivots)
         nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
-        pieces[a] = modules.GradedPiece(gens, sub, basis, nonpivots)
+        coset_bases[a] = [tuple(f.one if i == c else f.zero for i in range(ambient)) for c in nonpivots]
+        pieces[a] = modules.GradedPiece(gens, sub, nonpivots)
     for a in dg.box(dg.zero(n), top):
         src = pieces[a]
         for k in range(n):
@@ -504,7 +505,7 @@ def unshared_build(presentation, g):
             dst = pieces[b]
             dst_position = {i: p for p, i in enumerate(dst.gens)}
             columns = []
-            for vec in src.coset_basis:
+            for vec in coset_bases[a]:
                 image = [f.zero] * len(dst.gens)
                 for p, gen in enumerate(src.gens):
                     if not f.is_zero(vec[p]):

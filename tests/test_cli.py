@@ -352,15 +352,42 @@ def test_import_solution_flags_non_induced_points(tmp_path):
     assert (code, out) == (1, "not_induced (failing degree 1,1)\n")
 
 
-def test_import_solution_over_finite_fields_defers_the_verdict(tmp_path):
+def test_import_solution_over_finite_fields_prints_the_verdict_of_check(tmp_path):
+    gm = modules.load_module_file(EX36)
+    system = polytope.build_hilbert_system(gm)
+    point = polytope.decomposition_to_point(system, hilbert.load_decomposition_file(EX36_DEC, gm.g))
+    ex36_sol = tmp_path / "ex36_dec.sol"
+    ex36_sol.write_text(_solution_text({v.name(): x for v, x in zip(system.variables, point)}))
     values = {name: 0 for name in M2_NAMES}
     values["u[0,1;{1,2}]"] = 1
     values["u[1,0;{1}]"] = 1
+    m2_sol = tmp_path / "m2.sol"
+    m2_sol.write_text(_solution_text(values))
+    m2_dec = tmp_path / "m2_dec.json"
+    m2_dec.write_text(json.dumps({"summands": [{"vars": [1, 2], "shift": [0, 1]}, {"vars": [1], "shift": [1, 0]}]}))
+    expected = {
+        "F2": (1, "not_induced [expanded product (exponent bound 4 >= 2)]\n"),
+        "F5": (0, "induced [per-factor determinants (exponent bound 4 < 5)]\n"),
+    }
+    for field in ("F2", "F3", "F5"):
+        code, out, _ = run("import-solution", EX36, ex36_sol, "--field", field)
+        assert (code, out) == run("check", EX36, EX36_DEC, "--field", field)[:2]
+        assert (code, out) == expected.get(field, (code, out))
+        code, out, _ = run("import-solution", M2, m2_sol, "--field", field)
+        assert (code, out) == run("check", M2, m2_dec, "--field", field)[:2]
+
+
+def test_the_omega_budget_exits_with_code_two(tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"ring": {"n": 1}, "module": {"kind": "free", "shifts": [[0]]}}))
     sol = tmp_path / "sol.txt"
-    sol.write_text(_solution_text(values))
-    code, out, err = run("import-solution", M2, sol, "--field", "F2")
-    assert (code, out) == (0, "hilbert_decomposition\n")
-    assert "finite field" in err
+    sol.write_text("u[0;{1}] 1\n")
+    message = (
+        "error: the polytope variables of g = (2000,) have 2005001 equality-row support "
+        "entries, more than OMEGA_SUPPORT_BUDGET = 2000000\n"
+    )
+    for argv in (("export-polytope", path), ("import-solution", path, sol)):
+        assert run(*argv, "--g", "2000") == (2, "", message)
 
 
 def test_import_solution_rejects_a_file_that_is_not_utf8(tmp_path):

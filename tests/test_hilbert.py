@@ -151,13 +151,30 @@ def summand_lists(draw):
     return g, summands
 
 
-@given(summand_lists())
-def test_alive_summands_matches_the_predicate(case):
-    g, summands = case
-    alive = alive_summands(summands, g)
+def _first_shape_failure(summands, g):
+    """`_summand_shape_failure`'s text for the first non-admissible summand, or None."""
+    failures = (hilbert._summand_shape_failure(frozenset(z), tuple(b), g, len(g)) for z, b in summands)
+    return next((f for f in failures if f is not None), None)
+
+
+def _assert_alive_like_the_predicate(alive, summands, g):
     assert list(alive) == list(dg.box(dg.zero(len(g)), g))
     for a, indices in alive.items():
-        assert indices == [i for i, (z, b) in enumerate(summands) if oracles.is_alive(z, b, a)]
+        assert indices == [i for i, (z, b) in enumerate(summands) if oracles.is_alive(set(z), tuple(b), a)]
+
+
+@given(summand_lists())
+def test_alive_summands_matches_the_predicate(case):
+    # admissible shapes are walked like the predicate; the first other
+    # shape of a list raises with its shape failure
+    g, summands = case
+    admissible = [s for s in summands if _first_shape_failure([s], g) is None]
+    _assert_alive_like_the_predicate(alive_summands(admissible, g), admissible, g)
+    first = _first_shape_failure(summands, g)
+    if first is not None:
+        with pytest.raises(ShapeError) as raised:
+            alive_summands(summands, g)
+        assert str(raised.value) == first
 
 
 @given(summand_lists(), st.sampled_from([list, set, frozenset]))
@@ -166,11 +183,14 @@ def test_alive_summands_reads_the_shape_memo_like_the_predicate(case, zform):
     # reads every admissible shape from the memo the first call filled
     g, summands = case
     spelled = [(zform(z), list(b)) for z, b in summands]
+    admissible = [s for s in spelled if _first_shape_failure([s], g) is None]
+    first = _first_shape_failure(spelled, g)
     for _ in range(2):
-        alive = alive_summands(spelled, list(g))
-        assert list(alive) == list(dg.box(dg.zero(len(g)), g))
-        for a, indices in alive.items():
-            assert indices == [i for i, (z, b) in enumerate(summands) if oracles.is_alive(z, b, a)]
+        _assert_alive_like_the_predicate(alive_summands(admissible, list(g)), admissible, g)
+        if first is not None:
+            with pytest.raises(ShapeError) as raised:
+                alive_summands(spelled, list(g))
+            assert str(raised.value) == first
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +212,7 @@ def test_validation_reports_the_shape_failure_of_the_first_bad_summand(free_modu
     g, summands = case
     gm = free_modules(g)
     d = HilbertDecomposition(summands)
-    failures = [hilbert._summand_shape_failure(z, b, g, len(g)) for z, b in d.summands]
-    first = next((f for f in failures if f is not None), None)
+    first = _first_shape_failure(d.summands, g)
     for _ in range(2):
         failure = validate_decomposition(d, gm)
         if first is None:
@@ -206,7 +225,7 @@ def test_the_shape_memo_holds_at_most_its_cell_bound(monkeypatch):
     monkeypatch.setattr(hilbert, "_SHAPES", hilbert._ShapeMemo())
     monkeypatch.setattr(hilbert, "SHAPE_MEMO_CELLS", 10)
     g = (2, 2)
-    shapes = [(z, b) for b in dg.box((0, 0), g) for z in ({0, 1}, {0}, {1}, set())]
+    shapes = list(hilbert.admissible_shapes(g))
     shapes.append(({0, 1}, (0, 0)))  # its 9 cells start the memo over
     for _ in range(2):
         alive = alive_summands(shapes, g)
@@ -218,7 +237,7 @@ def test_the_shape_memo_holds_at_most_its_cell_bound(monkeypatch):
 
 def test_a_changed_alive_map_changes_no_later_answer():
     g = (1, 2)
-    summands = [({0, 1}, (0, 0)), ({1}, (1, 0)), ([0], [0, 2])]
+    summands = [({0, 1}, (0, 0)), ({0, 1}, (1, 0)), ([0, 1], [0, 2])]
     first = alive_summands(summands, g)
     expected = {a: list(indices) for a, indices in first.items()}
     for indices in first.values():

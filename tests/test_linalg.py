@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from stanleydepth.errors import DimensionMismatchError, ShapeError
 from stanleydepth.fields import GF, QQ
-from stanleydepth.linalg import Matrix, Subspace, quotient_basis
+from stanleydepth.linalg import Matrix, Subspace
 from stanleydepth.transversal import max_independent_transversal
 
 
@@ -147,32 +147,6 @@ def test_extended_equals_a_fresh_span_of_the_stacked_vectors(case):
     assert grown.pivots == Subspace(field, 4, first + more).pivots
     assert Subspace.zero(field, 4) == Subspace(field, 4)
     assert Subspace.zero(field, 4).extended(first) == start
-
-
-def test_quotient_basis_unit_vectors_ascending():
-    sub = Subspace(QQ, 3, [[Fraction(1), Fraction(1), Fraction(0)]])
-    reps = quotient_basis(3, sub)
-    assert reps == [
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ]
-    assert quotient_basis(2, Subspace(QQ, 2)) == [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    ]
-    with pytest.raises(DimensionMismatchError):
-        quotient_basis(4, sub)
-
-
-@given(st.lists(st.lists(small_fraction, min_size=3, max_size=3), max_size=4))
-def test_quotient_basis_complements_subspace(vectors):
-    sub = Subspace(QQ, 3, vectors)
-    reps = quotient_basis(3, sub)
-    assert len(reps) == 3 - sub.dim
-    # representatives and the subspace together span the ambient space
-    assert Matrix(QQ, list(sub.basis) + reps, 3).rank() == 3
-    for rep in reps:
-        assert any(sub.reduce(rep))
 
 
 @given(matrices(QQ, small_fraction, max_side=3))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import islice
 
@@ -18,6 +19,7 @@ from stanleydepth.errors import (
 from stanleydepth.fields import GF, QQ, PrimeField
 from stanleydepth.hilbert import (
     HilbertDecomposition,
+    admissible_shapes,
     enumerate_partitions,
     partition_to_decomposition,
     truncated_series,
@@ -32,7 +34,6 @@ from stanleydepth.polytope import (
     export_lp,
     export_sip,
     import_solution,
-    omega_variables,
     parse_solution,
     point_to_decomposition,
 )
@@ -45,21 +46,34 @@ def free_line_system():
 
 
 def test_omega_variable_names():
-    v = OmegaVariable((0, 1), frozenset({0, 1}))
+    v = OmegaVariable(frozenset({0, 1}), (0, 1))
     assert v.name() == "u[0,1;{1,2}]"
     assert v.lp_name() == "u_0_1__1_2"
-    empty = OmegaVariable((0,), frozenset())
+    empty = OmegaVariable(frozenset(), (0,))
     assert empty.name() == "u[0;{}]"
     assert empty.lp_name() == "u_0__"
 
 
+def test_an_omega_variable_is_the_summand_it_counts():
+    z, b = frozenset({1}), (0, 1)
+    v = OmegaVariable(z, b)
+    assert v == (z, b) and hash(v) == hash((z, b))
+    assert {v: 7}[(z, b)] == 7
+    d = HilbertDecomposition([(z, b)])
+    assert d.summands == (v,)
+
+
+def _shape_names(g):
+    return [OmegaVariable(*shape).name() for shape in admissible_shapes(g)]
+
+
 def test_omega_variables_force_saturated_coordinates():
-    names = [v.name() for v in omega_variables(2, (1, 0))]
+    names = _shape_names((1, 0))
     assert names == ["u[0,0;{2}]", "u[0,0;{1,2}]", "u[1,0;{1,2}]"]
 
 
 def test_omega_variables_order_on_the_unit_square():
-    names = [v.name() for v in omega_variables(2, (1, 1))]
+    names = _shape_names((1, 1))
     assert names == [
         "u[0,0;{}]", "u[0,0;{1}]", "u[0,0;{1,2}]", "u[0,0;{2}]",
         "u[0,1;{2}]", "u[0,1;{1,2}]",
@@ -304,9 +318,9 @@ def test_export_lp_text(free_line_system):
 def test_export_lp_keeps_empty_rows_well_formed():
     # LP format rejects constraints with no terms, so an empty support
     # renders as a zero-coefficient term on the first variable
-    variables = [OmegaVariable((0,), frozenset({0}))]
-    rows = [polytope.LinearRow((), "==", 0, (9,))]
-    system = polytope.LinearSystem(1, (0,), variables, rows)
+    gm = modules.build(modules.free(QQ, 1, [(0,)]), (0,))
+    system = dataclasses.replace(build_hilbert_system(gm), rows=(polytope.LinearRow((), "==", 0, (9,)),))
+    assert [v.name() for v in system.variables] == ["u[0;{1}]"]
     assert " r0: 0 u_0__1 = 0\n" in export_lp(system)
 
 
@@ -349,25 +363,39 @@ def test_a_min_depth_system_round_trips_through_parse_solution(ex36, ex36_dec):
     assert names == [v.name() for v in system.variables]
 
 
-def test_changed_systems_and_variable_lists_change_no_later_answer(m2):
+def test_a_depth_system_builds_its_omega_table_once(ex36, ex36_dec, monkeypatch):
+    polytope._omega_table(ex36.n, ex36.g)  # the shared table is built before counting
+    built = []
+    init = polytope._OmegaTable.__init__
+
+    def counted(self, g, variables):
+        built.append(len(variables))
+        init(self, g, variables)
+
+    monkeypatch.setattr(polytope._OmegaTable, "__init__", counted)
+    system = build_stanley_inequalities(ex36, max_subset=1, min_depth=1)
+    export_sip(system)
+    export_lp(system)
+    point = decomposition_to_point(system, ex36_dec)
+    assert parse_solution(_solution_text(system, point), system) == point
+    assert point_to_decomposition(system, point).canonical() == ex36_dec.canonical()
+    assert built == [len(system.variables)]
+
+
+def test_a_system_cannot_be_changed(m2):
     d = HilbertDecomposition([({0, 1}, (0, 1)), ({0}, (1, 0))])
-    variables = omega_variables(2, (1, 1))
-    expected_names = [v.name() for v in variables]
-    variables.reverse()
-    variables.pop()
-    assert [v.name() for v in omega_variables(2, (1, 1))] == expected_names
     system = build_hilbert_system(m2)
-    rows, point = list(system.rows), decomposition_to_point(system, d)
+    rows, point = system.rows, decomposition_to_point(system, d)
     text = _solution_text(system, point)
-    system.variables.reverse()
-    system.rows.clear()
-    # the changed system answers for its own variable list ...
-    assert decomposition_to_point(system, d) == point[::-1]
-    assert parse_solution(text, system) == point[::-1]
-    assert export_sip(system).splitlines()[1] == "var u[1,1;{1,2}] >= 0 integer"
-    # ... and every later system is built and read as before
+    with pytest.raises(AttributeError):
+        system.variables.reverse()
+    with pytest.raises(AttributeError):
+        system.rows.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.rows = ()
+    # every later system is built and read as before
     again = build_hilbert_system(m2)
-    assert [v.name() for v in again.variables] == expected_names
+    assert [v.name() for v in again.variables] == _shape_names((1, 1))
     assert again.rows == rows
     assert decomposition_to_point(again, d) == point
     assert parse_solution(text, again) == point
@@ -375,9 +403,36 @@ def test_changed_systems_and_variable_lists_change_no_later_answer(m2):
 
 def test_the_omega_tables_are_bounded():
     for top in range(polytope.OMEGA_TABLE_LIMIT + 2):
-        assert len(omega_variables(1, (top,))) == 2 * top + 1
+        assert len(polytope._omega_table(1, (top,)).variables) == 2 * top + 1
     info = polytope._omega_table.cache_info()
     assert info.maxsize == info.currsize == polytope.OMEGA_TABLE_LIMIT
+
+
+@pytest.mark.parametrize("name, support", [("m2", 16), ("ex36", 169), ("m6r9", 4096)])
+def test_the_omega_support_count_is_exact(name, support, monkeypatch):
+    gm = modules.load_module_file(data_file(f"{name}.json"))
+    build = polytope._omega_table.__wrapped__  # the function without its cache
+    monkeypatch.setattr(polytope, "OMEGA_SUPPORT_BUDGET", support)
+    table = build(gm.n, gm.g)
+    assert sum(len(indices) for indices in table.supports.values()) == support
+    monkeypatch.setattr(polytope, "OMEGA_SUPPORT_BUDGET", support - 1)
+    with pytest.raises(ResourceLimitError, match=f"have {support} equality-row support entries"):
+        build(gm.n, gm.g)
+
+
+def test_the_omega_budget_refuses_before_any_variable_is_built(monkeypatch):
+    monkeypatch.setattr(polytope, "admissible_shapes", lambda g: pytest.fail("a variable was built"))
+    line = modules.build(modules.free(QQ, 1, [(0,)]), (2000,))
+    with pytest.raises(ResourceLimitError) as raised:
+        build_hilbert_system(line)
+    assert str(raised.value) == (
+        "the polytope variables of g = (2000,) have 2005001 equality-row support entries, "
+        "more than OMEGA_SUPPORT_BUDGET = 2000000"
+    )
+    # at g = (51, 51) the 1,898,884 rank rows of cap 1 pass the row budget, the 1429^2 support entries do not
+    square = modules.build(modules.free(QQ, 2, [(0, 0)]), (51, 51))
+    with pytest.raises(ResourceLimitError, match="have 2042041 equality-row support entries"):
+        build_stanley_inequalities(square, max_subset=1)
 
 
 def test_import_solution_round_trip(free_line_system):
