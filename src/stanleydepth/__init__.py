@@ -28,12 +28,14 @@ from .hilbert import (
     HilbertPartition,
     Interval,
     TruncatedSeries,
+    ValidationFailure,
     alive_summands,
     decomposition_from_json,
     decomposition_to_json,
     enumerate_partitions,
     hdepth,
     partition_to_decomposition,
+    partitions_by_depth,
     truncated_series,
     validate_decomposition,
 )

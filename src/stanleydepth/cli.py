@@ -69,7 +69,7 @@ def _report(lines: list[str], path: str | None, text: str | None) -> None:
     `-` prints it after the lines, and a file is written before anything
     is printed, so a failed write leaves stdout empty."""
     if path is not None and path != "-":
-        polytope.write_text(path, text)
+        dg.write_text(path, text)
         _progress(f"wrote {path}")
     for line in lines:
         print(line)
@@ -111,7 +111,6 @@ def cmd_hseries(args) -> int:
 
 def cmd_hdepth(args) -> int:
     gm = _load_module(args)
-    require_g_determined(gm)
     value, partition = hdepth(gm, return_partition=True)
     text = None if args.output is None else _json_text(partition_to_json(partition))
     _report([f"hdepth = {'inf' if value == math.inf else value}"], args.output, text)
@@ -127,9 +126,6 @@ def cmd_sdepth(args) -> int:
         lines.append(f"summand shift=({','.join(str(x) for x in shift)}) vars={{{zs}}}")
     text = None
     if args.output is not None:
-        if result.witness is None:
-            raise StanleyDepthError("cannot write a certificate without a witness "
-                                    "(drop --no-witness)")
         text = _json_text(certificate_json(gm, result.decomposition, result.witness))
         if args.output != "-":
             lines.append(f"certificate: {args.output}")
@@ -165,12 +161,7 @@ def cmd_certify(args) -> int:
 
 def cmd_verify_cert(args) -> int:
     gm = _load_module(args)
-    try:
-        with open(args.certificate, encoding="utf-8") as fh:
-            cert = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise StanleyDepthError(f"cannot read certificate {args.certificate}: {exc}") from exc
-    ok, message = verify_certificate(gm, cert)
+    ok, message = dg.read_json(args.certificate, lambda cert: verify_certificate(gm, cert))
     print(("valid: " if ok else "invalid: ") + message)
     return 0 if ok else 1
 
@@ -208,12 +199,7 @@ def cmd_import_solution(args) -> int:
     gm = _load_module(args)
     require_g_determined(gm)
     system = polytope.build_hilbert_system(gm)
-    try:
-        with open(args.solution, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:
-        raise StanleyDepthError(f"cannot read solution {args.solution}: {exc}") from exc
-    d = polytope.import_solution(gm, system, text)
+    d = polytope.import_solution(gm, system, dg.read_text(args.solution))
     report = check(gm, d)
     if not report.induced:
         print(report.verdict_line())
@@ -247,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sdepth", help="Stanley depth with certificate")
     _add_module_arguments(p)
-    p.add_argument("--no-witness", action="store_true",
-                   help="skip witness extraction (no certificate)")
-    p.add_argument("--output", default=None, help="write the certificate (JSON)")
+    witness = p.add_mutually_exclusive_group()
+    witness.add_argument("--no-witness", action="store_true",
+                         help="skip witness extraction (no certificate)")
+    witness.add_argument("--output", default=None, help="write the certificate (JSON)")
     p.set_defaults(func=cmd_sdepth)
 
     p = sub.add_parser("check", help="is a Hilbert decomposition induced?")

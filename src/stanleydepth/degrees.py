@@ -1,17 +1,56 @@
-"""Multidegree helpers.
+"""Multidegree helpers, and the one reader and writer of files.
 
 Degrees are plain tuples of non-negative ints, compared componentwise.
 Indices are 0-based internally; serialization layers convert to 1-based
-variable numbering.
+variable numbering.  Files are read by `read_text` and `read_json`, and
+their values checked by `as_int`, `as_list` and `as_degree`; every read
+or write error becomes a StanleyDepthError.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from collections.abc import Iterator
 
-from .errors import InputFormatError
+from .errors import InputFormatError, StanleyDepthError
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path, parse):
+    """parse(the JSON document in the file at path).  Nesting past the
+    decoder's recursion limit is an input error too, and every input error
+    of parse is raised again with the path in front."""
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also integers past int()'s digit limit
+        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nests too deeply") from None
+    try:
+        return parse(doc)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write text to the file at path; an unwritable path raises
+    StanleyDepthError instead of OSError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StanleyDepthError(f"cannot write {path}: {exc}") from exc
 
 
 def as_int(value) -> int:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error that should abort a CLI run with exit code 2 derives from
-StanleyDepthError; verdicts ("not induced", validation failures) are
-return values, not exceptions.
+StanleyDepthError.  "Not induced" is a return value; an invalid
+decomposition raises `hilbert.ValidationFailure`, returned as a verdict
+only by `validate_decomposition` and `verify-cert`.
 """
 
 

@@ -11,7 +11,6 @@ of the induced decomposition is min |Z_b| over the intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -235,21 +234,20 @@ def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
     return alive
 
 
-@dataclass(frozen=True)
-class ValidationFailure:
-    kind: str  # "shape" or "count"
-    degree: tuple | None = None
-    detail: str = ""
+class ValidationFailure(PreconditionError):
+    """Not a Hilbert decomposition of the module: `kind` "shape" (a summand
+    is not admissible, `detail` says why) or "count" (the summands alive at
+    `degree` are not dim M_degree many); `reason` is the one-line account."""
 
-    def __str__(self):
-        if self.kind == "count":
-            return f"summand count mismatch at degree {self.degree}: {self.detail}"
-        return self.detail
+    def __init__(self, kind: str, degree: tuple | None = None, detail: str = ""):
+        self.kind, self.degree, self.detail = kind, degree, detail
+        self.reason = f"summand count mismatch at degree {degree}: {detail}" if kind == "count" else detail
+        super().__init__(f"not a Hilbert decomposition of the module: {self.reason}")
 
 
-def validated_alive(d: HilbertDecomposition, gm: GradedModule):
-    """(alive map of d, None) when d is a Hilbert decomposition of gm;
-    otherwise (None, first failure).
+def validated_alive(d: HilbertDecomposition, gm: GradedModule) -> dict[tuple, list[int]]:
+    """The alive map of d when d is a Hilbert decomposition of gm;
+    otherwise raise ValidationFailure for the first failure.
 
     The one `alive_summands` walk checks the summand shapes (shift within
     [0, g], forced coordinates present in Z) with one shape-memo lookup
@@ -259,16 +257,20 @@ def validated_alive(d: HilbertDecomposition, gm: GradedModule):
     try:
         alive = alive_summands(d.summands, gm.g)
     except ShapeError as exc:
-        return None, ValidationFailure("shape", None, str(exc))
+        raise ValidationFailure("shape", None, str(exc)) from None
     for a, indices in alive.items():
         if len(indices) != gm.dim(a):
-            return None, ValidationFailure("count", a, f"decomposition covers {len(indices)}, module has {gm.dim(a)}")
-    return alive, None
+            raise ValidationFailure("count", a, f"decomposition covers {len(indices)}, module has {gm.dim(a)}")
+    return alive
 
 
-def validate_decomposition(d: HilbertDecomposition, gm: GradedModule):
+def validate_decomposition(d: HilbertDecomposition, gm: GradedModule) -> ValidationFailure | None:
     """None on success; otherwise the first failure (see `validated_alive`)."""
-    return validated_alive(d, gm)[1]
+    try:
+        validated_alive(d, gm)
+    except ValidationFailure as failure:
+        return failure
+    return None
 
 
 def enumerate_partitions(series: TruncatedSeries, min_depth: int):
@@ -459,18 +461,29 @@ def require_g_determined(gm: GradedModule) -> None:
         )
 
 
-def hdepth(gm: GradedModule, return_partition: bool = False):
-    """The largest s admitting a partition of the truncated series into
-    intervals of contact count >= s; inf for the zero module."""
+def partitions_by_depth(gm: GradedModule):
+    """Yield (s, partition) for every interval partition of the truncated
+    series, of depth exactly s, for s = n down to 0 (level s enumerates
+    depth >= s and keeps depth s); the zero module yields (inf, the empty
+    partition) alone.  Raises PreconditionError unless gm is g-determined."""
     require_g_determined(gm)
     if gm.is_zero_module():
-        return (math.inf, HilbertPartition([])) if return_partition else math.inf
+        yield math.inf, HilbertPartition([])
+        return
     series = truncated_series(gm)
     for s in range(gm.n, -1, -1):
-        found = next(enumerate_partitions(series, s), None)
-        if found is not None:
-            return (s, found) if return_partition else s
-    raise AssertionError("a singleton partition always exists at s = 0")
+        for partition in enumerate_partitions(series, s):
+            if partition.depth(gm.g) == s:
+                yield s, partition
+
+
+def hdepth(gm: GradedModule, return_partition: bool = False):
+    """The largest s admitting a partition of the truncated series into
+    intervals of contact count >= s, inf for the zero module: the first
+    item of `partitions_by_depth`.  The first level with a partition holds
+    none deeper, so that partition is the level's first."""
+    s, partition = next(partitions_by_depth(gm))
+    return (s, partition) if return_partition else s
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +574,4 @@ def partition_to_json(p: HilbertPartition) -> dict:
 
 
 def load_decomposition_file(path, g: tuple):
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also non-UTF-8 bytes and integers past int()'s digit limit
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return decomposition_from_json(obj, g)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    return dg.read_json(path, lambda obj: decomposition_from_json(obj, g))

@@ -21,7 +21,6 @@ its two ends, so each is built once per pair of pieces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import degrees as dg
@@ -377,7 +376,10 @@ def load_module_json(obj, field_override: Field | None = None):
     except (KeyError, TypeError, InputFormatError) as exc:
         raise InputFormatError('ring needs an integer "n"') from exc
     field = field_override if field_override is not None else field_from_json(ring.get("field", "Q"))
-    pres = _parse_module_obj(obj["module"], n, field)
+    try:
+        pres = _parse_module_obj(obj["module"], n, field)
+    except RecursionError:
+        raise InputFormatError("direct sums nest too deeply") from None
     g = obj.get("g")
     if g is not None:
         g = dg.as_degree(g)
@@ -392,17 +394,9 @@ def load_module_file(
     g_override: tuple | None = None,
 ) -> GradedModule:
     """Read a module JSON file and build it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also non-UTF-8 bytes and integers past int()'s digit limit
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    try:
+    def parse(obj):
         pres, g = load_module_json(obj, field_override)
         if g_override is not None:
             g = dg.as_degree(g_override)
         return build(pres, g)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    return dg.read_json(path, parse)

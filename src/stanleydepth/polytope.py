@@ -24,7 +24,6 @@ from .errors import (
     PreconditionError,
     RangeError,
     ResourceLimitError,
-    StanleyDepthError,
 )
 from .hilbert import HilbertDecomposition, admissible_shapes, alive_summands
 from .linalg import Subspace
@@ -325,16 +324,6 @@ def export_lp(system: LinearSystem) -> str:
         lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def write_text(path, text: str) -> None:
-    """Write text to the file at path; an unwritable path raises
-    StanleyDepthError instead of OSError."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise StanleyDepthError(f"cannot write {path}: {exc}") from exc
 
 
 class _ShiftText(dict):

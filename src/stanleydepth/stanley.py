@@ -36,7 +36,6 @@ from . import degrees as dg
 from .errors import (
     InputFormatError,
     ModeError,
-    PreconditionError,
     ResourceLimitError,
     UnboundVariableError,
     WitnessNotFoundError,
@@ -44,11 +43,10 @@ from .errors import (
 from .fields import Field, field_from_json
 from .hilbert import (
     HilbertDecomposition,
+    ValidationFailure,
     decomposition_from_json,
-    enumerate_partitions,
     partition_to_decomposition,
-    require_g_determined,
-    truncated_series,
+    partitions_by_depth,
     validated_alive,
 )
 from .linalg import Matrix
@@ -62,22 +60,15 @@ DEFAULT_SEARCH_BUDGET = 10**6
 CHECK_MODES = ("auto", "unified")
 
 
-class _InvalidDecomposition(PreconditionError):
-    """A decomposition that fails validation; `failure` says where."""
-
-    def __init__(self, failure):
-        super().__init__(f"not a Hilbert decomposition of the module: {failure}")
-        self.failure = failure
-
-
 class SymbolicMatrixFamily:
     """The matrices A_a of one decomposition, indexed by degree.
 
     The constructor validates the decomposition with one alive-summand
-    walk and keeps, for every degree a with alive summands, their indices
-    (`columns[a]`) and the images X^(a - shift) of their pieces
-    (`images[a]`, power maps M_shift -> M_a).  Column i of A_a is image i
-    applied to summand i's generic coefficients Y[i, *].
+    walk (`validated_alive`, which raises ValidationFailure) and keeps,
+    for every degree a with alive summands, their indices (`columns[a]`)
+    and the images X^(a - shift) of their pieces (`images[a]`, power
+    maps M_shift -> M_a).  Column i of A_a is image i applied to summand
+    i's generic coefficients Y[i, *].
     `first_singular_degree` is the one per-degree answer every check
     reads, and `exponent_bound` the one bound on the determinant product
     that picks the finite-field check and sizes the witness grid.
@@ -88,9 +79,7 @@ class SymbolicMatrixFamily:
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
-        alive, failure = validated_alive(decomposition, gm)
-        if failure is not None:
-            raise _InvalidDecomposition(failure)
+        alive = validated_alive(decomposition, gm)
         shifts = [shift for _z, shift in decomposition.summands]
         self.module = gm
         self.field: Field = gm.field
@@ -578,26 +567,21 @@ class SdepthResult:
 
 def sdepth(gm: GradedModule, with_witness: bool = True) -> SdepthResult:
     """Largest s such that some depth-s interval partition of the
-    truncated series is induced by a Stanley decomposition.
+    truncated series is induced by a Stanley decomposition: the first
+    induced item of `partitions_by_depth`.  For the zero module that is
+    the empty partition, induced with the empty witness.
 
     Searching box-truncated decompositions is lossless: every Stanley
     decomposition re-truncates to one of them with no smaller depth.
     """
-    require_g_determined(gm)
-    if gm.is_zero_module():
-        return SdepthResult(math.inf, HilbertDecomposition([]), None)
-    series = truncated_series(gm)
-    for s in range(gm.n, -1, -1):
-        for partition in enumerate_partitions(series, s):
-            if partition.depth(gm.g) > s:
-                continue  # enumerated, and refuted, at a higher level
-            d = partition_to_decomposition(partition, gm.g)
-            fam = build_matrices(gm, d)
-            if check(gm, d, fam=fam).induced:
-                witness = None
-                if with_witness:
-                    witness = extract_witness(gm, d, fam=fam, check_first=False)
-                return SdepthResult(s, d, witness)
+    for s, partition in partitions_by_depth(gm):
+        d = partition_to_decomposition(partition, gm.g)
+        fam = build_matrices(gm, d)
+        if check(gm, d, fam=fam).induced:
+            witness = None
+            if with_witness:
+                witness = extract_witness(gm, d, fam=fam, check_first=False)
+            return SdepthResult(s, d, witness)
     raise AssertionError("the all-singletons partition at s = 0 is always induced")
 
 
@@ -653,8 +637,8 @@ def verify_certificate(gm: GradedModule, cert: dict) -> tuple[bool, str]:
     d = decomposition_from_json(cert["decomposition"], gm.g)
     try:
         fam = build_matrices(gm, d)
-    except _InvalidDecomposition as exc:
-        return False, f"decomposition invalid: {exc.failure}"
+    except ValidationFailure as failure:
+        return False, f"decomposition invalid: {failure.reason}"
     witness_obj = cert.get("witness")
     if not isinstance(witness_obj, dict):
         raise InputFormatError("certificate has no witness map")

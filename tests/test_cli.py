@@ -150,11 +150,16 @@ def test_sdepth_writes_a_verifiable_certificate(tmp_path):
     assert out == "valid: witness gives full rank at every degree of [0, (1,1)]\n"
 
 
-def test_sdepth_no_witness_skips_the_certificate(tmp_path):
+def test_sdepth_no_witness_skips_the_certificate(tmp_path, capsys):
     code, out, _ = run("sdepth", M2, "--no-witness")
     assert code == 0 and "sdepth = 1" in out
-    code, out, err = run("sdepth", M2, "--no-witness", "--output", tmp_path / "c.json")
-    assert code == 2 and out == "" and "drop --no-witness" in err
+    # the pair is refused before the search, and no file is written
+    with pytest.raises(SystemExit) as exc:
+        main(["sdepth", str(M2), "--no-witness", "--output", str(tmp_path / "c.json")])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --output: not allowed with argument --no-witness" in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_sdepth_output_is_deterministic():
@@ -189,7 +194,7 @@ def test_verify_cert_rejects_malformed_shapes(tmp_path):
 
 def test_verify_cert_rejects_unreadable_files(tmp_path):
     code, _, err = run("verify-cert", M2, tmp_path / "missing.json")
-    assert code == 2 and err.startswith("error: cannot read certificate")
+    assert code == 2 and err.startswith("error: cannot read")
 
 
 def test_check_reports_verdict_and_exit_code():
@@ -395,7 +400,7 @@ def test_import_solution_rejects_a_file_that_is_not_utf8(tmp_path):
     sol.write_bytes(b"\xff\xfe")
     code, out, err = run("import-solution", M2, sol)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read solution {sol}: ")
+    assert err.startswith(f"error: cannot read {sol}: ")
 
 
 def test_errors_exit_with_code_two(tmp_path):
@@ -555,6 +560,47 @@ def test_malformed_shapes_end_the_process_with_code_two(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def _nested_arrays(depth):
+    return "[" * depth + "]" * depth
+
+
+def _nested_direct_sums(depth):
+    """A module file of `depth` direct sums, each of one part, around R(0)."""
+    module = '{"kind": "direct_sum", "parts": [' * depth + '{"kind": "free", "shifts": [[0, 0]]}' + "]}" * depth
+    return '{"ring": {"n": 2}, "module": %s}' % module
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("info", "<file>"), _nested_arrays(100_000)),
+    (("info", "<file>"), _nested_direct_sums(400)),
+    (("check", M2, "<file>"), _nested_arrays(100_000)),
+    (("verify-cert", M2, "<file>"), _nested_arrays(100_000)),
+], ids=["module-decoder", "module-direct-sums", "decomposition-decoder", "certificate-decoder"])
+def test_deeply_nested_files_exit_with_code_two(tmp_path, argv, text):
+    # the json decoder is bounded by the recursion limit up to Python 3.11
+    # and by a C limit of at most 10,000 levels from 3.12 on; the recursive
+    # direct_sum parse by the recursion limit.  Neither may end in a traceback.
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run(*(path if a == "<file>" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: {re.escape(str(path))}[^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("field", ["Q", "F2"])
+def test_the_zero_module_certifies_with_the_empty_witness(tmp_path, field):
+    module = tmp_path / "zero.json"
+    module.write_text(json.dumps({"ring": {"n": 2}, "module": {
+        "kind": "quotient_by_monomial_ideal", "generators": [[0, 0]]}}))
+    cert = tmp_path / "cert.json"
+    code, out, _ = run("sdepth", module, "--field", field, "--output", cert)
+    assert (code, out) == (0, f"sdepth = inf\ncertificate: {cert}\n")
+    obj = json.loads(cert.read_text())
+    assert obj["decomposition"] == {"summands": []} and obj["witness"] == {}
+    assert run("verify-cert", module, cert, "--field", field) == (
+        0, "valid: witness gives full rank at every degree of [0, (0,0)]\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -20,13 +21,16 @@ from stanleydepth.hilbert import (
     decomposition_from_json,
     decomposition_to_json,
     enumerate_partitions,
+    ValidationFailure,
     hdepth,
     load_decomposition_file,
     partition_to_decomposition,
     partition_to_json,
+    partitions_by_depth,
     require_g_determined,
     truncated_series,
     validate_decomposition,
+    validated_alive,
 )
 
 
@@ -271,6 +275,21 @@ def test_validate_empty_decomposition_fails_at_first_nonzero_degree(m2):
     assert failure.degree == (0, 1)
 
 
+def test_validated_alive_raises_the_first_failure(ex34, m2, ex34_dec):
+    assert validated_alive(ex34_dec, ex34) == alive_summands(ex34_dec.summands, ex34.g)
+    with pytest.raises(ValidationFailure) as count:
+        validated_alive(HilbertDecomposition([({0, 1}, (1, 0)), ({1}, (0, 1))]), ex34)
+    assert (count.value.kind, count.value.degree) == ("count", (1, 1))
+    assert count.value.detail == "decomposition covers 1, module has 2"
+    assert count.value.reason == f"summand count mismatch at degree (1, 1): {count.value.detail}"
+    assert str(count.value) == f"not a Hilbert decomposition of the module: {count.value.reason}"
+    with pytest.raises(ValidationFailure) as shape:
+        validated_alive(HilbertDecomposition([({1}, (1, 0))]), m2)
+    assert (shape.value.kind, shape.value.degree) == ("shape", None)
+    assert "forced" in shape.value.detail and shape.value.reason == shape.value.detail
+    assert isinstance(shape.value, PreconditionError)
+
+
 def test_enumerate_partitions_m2_at_depth_one(m2):
     series = truncated_series(m2)
     found = list(enumerate_partitions(series, 1))
@@ -375,6 +394,34 @@ def test_hdepth_zero_module_is_infinite():
     gm = modules.build(modules.quotient_by_monomial_ideal(QQ, 2, [(0, 0)]))
     value, partition = hdepth(gm, return_partition=True)
     assert value == math.inf and len(partition) == 0
+
+
+def _assert_walks_every_partition_by_depth(gm):
+    walk = list(partitions_by_depth(gm))
+    levels = [s for s, _ in walk]
+    assert levels == sorted(levels, reverse=True)
+    assert all(p.depth(gm.g) == s for s, p in walk)
+    everything = enumerate_partitions(truncated_series(gm), 0)
+    assert Counter(p for _, p in walk) == Counter(everything)
+    assert walk[0] == hdepth(gm, return_partition=True)
+
+
+def test_partitions_by_depth_walks_every_partition_once(m2, ex34, ex36):
+    for gm in (m2, ex34, ex36):
+        _assert_walks_every_partition_by_depth(gm)
+
+
+def test_partitions_by_depth_on_random_modules():
+    for gm in oracles.random_modules(12, seed=2026):
+        _assert_walks_every_partition_by_depth(gm)
+
+
+def test_partitions_by_depth_of_the_zero_module_and_an_undetermined_one():
+    zero = modules.build(modules.quotient_by_monomial_ideal(QQ, 2, [(0, 0)]))
+    assert list(partitions_by_depth(zero)) == [(math.inf, HilbertPartition([]))]
+    undetermined = modules.build(modules.quotient_by_monomial_ideal(QQ, 1, [(2,)]), (1,))
+    with pytest.raises(PreconditionError):
+        next(partitions_by_depth(undetermined))
 
 
 def test_require_g_determined_raises_with_location():

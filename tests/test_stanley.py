@@ -741,10 +741,12 @@ def test_sdepth_of_free_modules_is_n():
 
 
 def test_sdepth_of_the_zero_module_is_infinite():
-    gm = modules.build(modules.quotient_by_monomial_ideal(QQ, 2, [(0, 0)]))
-    result = sdepth(gm)
-    assert result.value == math.inf
-    assert len(result.decomposition) == 0 and result.witness is None
+    # the empty partition is induced, with the empty witness, over every field
+    for field in (QQ, F2):
+        gm = modules.build(modules.quotient_by_monomial_ideal(field, 2, [(0, 0)]))
+        result = sdepth(gm)
+        assert result.value == math.inf
+        assert len(result.decomposition) == 0 and result.witness == StanleyWitness({})
 
 
 def test_sdepth_without_witness_extraction(m2):
