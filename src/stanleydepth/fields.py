@@ -21,6 +21,10 @@ from .errors import InputFormatError
 PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_TEST_LIMIT = 318665857834031151167461
 
+# Largest decimal exponent, in magnitude, a rational scalar may carry: the
+# digit limit int() puts on JSON integers.
+SCALAR_EXPONENT_LIMIT = 4300
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact below PRIME_TEST_LIMIT; n at or
@@ -96,8 +100,14 @@ class RationalField(Field):
         return Fraction(k)
 
     def parse(self, text: str):
+        text = text.strip()
+        _, e, exponent = text.upper().partition("E")
         try:
-            return Fraction(text.strip())
+            # Fraction would build 10**exponent in full
+            if e and abs(int(exponent)) > SCALAR_EXPONENT_LIMIT:
+                raise InputFormatError(
+                    f"rational scalar {text!r} has a decimal exponent past {SCALAR_EXPONENT_LIMIT}")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"invalid rational scalar {text!r}") from exc
 

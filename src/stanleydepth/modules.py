@@ -124,6 +124,11 @@ class GradedModule:
         g = dg.as_degree(g)
         if len(g) != presentation.n or any(x < 0 for x in g):
             raise InputFormatError(f"g must be a length-{presentation.n} vector over N, got {g}")
+        if any(x + 2 > BOX_DEGREE_LIMIT for x in g):  # checked before any message prints g
+            raise ResourceLimitError(
+                f"a coordinate of g gives the box [0, g+1] more than BOX_DEGREE_LIMIT = "
+                f"{BOX_DEGREE_LIMIT} degrees"
+            )
         self.presentation = presentation
         self.n = presentation.n
         self.field = presentation.field
@@ -375,6 +380,11 @@ def load_module_json(obj, field_override: Field | None = None):
         n = dg.as_int(ring["n"])
     except (KeyError, TypeError, InputFormatError) as exc:
         raise InputFormatError('ring needs an integer "n"') from exc
+    if n >= BOX_DEGREE_LIMIT.bit_length():  # 2^n > BOX_DEGREE_LIMIT, checked before any n-tuple is built
+        raise ResourceLimitError(
+            f"a ring with {n} variables has boxes [0, g+1] of at least 2^{n} degrees, "
+            f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
+        )
     field = field_override if field_override is not None else field_from_json(ring.get("field", "Q"))
     try:
         pres = _parse_module_obj(obj["module"], n, field)

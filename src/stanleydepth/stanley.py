@@ -18,10 +18,12 @@ X^(a-S_i) M_(S_i); no determinant is formed.  Only the GF(q) product,
 needed when some variable may reach exponent q, expands the determinants
 into packed maps {bitmask of variables: coefficient}, under a term
 budget, and reduces it on packed exponent words.  A witness is the
-lexicographically first point of a fixed grid, found by fixing one
-summand's coefficient vector at a time and rejecting a vector whose
-column falls in the span of the columns fixed before it at some degree;
-the search evaluates no determinant.
+lexicographically first point of the first stage that holds one: the
+stages {1..s}^vars, s = 1..B+1, when the field has more than B+1
+elements, else the whole field.  The search fixes one summand's
+coefficient vector at a time and rejects a vector whose column falls in
+the span of the columns fixed before it at some degree; it evaluates no
+determinant.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, count, product
+from itertools import accumulate, product
 
 from . import degrees as dg
 from .errors import (
@@ -71,7 +73,7 @@ class SymbolicMatrixFamily:
     i's generic coefficients Y[i, *].
     `first_singular_degree` is the one per-degree answer every check
     reads, and `exponent_bound` the one bound on the determinant product
-    that picks the finite-field check and sizes the witness grid.
+    that picks the finite-field check and the witness stages.
     `packed_det` expands a determinant from the images into a packed map
     {bitmask of variable positions: coefficient}, bit k standing for
     `variables[k]`, each time it is asked; `det` converts one to a Poly,
@@ -132,8 +134,11 @@ class SymbolicMatrixFamily:
 
     @cached_property
     def exponent_bound(self) -> int:
-        """The most matrices A_a any one variable appears in: a bound on its
-        exponent in the product of the determinants, each squarefree."""
+        """The most matrices A_a any one variable appears in: a bound B on
+        its exponent in the product of the determinants, each squarefree.
+        The unified check expands that product only when B >= q, and the
+        witness search walks the stages {1..s}, s <= B+1, only when the
+        field has more than B+1 elements."""
         return max(Counter(
             (i, j)
             for a, alive in self.columns.items()
@@ -406,25 +411,23 @@ def extract_witness(
     fam: SymbolicMatrixFamily | None = None,
     check_first: bool = True,
 ) -> StanleyWitness:
-    """The lexicographically first witness of a deterministic grid.
+    """The lexicographically first witness of the first stage that holds one.
 
-    B is the family's exponent bound: the product of the determinants
-    has degree <= B in each variable.  Over GF(p) the grid is
-    {0, ..., min(p, B+1) - 1}^vars in field order; for p > B the
-    Combinatorial Nullstellensatz (Alon 1999), applied one variable at a
-    time, puts the lexicographically first witness of GF(p)^vars in
-    {0, ..., B}^vars, so the grid changes no witness.  Scaling one
-    summand's vector by a nonzero constant keeps every rank, so that
-    witness gives each summand a vector whose first nonzero coordinate is
-    1, and the search tries no other vector.  Over the rationals it grows
-    by stages: stage s is {1, ..., s}^vars, and a witness among
-    {1, ..., B+1}^vars always exists when the decomposition is induced,
-    so the search terminates.  Stage s runs only when stage s-1 found
-    nothing, so its witness uses the value s somewhere and no point is
-    returned twice.  The search fixes one summand's coefficient vector at
-    a time and rejects a vector as soon as its image at some degree lies
-    in the span of the columns already fixed there; the witness it
-    returns is re-verified by exact rank checks.
+    B is the family's exponent bound and q the field's size (math.inf
+    over Q).  If q > B+1 the stages are s = 1, ..., B+1, stage s drawing
+    every coordinate from {1, ..., s}; otherwise the one stage is the
+    whole field {0, ..., q-1} in field order.  Every stage tries only
+    summand vectors whose first nonzero coordinate is 1.  The rule is
+    exact: A_a is linear in each column, so the product of the
+    determinants is homogeneous in each summand's block, and setting
+    every summand's first coordinate to 1 leaves a nonzero polynomial of
+    degree <= B in each remaining variable; when q > B+1, {1, ..., B+1}
+    are B+1 distinct field elements, so the Combinatorial
+    Nullstellensatz (Alon 1999) puts a witness in the last stage; when
+    q <= B+1 the one stage is the whole field, and scaling a summand's
+    vector makes its first nonzero coordinate 1 without changing any
+    rank.  Each stage is one `_search`, and its witness is re-verified by
+    exact rank checks.
     """
     if fam is None:
         fam = build_matrices(gm, d)
@@ -434,44 +437,35 @@ def extract_witness(
             raise WitnessNotFoundError(f"no witness exists: {report.verdict_line()}")
     if fam.first_singular_degree is not None:
         raise WitnessNotFoundError("no witness exists: a determinant vanishes identically")
-
-    if fam.field.is_finite():
-        candidate = _search(fam, list(range(min(fam.field.cardinality, fam.exponent_bound + 1))))
-        if candidate is None:
-            raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
-        return candidate
-
-    for stage in count(1):
-        candidate = _search(fam, list(range(1, stage + 1)))
+    bound, q = fam.exponent_bound, fam.field.cardinality
+    stages = [range(1, s + 1) for s in range(1, bound + 2)] if q > bound + 1 else [range(q)]
+    for values in stages:
+        candidate = _search(fam, list(values))
         if candidate is not None:
             return candidate
-        if stage > fam.exponent_bound:
-            raise WitnessNotFoundError(
-                "no witness within the guaranteed bound; the decomposition is not induced"
-            )
+    raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
 
 
 def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     """Depth-first search over the summands' coefficient vectors, each
     taken from values^dim in lexicographic order.
 
-    `values` are ints: the grid `extract_witness` sizes by the exponent
-    bound.  Each distinct image becomes integer rows once per call: its
-    own entries over GF(p), its entries times the lcm of their
-    denominators over Q (a column scale, which keeps every rank).  Every
-    degree keeps an echelon basis of the columns fixed so far (forward
-    elimination in the order they were added; unit pivots over GF(p),
-    fraction-free integer rows over Q); on `Subspace`'s Fraction rows,
-    `certify` of data/m6r9 over Q takes about four times as long.  A
-    vector is rejected when its image at a degree where its summand is
-    alive reduces to zero there; no completion can then give that matrix
-    full rank, and a vector accepted at every degree extends each basis
-    by one.  So the first complete assignment is the lexicographically
-    first witness.  Over GF(p) a vector whose first nonzero coordinate
-    is not 1 is skipped untried (`extract_witness` says why).  The stack
-    holds one vector iterator per fixed summand, so the depth is not
-    bounded by the recursion limit; every vector tried counts against
-    DEFAULT_SEARCH_BUDGET.
+    `values` are ints: one stage of `extract_witness`.  Each distinct
+    image becomes integer rows once per call: its own entries over
+    GF(p), its entries times the lcm of their denominators over Q (a
+    column scale, which keeps every rank).  Every degree keeps an
+    echelon basis of the columns fixed so far (forward elimination in the
+    order they were added; unit pivots over GF(p), fraction-free integer
+    rows over Q); on `Subspace`'s Fraction rows, `certify` of data/m6r9
+    over Q takes about four times as long.  A vector is rejected when its
+    image at a degree where its summand is alive reduces to zero there;
+    no completion can then give that matrix full rank, and a vector
+    accepted at every degree extends each basis by one.  So the first complete assignment is the lexicographically
+    first witness.  A vector whose first nonzero coordinate is not 1 is
+    skipped untried, over every field (`extract_witness` says why).  The
+    stack holds one vector iterator per fixed summand, so the depth is
+    not bounded by the recursion limit; every vector tried counts
+    against DEFAULT_SEARCH_BUDGET.
     """
     f = fam.field
     p = f.cardinality if f.is_finite() else 0
@@ -527,7 +521,7 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     tried = 0
     while stack:
         for y in stack[-1]:
-            if p and next((x for x in y if x), 1) != 1:
+            if next((x for x in y if x), 1) != 1:
                 continue
             tried += 1
             if tried > DEFAULT_SEARCH_BUDGET:

@@ -13,7 +13,7 @@ import random
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
-from collections import deque
+from collections import Counter, deque
 
 from stanleydepth import degrees as dg
 from stanleydepth import hilbert, modules, polynomials, polytope
@@ -365,26 +365,40 @@ def evaluate_entrywise(fam, a, assignment):
 
 
 def lex_first_witness(fam):
-    """The first grid point at which every A_a is invertible, or None.
+    """The first point of the first stage that holds a witness, or None.
 
-    The grid is GF(q)^vars in field order; over the rationals it is
-    {1..s}^vars for s = 1, 2, ..., D+1 (D = number of degrees with a
-    matrix), where stage s > 1 keeps only the points that use the value
-    s.  Every point is tried in lexicographic order and decided by
-    Laplace determinants of the entrywise-evaluated matrices.
+    B is the most symbolic matrices any one variable occurs in, read off
+    the Poly entries.  If the field has more than B+1 elements the stages
+    are {1..s}^vars for s = 1, ..., B+1, where stage s > 1 keeps only the
+    points that use the value s; otherwise the one stage is GF(q)^vars in
+    field order.  A point counts only if each summand's vector has first
+    nonzero coordinate 1.  Every point is tried in lexicographic order
+    and decided by Laplace determinants of the entrywise-evaluated
+    matrices.
     """
     f = fam.field
     variables = fam.variables
-    if f.is_finite():
-        stages = [(range(f.p), None)]
-    else:
+    occurrences = Counter(
+        var for rows in fam.matrices.values()
+        for var in {var for row in rows for entry in row for mono in entry.terms for var, _e in mono}
+    )
+    bound = max(occurrences.values(), default=0)
+    if f.cardinality > bound + 1:
         stages = [([f.from_int(v) for v in range(1, s + 1)], f.from_int(s) if s > 1 else None)
-                  for s in range(1, len(fam.columns) + 2)]
+                  for s in range(1, bound + 2)]
+    else:
+        stages = [([f.from_int(v) for v in range(f.cardinality)], None)]
     for values, required in stages:
         for point in product(values, repeat=len(variables)):
             if required is not None and required not in point:
                 continue
             assignment = dict(zip(variables, point))
+            leading = {}
+            for (i, _j), value in assignment.items():
+                if not f.is_zero(value):
+                    leading.setdefault(i, value)
+            if any(value != f.one for value in leading.values()):
+                continue
             if all(not f.is_zero(det_laplace(f, evaluate_entrywise(fam, a, assignment).entries))
                    for a in fam.degrees()):
                 return assignment

@@ -424,6 +424,54 @@ def test_an_oversized_box_exits_with_code_two_before_building():
     )
 
 
+@pytest.mark.parametrize("module", [
+    {"ring": {"n": 100000}, "module": {"kind": "free", "shifts": []}},
+    {"ring": {"n": 10**9}, "module": {"kind": "quotient_by_monomial_ideal", "generators": []}},
+    {"ring": {"n": 2}, "g": [10**4000, 10**4000], "module": {"kind": "free", "shifts": [[0, 0]]}},
+], ids=["n-100000", "n-10^9", "g-10^4000"])
+def test_a_ring_or_g_too_large_for_any_box_exits_with_code_two(tmp_path, module):
+    # the box [0, g+1] has at least 2^n and at least g_j + 2 degrees
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    start = time.perf_counter()
+    code, out, err = run("info", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "BOX_DEGREE_LIMIT = 100000" in err and len(err) < 200
+
+
+def test_rational_scalars_with_huge_exponents_exit_with_code_two(tmp_path):
+    def module(coeff):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"ring": {"n": 1}, "module": {"kind": "presentation",
+            "generator_degrees": [[0], [0]],
+            "relations": [[{"gen": 1, "shift": [1], "coeff": coeff}, {"gen": 2, "shift": [1], "coeff": "1"}]]}}))
+        return path
+    for coeff in ("1e9999999", "-1E-4301"):
+        start = time.perf_counter()
+        code, out, err = run("info", module(coeff))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.endswith(f"rational scalar {coeff!r} has a decimal exponent past 4300\n")
+    for coeff in ("1e3", "-2.5e-1", "1/3", "1e4300"):
+        assert run("info", module(coeff))[0] == 0, coeff
+
+
+def test_m6r9_is_certified_over_a_million_element_field(tmp_path):
+    # B = 32 < 1000002: the same stages {1..s} as over Q, so the same witness
+    m6r9, partition = data_file("m6r9.json"), data_file("m6r9_partition.json")
+    for field in ("Q", "F1000003"):
+        start = time.perf_counter()
+        code, out, _ = run("certify", m6r9, partition, "--field", field, "--output", tmp_path / f"{field}.json")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (0, "induced; certificate written\n")
+        code, out, _ = run("verify-cert", m6r9, tmp_path / f"{field}.json", "--field", field)
+        assert code == 0 and out.startswith("valid:")
+    witnesses = [json.loads((tmp_path / f"{field}.json").read_text())["witness"] for field in ("Q", "F1000003")]
+    assert witnesses[0] == witnesses[1]
+
+
 def test_hdepth_of_a_large_free_module_needs_no_deep_recursion(tmp_path):
     # R^1200 over one variable: the search stacks 1200 covers at degree 0.
     path = tmp_path / "free1200.json"

@@ -456,6 +456,13 @@ def test_extract_witness_over_f2_prunes_zeros():
     assert verify_witness(gm, d, witness) is None
 
 
+def test_the_search_tries_no_vector_whose_leading_coefficient_is_not_one(ex36, ex36_f5, ex36_dec, monkeypatch):
+    # over every field: a grid of 2s alone offers no such vector, so nothing is tried
+    monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 0)
+    for gm in (ex36, ex36_f5):
+        assert stanley._search(build_matrices(gm, ex36_dec), [2]) is None
+
+
 def _fractional_modules():
     """Presentations whose power maps have denominators 3, 5 and 10; the
     last one's images need the factors 1, 3, 5 and 15."""
@@ -583,29 +590,36 @@ def test_witness_over_q_is_the_brute_oracles_where_columns_have_different_denomi
     assert mixed == 3
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 17])
-def test_witness_grid_holds_the_first_witness_of_the_whole_field(p):
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+def test_witness_search_is_complete_over_small_and_large_fields(p):
+    # the kernel corpus at every depth, plus ex36_dec: over F2 and F3 its
+    # determinants are nonzero but their reduced product vanishes, so the
+    # whole-field stage must run out of candidates
     field = PrimeField(p)
-    compared = narrower = 0
+    ex36 = modules.load_module_file(data_file("ex36.json"), field_override=field)
+    cases = [(ex36, hilbert.load_decomposition_file(data_file("ex36_dec.json"), ex36.g))]
     for gm in _kernel_modules(field, 20, seed=71):
-        for partition in islice(enumerate_partitions(truncated_series(gm), 0), 4):
-            d = partition_to_decomposition(partition, gm.g)
-            fam = build_matrices(gm, d)
-            if not check(gm, d, fam=fam).induced:
-                continue
-            assert fam.exponent_bound + 1 < p  # the grid {0..B} is narrower than GF(p)
-            # the grid used to be {0..D}, D the number of degrees with a matrix
-            narrower += fam.exponent_bound < len(fam.columns)
-            whole_field = stanley._search(fam, list(range(p)))
-            assert extract_witness(gm, d, fam=fam, check_first=False) == whole_field
-            compared += 1
-    assert compared >= 20
-    assert narrower >= 20
+        cases += [(gm, partition_to_decomposition(partition, gm.g))
+                  for _s, partition in islice(hilbert.partitions_by_depth(gm), 30)]
+    seen = Counter()
+    for gm, d in cases:
+        fam = build_matrices(gm, d)
+        induced = check(gm, d, fam=fam).induced
+        seen[fam.exponent_bound + 1 < p, induced] += 1
+        if induced:
+            assert verify_witness(gm, d, extract_witness(gm, d, fam=fam, check_first=False)) is None
+        else:
+            with pytest.raises(WitnessNotFoundError):
+                extract_witness(gm, d, fam=fam, check_first=False)
+    assert seen[True, True] + seen[False, True] >= 60
+    assert seen[True, False] + seen[False, False] >= 1
+    # F3 holds both regimes: stages {1..s} and the whole field
+    assert p != 3 or (seen[True, True] and seen[False, True])
 
 
 def test_ex36_is_certified_over_a_million_element_field(tmp_path, monkeypatch):
-    # the first witness gives each summand a vector with leading coefficient 1;
-    # trying the other scalar multiples too took 270,130 candidates
+    # the field is larger than B+1 = 5, so the search walks the stages {1..s}
+    # and tries only vectors with leading coefficient 1
     monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 2000)
     cert = tmp_path / "ex36.cert.json"
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -614,8 +628,8 @@ def test_ex36_is_certified_over_a_million_element_field(tmp_path, monkeypatch):
         assert main(["verify-cert", data_file("ex36.json"), str(cert), "--field", "F1000003"]) == 0
     assert out.getvalue().endswith("valid: witness gives full rank at every degree of [0, (3,3)]\n")
     assert json.loads(cert.read_text())["witness"] == {
-        "Y[1,1]": "1", "Y[1,2]": "2", "Y[2,1]": "0", "Y[2,2]": "1", "Y[3,1]": "1", "Y[4,1]": "1", "Y[5,1]": "1",
-        "Y[6,1]": "1", "Y[6,2]": "0", "Y[7,1]": "0", "Y[7,2]": "1", "Y[7,3]": "0", "Y[8,1]": "1", "Y[8,2]": "0"}
+        "Y[1,1]": "1", "Y[1,2]": "2", "Y[2,1]": "1", "Y[2,2]": "1", "Y[3,1]": "1", "Y[4,1]": "1", "Y[5,1]": "1",
+        "Y[6,1]": "1", "Y[6,2]": "1", "Y[7,1]": "1", "Y[7,2]": "2", "Y[7,3]": "1", "Y[8,1]": "1", "Y[8,2]": "1"}
 
 
 def test_free_module_of_rank_seven_is_certified_over_q(tmp_path):
@@ -642,24 +656,26 @@ def test_free_module_of_rank_seven_is_certified_over_f5():
     gm = modules.build(modules.free(F5, 1, [(0,)] * 7), (1,))
     d = HilbertDecomposition([({0}, (0,))] * 7)
     witness = extract_witness(gm, d)
-    assert witness.assignment == {(i, j): int(i + j == 6) for i in range(7) for j in range(7)}
+    # B = 2 < 4: the stages {1..s}, as over Q
+    assert witness.assignment == {(i, j): 2 if i + j == 7 else 1 for i in range(7) for j in range(7)}
     assert verify_certificate(gm, certificate_json(gm, d, witness))[0]
 
 
 def test_witness_of_a_sampled_ex36_partition_over_f5(ex36_f5):
     # the 94th seed-1 depth-1 sample of the finite-field benchmark; the
-    # determinant-pruned search took seconds on it
+    # determinant-pruned search took seconds on it.  B = 2 < 4, so the
+    # witness comes from the stages {1..s}
     intervals = [((0, 3), (2, 3)), ((1, 2), (2, 3)), ((2, 1), (3, 1)), ((2, 2), (3, 2)), ((2, 3), (2, 3)),
                  ((3, 0), (3, 0)), ((3, 0), (3, 1)), ((3, 2), (3, 3)), ((3, 3), (3, 3))]
     d = hilbert.decomposition_from_json(
         {"intervals": [{"a": list(a), "b": list(b)} for a, b in intervals]}, ex36_f5.g)
     cert = certificate_json(ex36_f5, d, extract_witness(ex36_f5, d))
     assert cert["witness"] == {
-        "Y[1,1]": "1", "Y[2,1]": "0", "Y[2,2]": "1", "Y[3,1]": "0", "Y[3,2]": "0", "Y[3,3]": "1",
-        "Y[4,1]": "1", "Y[5,1]": "0", "Y[5,2]": "1", "Y[6,1]": "1", "Y[7,1]": "1", "Y[7,2]": "0",
-        "Y[8,1]": "1", "Y[8,2]": "0", "Y[8,3]": "0", "Y[9,1]": "0", "Y[9,2]": "1",
-        "Y[10,1]": "1", "Y[10,2]": "0", "Y[11,1]": "1", "Y[11,2]": "0",
-        "Y[12,1]": "0", "Y[12,2]": "1", "Y[13,1]": "0", "Y[13,2]": "1",
+        "Y[1,1]": "1", "Y[2,1]": "1", "Y[2,2]": "1", "Y[3,1]": "1", "Y[3,2]": "1", "Y[3,3]": "1",
+        "Y[4,1]": "1", "Y[5,1]": "1", "Y[5,2]": "1", "Y[6,1]": "1", "Y[7,1]": "1", "Y[7,2]": "2",
+        "Y[8,1]": "1", "Y[8,2]": "2", "Y[8,3]": "1", "Y[9,1]": "1", "Y[9,2]": "1",
+        "Y[10,1]": "1", "Y[10,2]": "2", "Y[11,1]": "1", "Y[11,2]": "1",
+        "Y[12,1]": "1", "Y[12,2]": "1", "Y[13,1]": "1", "Y[13,2]": "1",
     }
     assert verify_certificate(ex36_f5, cert)[0]
 
