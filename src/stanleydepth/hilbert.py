@@ -11,7 +11,7 @@ of the induced decomposition is min |Z_b| over the intervals.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from . import degrees as dg
@@ -461,17 +461,53 @@ def require_g_determined(gm: GradedModule) -> None:
         )
 
 
+def z_graded_hdepth(series: TruncatedSeries) -> int:
+    """The largest r <= n for which (1-t)^r * H(t) has no negative
+    coefficient, where H(t) = sum over a in [0, g] of
+    dim M_a * t^|a| / (1-t)^k(a), k(a) = #{j : a_j = g_j}, is the
+    Z-graded Hilbert series read off the truncated series.
+
+    This is the Z-graded Hilbert depth (Uliczka 2010).  A partition of
+    depth >= r writes H as a sum of t^|c| / (1-t)^k with k >= r, so no
+    partition has depth above this bound.
+
+    Integers only: with A_k(t) the part of the series of contact k,
+    Horner's rule q <- q*(1-t) + A_k for k = 0..n gives (1-t)^n * H, and
+    each division by (1-t) is a prefix sum.  Only degrees 0..|g|+n are
+    kept, which is exact: a coefficient depends on lower degrees only, and
+    past |g|+n the polynomials A_k * (1-t)^(r-k), k <= r, vanish, leaving
+    the series A_k / (1-t)^(k-r), k > r, with no negative coefficient.
+    """
+    g = series.g
+    n = len(g)
+    top = sum(g) + n
+    by_contact = [[0] * (top + 1) for _ in range(n + 1)]
+    for a, count in series.coefficients.items():
+        if count:
+            by_contact[sum(x == y for x, y in zip(a, g))][sum(a)] += count
+    q = [0] * (top + 1)
+    for part in by_contact:
+        q = [x - y + z for x, y, z in zip(q, [0, *q], part)]
+    r = n
+    while r and min(q) < 0:
+        q = list(accumulate(q))
+        r -= 1
+    return r
+
+
 def partitions_by_depth(gm: GradedModule):
     """Yield (s, partition) for every interval partition of the truncated
-    series, of depth exactly s, for s = n down to 0 (level s enumerates
-    depth >= s and keeps depth s); the zero module yields (inf, the empty
-    partition) alone.  Raises PreconditionError unless gm is g-determined."""
+    series, of depth exactly s, for s = `z_graded_hdepth` of the series
+    (at most n) down to 0: level s enumerates depth >= s and keeps depth
+    s, and no level above that bound has a partition.  The zero module
+    yields (inf, the empty partition) alone.  Raises PreconditionError
+    unless gm is g-determined."""
     require_g_determined(gm)
     if gm.is_zero_module():
         yield math.inf, HilbertPartition([])
         return
     series = truncated_series(gm)
-    for s in range(gm.n, -1, -1):
+    for s in range(z_graded_hdepth(series), -1, -1):
         for partition in enumerate_partitions(series, s):
             if partition.depth(gm.g) == s:
                 yield s, partition
@@ -480,8 +516,10 @@ def partitions_by_depth(gm: GradedModule):
 def hdepth(gm: GradedModule, return_partition: bool = False):
     """The largest s admitting a partition of the truncated series into
     intervals of contact count >= s, inf for the zero module: the first
-    item of `partitions_by_depth`.  The first level with a partition holds
-    none deeper, so that partition is the level's first."""
+    item of `partitions_by_depth`.  That walk starts at the Z-graded
+    Hilbert depth (`z_graded_hdepth`), an upper bound, and goes down; the
+    first level with a partition holds none deeper, so that partition is
+    the level's first."""
     s, partition = next(partitions_by_depth(gm))
     return (s, partition) if return_partition else s
 

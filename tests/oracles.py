@@ -9,6 +9,7 @@ shares code paths with the algorithms under test.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
@@ -221,6 +222,33 @@ def brute_hdepth(series):
         if brute_partitions(series, s):
             return s
     raise AssertionError("the all-singleton partition always exists")
+
+
+def z_graded_coefficients(series, r):
+    """Coefficients of t^0 .. t^(|g|+n) of (1-t)^r * H(t), where
+    H(t) = sum of dim M_a * t^|a| / (1-t)^k(a), k(a) = #{j : a_j = g_j}:
+    each cell's term expanded on its own by the binomial theorem."""
+    g = series.g
+    n = len(g)
+    top = sum(g) + n
+    out = [0] * (top + 1)
+    for a, count in series.coefficients.items():
+        k = sum(1 for x, y in zip(a, g) if x == y)
+        for m in range(top + 1 - sum(a)):
+            if r >= k:
+                term = (-1) ** m * math.comb(r - k, m)
+            else:
+                term = math.comb(m + k - r - 1, m)
+            out[sum(a) + m] += count * term
+    return out
+
+
+def binomial_z_graded_hdepth(series):
+    """Largest r <= n with no negative coefficient in (1-t)^r * H(t)."""
+    for r in range(len(series.g), -1, -1):
+        if min(z_graded_coefficients(series, r)) >= 0:
+            return r
+    raise AssertionError("(1-t)^0 * H(t) = H(t) never has a negative coefficient")
 
 
 def equality_solutions(system):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 from itertools import islice
 
@@ -31,6 +32,7 @@ from stanleydepth.hilbert import (
     truncated_series,
     validate_decomposition,
     validated_alive,
+    z_graded_hdepth,
 )
 
 
@@ -372,6 +374,71 @@ def test_hdepth_matches_brute_oracle_on_random_modules():
     for seed in (2026, 7):
         for gm in oracles.random_modules(12, seed=seed):
             assert hdepth(gm) == oracles.brute_hdepth(truncated_series(gm))
+
+
+def _assert_z_graded_bound_is_sound_and_exact(modules_):
+    for gm in modules_:
+        series = truncated_series(gm)
+        bound = z_graded_hdepth(series)
+        assert bound == oracles.binomial_z_graded_hdepth(series)
+        assert bound >= oracles.brute_hdepth(series)
+        if bound < gm.n:
+            assert next(enumerate_partitions(series, bound + 1), None) is None
+
+
+def test_z_graded_bound_is_sound_and_exact_on_random_modules():
+    for seed in (2026, 7):
+        _assert_z_graded_bound_is_sound_and_exact(oracles.random_modules(12, seed=seed))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_z_graded_bound_is_sound_and_exact_on_the_larger_random_corpus(seed):
+    _assert_z_graded_bound_is_sound_and_exact(oracles.random_modules(40, seed=seed))
+
+
+def test_z_graded_bound_of_maximal_ideals_is_half_of_n():
+    # Bruns, Krattenthaler and Uliczka (2010): ceil(n/2) for m_n, whose
+    # truncated series at g = (1, ..., 1) is 1 at every nonzero 0/1 vector
+    for n in range(2, 11):
+        ones = dg.ones(n)
+        series = TruncatedSeries(ones, {a: 1 for a in dg.box(dg.zero(n), ones) if any(a)})
+        if n <= 6:
+            assert series == truncated_series(modules.build(modules.maximal_ideal(QQ, n)))
+        assert z_graded_hdepth(series) == math.ceil(n / 2) == oracles.binomial_z_graded_hdepth(series)
+
+
+def test_z_graded_bound_of_m2_by_hand(m2):
+    # H = 2t/(1-t) + t^2/(1-t)^2: (1-t)^2 H = 2t - t^2, (1-t) H = 2t + t^2/(1-t)
+    series = truncated_series(m2)
+    assert oracles.z_graded_coefficients(series, 2) == [0, 2, -1, 0, 0]
+    assert oracles.z_graded_coefficients(series, 1) == [0, 2, 1, 1, 1]
+    assert z_graded_hdepth(series) == 1
+
+
+def test_z_graded_bound_returns_quickly_on_a_box_near_the_degree_limit():
+    # K[X_1]/(X_1^k): the box [0, g+1] has k + 2 degrees, within BOX_DEGREE_LIMIT
+    k = modules.BOX_DEGREE_LIMIT // 2
+    series = truncated_series(modules.build(modules.quotient_by_monomial_ideal(QQ, 1, [(k,)])))
+    start = time.perf_counter()
+    assert z_graded_hdepth(series) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def _first_of_the_walk_from_n(gm):
+    series = truncated_series(gm)
+    for s in range(gm.n, -1, -1):
+        for partition in enumerate_partitions(series, s):
+            if partition.depth(gm.g) == s:
+                return s, partition
+
+
+def test_the_depth_walk_starts_with_the_item_a_walk_from_n_starts_with(m2, ex34, ex36):
+    corpus = [m2, ex34, ex36]
+    for seed in (2026, 7):
+        corpus.extend(oracles.random_modules(12, seed=seed))
+    for gm in corpus:
+        assert next(partitions_by_depth(gm)) == _first_of_the_walk_from_n(gm)
 
 
 def test_hdepth_examples(m2):
