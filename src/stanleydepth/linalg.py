@@ -9,6 +9,7 @@ module, so certificates are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 from .errors import DimensionMismatchError, ShapeError
@@ -45,11 +46,10 @@ class Matrix:
             nrows = 0
         return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.ncols)]
+        if not self.nrows:
+            return [()] * self.ncols
+        return list(zip(*self.entries))
 
     def transpose(self) -> "Matrix":
         if not self.nrows:
@@ -228,3 +228,60 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
+
+
+class IntegerEchelon:
+    """An echelon basis of K^n on integer rows, grown by `push` and
+    shrunk by `pop` in stack order.
+
+    Over GF(p) the rows are reduced mod p with unit pivots; over Q each
+    pushed vector is scaled by the lcm of its denominators (which keeps
+    the rank) and rows are primitive and fraction-free.  A vector is
+    reduced by the rows in the order they were pushed (forward
+    elimination only, so no earlier row changes).  With
+    `Subspace.extended` on Fraction rows in its place, the transversals
+    of data/m6r9's partition over Q take about four times as long, and
+    its witness search about six times.
+    """
+
+    __slots__ = ("p", "ambient_dim", "rows")
+
+    def __init__(self, field: Field, ambient_dim: int):
+        self.p = field.cardinality if field.is_finite() else 0
+        self.ambient_dim = ambient_dim
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def push(self, vector: Sequence) -> bool:
+        """Add the vector and return True if it lies outside the span of
+        the rows; leave the rows as they are and return False otherwise."""
+        if len(vector) != self.ambient_dim:
+            raise DimensionMismatchError("vector length does not match ambient dimension")
+        if len(self.rows) == self.ambient_dim:
+            return False
+        p = self.p
+        v = vector
+        if not p:
+            scale = math.lcm(*(x.denominator for x in v))
+            v = [x.numerator * (scale // x.denominator) for x in v]
+        for pivot, row in self.rows:
+            c = v[pivot] % p if p else v[pivot]
+            if c:
+                d = row[pivot]
+                v = [d * x - c * r for x, r in zip(v, row)]
+        if p:
+            v = [x % p for x in v]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        if p:
+            inv = pow(v[lead], -1, p)
+            v = [x * inv % p for x in v]
+        else:
+            g = math.gcd(*v)
+            v = [x // g for x in v]
+        self.rows.append((lead, v))
+        return True
+
+    def pop(self) -> None:
+        """Remove the last row pushed."""
+        self.rows.pop()

@@ -51,7 +51,7 @@ from .hilbert import (
     partitions_by_depth,
     validated_alive,
 )
-from .linalg import Matrix
+from .linalg import IntegerEchelon, Matrix
 from .modules import GradedModule
 from .polynomials import Poly, Var, parse_var_name, var_name
 from .transversal import max_independent_transversal
@@ -112,7 +112,9 @@ class SymbolicMatrixFamily:
         return tuple((i, j) for i, l in enumerate(self.summand_dims) for j in range(l))
 
     def degrees(self) -> list[tuple]:
-        return sorted(self.columns)
+        """The degrees with alive summands, in lexicographic order: the
+        order of `columns`, which follows the walk over the box [0, g]."""
+        return list(self.columns)
 
     @cached_property
     def first_singular_degree(self) -> tuple | None:
@@ -454,18 +456,17 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     image becomes integer rows once per call: its own entries over
     GF(p), its entries times the lcm of their denominators over Q (a
     column scale, which keeps every rank).  Every degree keeps an
-    echelon basis of the columns fixed so far (forward elimination in the
-    order they were added; unit pivots over GF(p), fraction-free integer
-    rows over Q); on `Subspace`'s Fraction rows, `certify` of data/m6r9
-    over Q takes about four times as long.  A vector is rejected when its
-    image at a degree where its summand is alive reduces to zero there;
-    no completion can then give that matrix full rank, and a vector
-    accepted at every degree extends each basis by one.  So the first complete assignment is the lexicographically
-    first witness.  A vector whose first nonzero coordinate is not 1 is
-    skipped untried, over every field (`extract_witness` says why).  The
-    stack holds one vector iterator per fixed summand, so the depth is
-    not bounded by the recursion limit; every vector tried counts
-    against DEFAULT_SEARCH_BUDGET.
+    `IntegerEchelon` of the columns fixed so far: a summand's columns are
+    pushed when its vector is fixed and popped when the search backs up
+    past it.  A vector is rejected when its image at a degree where its
+    summand is alive does not grow the echelon there; no completion can
+    then give that matrix full rank, and a vector accepted at every
+    degree extends each echelon by one.  So the first complete assignment
+    is the lexicographically first witness.  A vector whose first nonzero
+    coordinate is not 1 is skipped untried, over every field
+    (`extract_witness` says why).  The stack holds one vector iterator
+    per fixed summand, so the depth is not bounded by the recursion
+    limit; every vector tried counts against DEFAULT_SEARCH_BUDGET.
     """
     f = fam.field
     p = f.cardinality if f.is_finite() else 0
@@ -483,35 +484,20 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
                                     for row in entries)
                 integral[id(image)] = entries
             alive_at[i].append((k, entries))
-    bases: list[list] = [[] for _ in fam.columns]
+    bases = [IntegerEchelon(f, fam.module.dim(a)) for a in fam.degrees()]
 
     def place(i, y) -> list | None:
-        """Add summand i's columns for y to the bases, or None if one is dependent."""
+        """Push summand i's columns for y onto the bases, or None if one is dependent."""
         added = []
         images = {}
         for k, entries in alive_at[i]:
             v = images.get(id(entries))
             if v is None:
                 v = images[id(entries)] = [sum(e * x for e, x in zip(row, y) if e) for row in entries]
-            for pivot, row in bases[k]:
-                c = v[pivot] % p if p else v[pivot]
-                if c:
-                    d = row[pivot]
-                    v = [d * x - c * r for x, r in zip(v, row)]
-            if p:
-                v = [x % p for x in v]
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
+            if not bases[k].push(v):
                 for done in added:
                     bases[done].pop()
                 return None
-            if p:
-                inv = pow(v[lead], -1, p)
-                v = [x * inv % p for x in v]
-            else:
-                g = math.gcd(*v)
-                v = [x // g for x in v]
-            bases[k].append((lead, v))
             added.append(k)
         return added
 

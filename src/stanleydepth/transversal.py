@@ -12,11 +12,15 @@ the other to linearly independent vector sets.  Augmenting along a
 shortest source-to-sink path in the exchange digraph grows the common
 independent set until maximum.
 
-The exchange arcs come from one tagged echelon basis, the span of the
-rows [vector(x) | e_x] over the picks x.  Reducing [vector(t) | 0] by it
-leaves a nonzero vector part iff t is a sink; otherwise the tag part is
-minus t's coordinates in the picks, and its support is t's fundamental
-circuit, the picks x with an arc t -> x.
+A greedy seed decides most calls: family by family, it picks the first
+vector that grows an `IntegerEchelon` of the picks so far, on integer
+rows.  The augmenting-path search runs only when the seed leaves a
+family unmatched and the picks do not fill K^d.  Its exchange arcs come
+from one tagged echelon basis, a `Subspace` spanned by the rows
+[vector(x) | e_x] over the picks x, built once per path.  Reducing
+[vector(t) | 0] by it leaves a nonzero vector part iff t is a sink;
+otherwise the tag part is minus t's coordinates in the picks, and its
+support is t's fundamental circuit, the picks x with an arc t -> x.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from collections import deque
 from collections.abc import Sequence
 
 from .fields import Field
-from .linalg import Subspace
+from .linalg import IntegerEchelon, Subspace
 
 
 def max_independent_transversal(
@@ -40,17 +44,14 @@ def max_independent_transversal(
     """
     items: list[tuple[int, tuple]] = []
     selected: set[int] = set()
-    span = Subspace.zero(field, ambient_dim)
+    picks = IntegerEchelon(field, ambient_dim)
     for i, vectors in enumerate(families):
         picked = False
         for v in vectors:
             v = tuple(v)
-            if not picked:
-                grown = span.extended([v])
-                if grown.dim > span.dim:
-                    span = grown
-                    selected.add(len(items))
-                    picked = True
+            if not picked and picks.push(v):
+                selected.add(len(items))
+                picked = True
             items.append((i, v))
     if len(selected) in (len(families), ambient_dim):
         return [items[t] for t in sorted(selected)]

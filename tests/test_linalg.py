@@ -1,13 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from stanleydepth.errors import DimensionMismatchError, ShapeError
 from stanleydepth.fields import GF, QQ
-from stanleydepth.linalg import Matrix, Subspace
+from stanleydepth.linalg import IntegerEchelon, Matrix, Subspace
 from stanleydepth.transversal import max_independent_transversal
 
 
@@ -78,6 +79,7 @@ def test_from_columns_and_transpose_round_trip():
     empty = Matrix.from_columns(QQ, [], nrows=3)
     assert empty.nrows == 3 and empty.ncols == 0
     flat = Matrix(QQ, [], 2)
+    assert flat.columns() == [(), ()]
     assert (flat.transpose().nrows, flat.transpose().ncols) == (2, 0)
     assert (empty.transpose().nrows, empty.transpose().ncols) == (0, 3)
 
@@ -103,7 +105,7 @@ def test_rref_recombination_over_gf5(m):
     reduced, pivots = m.rref()
     assert reduced.rank() == len(pivots) == m.rank()
     for r, p in enumerate(pivots):
-        col = reduced.column(p)
+        col = reduced.columns()[p]
         assert col[r] == 1 and all(x == 0 for i, x in enumerate(col) if i != r)
 
 
@@ -166,3 +168,72 @@ def test_rank_over_q_of_an_int_matrix_is_exact():
     assert not any(isinstance(x, float) for row in reduced.entries for x in row)
     assert Subspace(QQ, 3, rows).dim == 2
     assert len(max_independent_transversal(QQ, 3, [[row] for row in rows])) == 2
+
+
+def _push_cases(field, elems):
+    # None pops the last accepted push
+    ops = st.lists(st.one_of(st.lists(elems, min_size=4, max_size=4), st.none()), max_size=10)
+    return st.tuples(st.just(field), ops)
+
+
+def _combination(field, u, v, c):
+    return [field.add(x, field.mul(field.from_int(c), y)) for x, y in zip(u, v)]
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    _push_cases(QQ, st.fractions(-3, 3, max_denominator=50)),
+    *(_push_cases(GF(p), st.one_of(st.integers(0, min(p - 1, 2)), st.integers(0, p - 1)))
+      for p in (2, 3, 5, 7, 1000003)),
+))
+def test_integer_echelon_matches_subspace_extended(case):
+    """push accepts exactly when `Subspace.extended` grows the span, the
+    rows span that subspace, a combination of accepted vectors is refused
+    without a change, and pop restores the rows before the push."""
+    field, ops = case
+    echelon = IntegerEchelon(field, 4)
+    spans = [Subspace.zero(field, 4)]
+    accepted = []
+    saved = []
+
+    def rows():
+        return [(pivot, list(row)) for pivot, row in echelon.rows]
+
+    for v in ops:
+        if v is None:
+            if accepted:
+                echelon.pop()
+                spans.pop()
+                accepted.pop()
+                assert rows() == saved.pop()
+            continue
+        before = rows()
+        grown = spans[-1].extended([v])
+        assert echelon.push(v) == (grown.dim > spans[-1].dim)
+        if grown.dim == spans[-1].dim:
+            assert rows() == before
+            continue
+        spans.append(grown)
+        accepted.append(v)
+        saved.append(before)
+        after = rows()
+        assert after[:-1] == before
+        assert Subspace(field, 4, [[field.from_int(x) for x in row] for _, row in after]) == grown
+        for pivot, row in after:
+            assert all(type(x) is int for x in row)
+            assert row[pivot] == 1 if field.is_finite() else math.gcd(*row) == 1
+        if len(accepted) >= 2:
+            assert not echelon.push(_combination(field, accepted[-1], accepted[0], 3))
+            assert rows() == after
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(1000003)])
+def test_integer_echelon_refuses_a_vector_of_the_wrong_length(field):
+    echelon = IntegerEchelon(field, 2)
+    for v in ((1, 0, 0), (1,), ()):
+        with pytest.raises(DimensionMismatchError):
+            echelon.push(v)
+    assert echelon.push((1, 0))
+    with pytest.raises(DimensionMismatchError):
+        echelon.push((0, 1, 5))
+    assert echelon.rows == [(0, [1, 0])]

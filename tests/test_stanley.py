@@ -85,6 +85,16 @@ def test_matrix_family_exact_entries(ex34_fam):
     assert _texts(ex34_fam.matrices[(1, 1)]) == [["Y[1,1]", "Y[2,1]"], ["0", "0"]]
 
 
+def test_family_degrees_are_the_alive_degrees_in_lexicographic_order(ex34_fam, ex36_fam):
+    fams = [ex34_fam, ex36_fam]
+    for gm in oracles.random_modules(12, 2026):
+        _s, partition = next(hilbert.partitions_by_depth(gm))
+        fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
+    for fam in fams:
+        box = dg.box(dg.zero(fam.module.n), fam.module.g)
+        assert fam.degrees() == sorted(fam.columns) == [a for a in box if a in fam.columns]
+
+
 def test_matrix_family_columns_and_variables(ex34_fam):
     assert ex34_fam.columns[(1, 1)] == (0, 1)
     assert ex34_fam.summand_dims == (1, 1)

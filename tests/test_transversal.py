@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from stanleydepth import degrees as dg
+from stanleydepth.errors import DimensionMismatchError
 from stanleydepth.fields import GF, QQ, PrimeField
 from stanleydepth.linalg import Matrix
 from stanleydepth import transversal
@@ -43,6 +44,13 @@ def test_empty_input_is_vacuously_full():
 def test_zero_vectors_are_never_picked():
     assert max_independent_transversal(QQ, 2, [[(0, 0)]]) == []
     assert max_independent_transversal(QQ, 2, [[(0, 0)], [(1, 0)]]) == [(1, (1, 0))]
+
+
+def test_a_vector_of_the_wrong_length_raises():
+    with pytest.raises(DimensionMismatchError):
+        max_independent_transversal(QQ, 2, [[(1, 0, 0)]])
+    with pytest.raises(DimensionMismatchError):
+        max_independent_transversal(QQ, 2, [[(1, 0)], [(0, 1, 5)]])
 
 
 def test_ambient_dimension_caps_the_transversal():
@@ -90,6 +98,8 @@ def test_transversal_matches_min_max_bound_rational(families):
     st.tuples(st.just(QQ), _families_strategy(st.fractions(-3, 3, max_denominator=4))),
     st.tuples(st.just(F2), _families_strategy(st.integers(0, 1))),
     st.tuples(st.just(GF(3)), _families_strategy(st.integers(0, 2))),
+    st.tuples(st.just(GF(5)), _families_strategy(st.integers(0, 4))),
+    st.tuples(st.just(GF(7)), _families_strategy(st.integers(0, 6))),
 ))
 def test_seeded_search_returns_the_unseeded_picks(case):
     field, families = case
