@@ -78,8 +78,9 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and the pivot columns, by one batch
-        elimination: `Subspace.extended` takes over twice as long on the
-        rank checks of data/m6r9's witness."""
+        elimination over the field.  `Subspace` and `rank` build on it;
+        the witness search and checks work on ints instead
+        (`IntegerEchelon`, `bareiss_determinant`)."""
         f = self.field
         rows = [list(r) for r in self.entries]
         pivots: list[int] = []
@@ -234,9 +235,10 @@ class IntegerEchelon:
     """An echelon basis of K^n on integer rows, grown by `push` and
     shrunk by `pop` in stack order.
 
-    Over GF(p) the rows are reduced mod p with unit pivots; over Q each
-    pushed vector is scaled by the lcm of its denominators (which keeps
-    the rank) and rows are primitive and fraction-free.  A vector is
+    Over GF(p) the rows are reduced mod p with unit pivots; over Q a
+    pushed vector with a non-integer entry is first scaled by the lcm of
+    its denominators (which keeps the rank), and rows are primitive and
+    fraction-free.  A vector is
     reduced by the rows in the order they were pushed (forward
     elimination only, so no earlier row changes).  With
     `Subspace.extended` on Fraction rows in its place, the transversals
@@ -260,7 +262,7 @@ class IntegerEchelon:
             return False
         p = self.p
         v = vector
-        if not p:
+        if not p and not all(type(x) is int for x in v):
             scale = math.lcm(*(x.denominator for x in v))
             v = [x.numerator * (scale // x.denominator) for x in v]
         for pivot, row in self.rows:
@@ -285,3 +287,40 @@ class IntegerEchelon:
     def pop(self) -> None:
         """Remove the last row pushed."""
         self.rows.pop()
+
+
+def bareiss_determinant(field: Field, rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square matrix of ints, by Bareiss's
+    fraction-free elimination (Bareiss 1968): over Z when the field is Q,
+    reduced mod p over GF(p).
+
+    Each step takes the first row with a nonzero entry in the leading
+    column as pivot row (a swap flips the sign; no such row means the
+    determinant is 0) and replaces every later entry by the 2x2 minor
+    (pivot * m_ij - m_i0 * m_0j) divided by the previous pivot.  The
+    quotient is a minor of the input, so the division is exact over Z;
+    over GF(p) it is a multiplication by the inverse.  The last pivot is
+    the determinant up to the sign.  No row is normalized, unlike in
+    `IntegerEchelon`, so the two share no elimination.
+    """
+    p = field.cardinality if field.is_finite() else 0
+    m = [[x % p for x in row] if p else list(row) for row in rows]
+    if any(len(row) != len(m) for row in m):
+        raise ShapeError(f"determinant of a {len(m)}-row matrix with a row of another length")
+    sign, prev = 1, 1
+    while m:
+        pivot = next((i for i, row in enumerate(m) if row[0]), None)
+        if pivot is None:
+            return 0
+        if pivot:
+            m[0], m[pivot] = m[pivot], m[0]
+            sign = -sign
+        top = m[0]
+        d = top[0]
+        if p:
+            inv = pow(prev, -1, p)
+            m = [[(d * x - row[0] * y) * inv % p for x, y in zip(row[1:], top[1:])] for row in m[1:]]
+        else:
+            m = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in m[1:]]
+        prev = d
+    return sign * prev % p if p else sign * prev

@@ -24,6 +24,13 @@ elements, else the whole field.  The search fixes one summand's
 coefficient vector at a time and rejects a vector whose column falls in
 the span of the columns fixed before it at some degree; it evaluates no
 determinant.
+
+Every rank question reads the module's integer form of each image
+(`GradedModule.integer_form`): the transversals its columns, the
+exponent bound their support, the search and the witness check its
+rows.  Every witness check (after the search, in `verify_witness` and in
+`verify-cert`) takes one Bareiss determinant of each A_a(y) on ints, an
+elimination the search does not use.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
+from operator import mul
 
 from . import degrees as dg
 from .errors import (
@@ -51,8 +59,8 @@ from .hilbert import (
     partitions_by_depth,
     validated_alive,
 )
-from .linalg import IntegerEchelon, Matrix
-from .modules import GradedModule
+from .linalg import IntegerEchelon, Matrix, bareiss_determinant
+from .modules import GradedModule, IntegerForm
 from .polynomials import Poly, Var, parse_var_name, var_name
 from .transversal import max_independent_transversal
 
@@ -70,7 +78,8 @@ class SymbolicMatrixFamily:
     for every degree a with alive summands, their indices (`columns[a]`)
     and the images X^(a - shift) of their pieces (`images[a]`, power
     maps M_shift -> M_a).  Column i of A_a is image i applied to summand
-    i's generic coefficients Y[i, *].
+    i's generic coefficients Y[i, *]; `integer_images` holds the
+    module's integer form of each image, and every rank question reads it.
     `first_singular_degree` is the one per-degree answer every check
     reads, and `exponent_bound` the one bound on the determinant product
     that picks the finite-field check and the witness stages.
@@ -107,6 +116,12 @@ class SymbolicMatrixFamily:
             for a, alive in self.columns.items()
         }
 
+    @cached_property
+    def integer_images(self) -> dict[tuple, list[IntegerForm]]:
+        """The module's integer form of each image, parallel to `images`."""
+        form = self.module.integer_form
+        return {a: [form(image) for image in images] for a, images in self.images.items()}
+
     @property
     def variables(self) -> tuple[Var, ...]:
         return tuple((i, j) for i, l in enumerate(self.summand_dims) for j in range(l))
@@ -125,11 +140,12 @@ class SymbolicMatrixFamily:
         summand, of that pick's numeric determinant times a monomial that
         no other pick has: it is nonzero iff some pick is independent.
         An independent transversal decides that over every field, so no
-        determinant is expanded.
+        determinant is expanded.  It reads the integer columns of the
+        images, which span the same subspaces.
         """
         for a in self.degrees():
             dim = self.module.dim(a)
-            families = [image.columns() for image in self.images[a]]
+            families = [form.columns for form in self.integer_images[a]]
             if len(max_independent_transversal(self.field, dim, families)) < dim:
                 return a
         return None
@@ -140,12 +156,13 @@ class SymbolicMatrixFamily:
         its exponent in the product of the determinants, each squarefree.
         The unified check expands that product only when B >= q, and the
         witness search walks the stages {1..s}, s <= B+1, only when the
-        field has more than B+1 elements."""
+        field has more than B+1 elements.  Y[i,j] appears in A_a iff
+        column j of image i is nonzero."""
         return max(Counter(
             (i, j)
             for a, alive in self.columns.items()
-            for i, image in zip(alive, self.images[a])
-            for j, column in enumerate(zip(*image.entries))
+            for i, form in zip(alive, self.integer_images[a])
+            for j, column in enumerate(form.columns)
             if any(column)
         ).values(), default=0)
 
@@ -376,10 +393,28 @@ class StanleyWitness:
 
 
 def _witness_failure(fam: SymbolicMatrixFamily, assignment) -> tuple | None:
-    """First degree where A_a(y) drops rank, or None."""
+    """First degree where A_a(y) drops rank, or None; the assignment
+    binds every variable of fam.
+
+    Column i of A_a(y) is the integer rows of image i dotted with summand
+    i's vector y_i, which over Q is first scaled by the lcm of its
+    denominators.  Both scales are nonzero and act on one column, so they
+    keep every rank.  A_a(y) is square, and it has full rank iff its
+    `bareiss_determinant` is nonzero; its columns serve as the rows, as
+    det A = det A^T.
+    """
+    finite = fam.field.is_finite()
+    vectors = []
+    for i, dim in enumerate(fam.summand_dims):
+        y = [assignment[(i, j)] for j in range(dim)]
+        if not finite:
+            scale = math.lcm(*(x.denominator for x in y))
+            y = [x.numerator * (scale // x.denominator) for x in y]
+        vectors.append(y)
     for a in fam.degrees():
-        m = fam.evaluate_at(a, assignment)
-        if m.rank() < m.nrows:
+        columns = [[sum(map(mul, row, vectors[i])) for row in form.rows]
+                   for i, form in zip(fam.columns[a], fam.integer_images[a])]
+        if not bareiss_determinant(fam.field, columns):
             return a
     return None
 
@@ -401,8 +436,9 @@ def _assignment_failure(fam: SymbolicMatrixFamily, assignment: dict) -> tuple | 
 
 def verify_witness(gm: GradedModule, d: HilbertDecomposition, witness) -> tuple | None:
     """Re-check a witness from scratch: evaluate every A_a at the
-    assignment and test full rank.  None on success, else the first
-    failing degree."""
+    assignment on ints and test full rank by a Bareiss determinant
+    (`_witness_failure`).  None on success, else the first failing
+    degree."""
     assignment = witness.assignment if isinstance(witness, StanleyWitness) else dict(witness)
     return _assignment_failure(build_matrices(gm, d), assignment)
 
@@ -429,7 +465,8 @@ def extract_witness(
     q <= B+1 the one stage is the whole field, and scaling a summand's
     vector makes its first nonzero coordinate 1 without changing any
     rank.  Each stage is one `_search`, and its witness is re-verified by
-    exact rank checks.
+    `_witness_failure`'s Bareiss determinants, not by the search's
+    elimination.
     """
     if fam is None:
         fam = build_matrices(gm, d)
@@ -452,10 +489,10 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     """Depth-first search over the summands' coefficient vectors, each
     taken from values^dim in lexicographic order.
 
-    `values` are ints: one stage of `extract_witness`.  Each distinct
-    image becomes integer rows once per call: its own entries over
-    GF(p), its entries times the lcm of their denominators over Q (a
-    column scale, which keeps every rank).  Every degree keeps an
+    `values` are ints: one stage of `extract_witness`.  A summand's
+    column at a degree is the integer rows of its image there (the
+    module's integer form, a column scale that keeps every rank) dotted
+    with its vector.  Every degree keeps an
     `IntegerEchelon` of the columns fixed so far: a summand's columns are
     pushed when its vector is fixed and popped when the search backs up
     past it.  A vector is rejected when its image at a degree where its
@@ -469,21 +506,11 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     limit; every vector tried counts against DEFAULT_SEARCH_BUDGET.
     """
     f = fam.field
-    p = f.cardinality if f.is_finite() else 0
     dims = fam.summand_dims
     alive_at: list[list] = [[] for _ in dims]
-    integral: dict[int, tuple] = {}
     for k, a in enumerate(fam.degrees()):
-        for i, image in zip(fam.columns[a], fam.images[a]):
-            entries = integral.get(id(image))
-            if entries is None:
-                entries = image.entries
-                if not p:
-                    scale = math.lcm(*(e.denominator for row in entries for e in row))
-                    entries = tuple(tuple(e.numerator * (scale // e.denominator) for e in row)
-                                    for row in entries)
-                integral[id(image)] = entries
-            alive_at[i].append((k, entries))
+        for i, form in zip(fam.columns[a], fam.integer_images[a]):
+            alive_at[i].append((k, form.rows))
     bases = [IntegerEchelon(f, fam.module.dim(a)) for a in fam.degrees()]
 
     def place(i, y) -> list | None:
@@ -493,7 +520,7 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
         for k, entries in alive_at[i]:
             v = images.get(id(entries))
             if v is None:
-                v = images[id(entries)] = [sum(e * x for e, x in zip(row, y) if e) for row in entries]
+                v = images[id(entries)] = [sum(map(mul, row, y)) for row in entries]
             if not bases[k].push(v):
                 for done in added:
                     bases[done].pop()
@@ -622,7 +649,13 @@ def verify_certificate(gm: GradedModule, cert: dict) -> tuple[bool, str]:
     witness_obj = cert.get("witness")
     if not isinstance(witness_obj, dict):
         raise InputFormatError("certificate has no witness map")
-    assignment = {parse_var_name(k): gm.field.parse(str(v)) for k, v in witness_obj.items()}
+    assignment, spelled = {}, {}
+    for key, value in witness_obj.items():
+        var = parse_var_name(key)
+        if var in spelled:
+            raise InputFormatError(f"witness assigns {var_name(var)} twice, as {spelled[var]!r} and {key!r}")
+        spelled[var] = key
+        assignment[var] = gm.field.parse(str(value))
     failing = _assignment_failure(fam, assignment)
     if failing is not None:
         return False, f"witness loses rank at degree {failing}"

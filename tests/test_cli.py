@@ -180,6 +180,27 @@ def test_verify_cert_flags_tampering(tmp_path):
     assert out == "invalid: witness loses rank at degree (0, 1)\n"
 
 
+def test_verify_cert_names_the_degree_a_tampered_f5_certificate_fails_at(tmp_path):
+    cert = tmp_path / "cert.json"
+    assert run("certify", EX36, EX36_DEC, "--field", "F5", "--output", cert)[0] == 0
+    obj = json.loads(cert.read_text())
+    obj["witness"]["Y[1,1]"] = "0"
+    cert.write_text(json.dumps(obj))
+    assert run("verify-cert", EX36, cert, "--field", "F5") == (
+        1, "invalid: witness loses rank at degree (3, 0)\n", "")
+
+
+def test_verify_cert_refuses_a_variable_spelled_twice(tmp_path):
+    cert = tmp_path / "cert.json"
+    assert run("certify", EX36, EX36_DEC, "--field", "F5", "--output", cert)[0] == 0
+    obj = json.loads(cert.read_text())
+    obj["witness"]["Y[01,1]"] = "0"
+    cert.write_text(json.dumps(obj))
+    code, out, err = run("verify-cert", EX36, cert, "--field", "F5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {cert}: witness assigns Y[1,1] twice, as 'Y[1,1]' and 'Y[01,1]'\n"
+
+
 def test_verify_cert_rejects_malformed_shapes(tmp_path):
     cert = tmp_path / "cert.json"
     run("sdepth", M2, "--output", cert)

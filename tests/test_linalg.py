@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from stanleydepth.errors import DimensionMismatchError, ShapeError
 from stanleydepth.fields import GF, QQ
-from stanleydepth.linalg import IntegerEchelon, Matrix, Subspace
+from stanleydepth.linalg import IntegerEchelon, Matrix, Subspace, bareiss_determinant
 from stanleydepth.transversal import max_independent_transversal
 
 
@@ -237,3 +237,53 @@ def test_integer_echelon_refuses_a_vector_of_the_wrong_length(field):
     with pytest.raises(DimensionMismatchError):
         echelon.push((0, 1, 5))
     assert echelon.rows == [(0, [1, 0])]
+
+
+def _square_cases(field, elems):
+    """(field, rows, combination): a square matrix of side 0..4 and, when
+    combination is not None, the coefficients that replace its last row
+    by a combination of the rows above it, which makes it singular."""
+    return st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.just(field),
+        st.lists(st.lists(elems, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=max(n - 1, 0), max_size=max(n - 1, 0))),
+    ))
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    _square_cases(QQ, st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=50))),
+    *(_square_cases(GF(p), st.one_of(st.integers(0, min(p - 1, 2)), st.integers(0, p - 1)))
+      for p in (2, 3, 5, 7, 1000003)),
+))
+def test_bareiss_determinant_matches_rank_and_the_laplace_determinant(case):
+    """Over GF(p) the determinant is the Laplace one; over Q, whose rows
+    are scaled to ints by the lcm of their denominators, it is the Laplace
+    one times those scales.  Either way it is nonzero iff the rank is full."""
+    field, rows, combination = case
+    if combination is not None and rows:
+        last = [field.zero] * len(rows)
+        for c, row in zip(combination, rows):
+            last = _combination(field, last, row, c)
+        rows[-1] = last
+    scaled, scales = [], 1
+    for row in rows:
+        scale = 1 if field.is_finite() else math.lcm(*(x.denominator for x in row))
+        scaled.append([int(x * scale) for x in row])
+        scales *= scale
+    det = bareiss_determinant(field, scaled)
+    assert det == oracles.det_laplace(field, rows) * scales
+    assert (det != 0) == (Matrix(field, rows, len(rows)).rank() == len(rows))
+    if combination is not None and rows:
+        assert det == 0
+
+
+def test_bareiss_determinant_needs_a_row_swap_and_exact_division():
+    # a zero in the first pivot place, and a third step that divides by 2
+    assert bareiss_determinant(QQ, [[0, 1], [1, 0]]) == -1
+    assert bareiss_determinant(QQ, [[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+    assert bareiss_determinant(GF(5), [[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+    assert bareiss_determinant(GF(2), [[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 0
+    assert bareiss_determinant(QQ, []) == 1
+    with pytest.raises(ShapeError):
+        bareiss_determinant(QQ, [[1, 2]])

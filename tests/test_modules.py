@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -353,6 +354,37 @@ def test_degrees_with_one_signature_share_one_piece_and_one_map(name, pieces, ma
     assert len({id(p) for p in gm.pieces.values()}) == pieces
     mult_maps = [gm.mult_map(a, k) for a in gm.pieces for k in range(gm.n) if a[k] < gm.top[k]]
     assert len({id(m) for m in mult_maps}) == maps
+
+
+def _fractional_module():
+    """Power maps with denominators 3, 5 and 15."""
+    one = Fraction(1)
+    return modules.build(modules.ModulePresentation(2, QQ, [(0, 0)] * 3, [
+        [(0, (1, 0), 3 * one), (1, (1, 0), 2 * one)], [(1, (0, 1), 5 * one), (2, (0, 1), 7 * one)]]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_the_integer_form_is_one_scaled_copy_of_each_map(field):
+    shipped = [modules.load_module_file(data_file(name), field_override=field)
+               for name in ("ex34.json", "ex36.json")]
+    scales = set()
+    for gm in shipped + oracles.random_modules(6, seed=5, field=field) + (
+            [_fractional_module()] if field == QQ else []):
+        for src in gm.pieces:
+            for dst in dg.box(src, gm.top):
+                m = gm.power_map(src, dst)
+                form = gm.integer_form(m)
+                assert gm.integer_form(m) is form
+                assert all(type(x) is int for row in form.rows for x in row)
+                assert form.columns == tuple(Matrix(field, form.rows, m.ncols).columns())
+                if field.is_finite():
+                    assert form.rows == m.entries
+                    continue
+                # one positive scale, the least that clears every denominator
+                scale = math.lcm(*(x.denominator for row in m.entries for x in row))
+                assert form.rows == tuple(tuple(x * scale for x in row) for row in m.entries)
+                scales.add(scale)
+    assert field.is_finite() or {3, 5, 15} <= scales
 
 
 def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):

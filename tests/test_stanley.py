@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import random
 import re
 import time
 from collections import Counter
@@ -439,6 +440,19 @@ def test_verify_witness_checks_the_variable_set(m2):
         verify_witness(m2, d, {(0, 0): Fraction(1), (1, 0): Fraction(1), (8, 0): Fraction(1)})
 
 
+@pytest.mark.parametrize("spelling", ["Y[01,1]", " Y[1,1]", "Y[1,01] "])
+def test_verify_certificate_refuses_a_variable_spelled_twice(ex36_f5, ex36_dec, spelling):
+    # a dict keeps whichever spelling comes last: with the zero last the
+    # certificate read as invalid, with it first as valid
+    cert = certificate_json(ex36_f5, ex36_dec, extract_witness(ex36_f5, ex36_dec))
+    for first, second in (("Y[1,1]", spelling), (spelling, "Y[1,1]")):
+        witness = {k: v for k, v in cert["witness"].items() if k != "Y[1,1]"}
+        witness = {first: cert["witness"]["Y[1,1]"], **witness, second: "0"}
+        with pytest.raises(InputFormatError) as caught:
+            verify_certificate(ex36_f5, {**cert, "witness": witness})
+        assert str(caught.value) == f"witness assigns Y[1,1] twice, as {first!r} and {second!r}"
+
+
 def test_extract_witness_refuses_non_induced_decompositions(ex34, ex34_dec, ex36_f2, ex36_dec):
     # the error carries the verdict line `check` prints, detail included
     for gm, d, line in [
@@ -492,14 +506,20 @@ def _kernel_modules(field, count, seed):
     return oracles.random_modules(count, seed=seed, field=field) + extra
 
 
-def _kernel_families(field, count, seed):
-    """Families of the first partitions of the kernel modules, plus ex36's shipped one."""
+def _kernel_cases(field, count, seed):
+    """(module, decomposition) for the first partitions of the kernel
+    modules, plus ex36 with its shipped decomposition."""
     ex36 = modules.load_module_file(data_file("ex36.json"), field_override=field)
-    fams = [build_matrices(ex36, hilbert.load_decomposition_file(data_file("ex36_dec.json"), ex36.g))]
+    cases = [(ex36, hilbert.load_decomposition_file(data_file("ex36_dec.json"), ex36.g))]
     for gm in _kernel_modules(field, count, seed):
         for partition in islice(enumerate_partitions(truncated_series(gm), 0), 3):
-            fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
-    return fams
+            cases.append((gm, partition_to_decomposition(partition, gm.g)))
+    return cases
+
+
+def _kernel_families(field, count, seed):
+    """Families of the first partitions of the kernel modules, plus ex36's shipped one."""
+    return [build_matrices(gm, d) for gm, d in _kernel_cases(field, count, seed)]
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5])
@@ -534,6 +554,70 @@ def test_first_singular_degree_is_the_first_zero_determinant(field):
         assert fam.first_singular_degree == next(iter(zero), None)
         answers[fam.first_singular_degree is None] += 1
     assert answers[False] >= 3 and answers[True] >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, PrimeField(1000003)])
+def test_the_integer_form_gives_the_matrix_based_singular_degree_and_bound(field):
+    # the answers read off each image's field entries: transversals of
+    # Matrix.columns() and the support of the columns of image.entries
+    ex34 = modules.load_module_file(data_file("ex34.json"), field_override=field)
+    fams = [build_matrices(ex34, hilbert.load_decomposition_file(data_file("ex34_dec.json"), ex34.g))]
+    for gm in _kernel_modules(field, 12, seed=37):
+        for _s, partition in islice(hilbert.partitions_by_depth(gm), 20):
+            fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
+    answers = Counter()
+    for fam in fams:
+        expected = None
+        for a in fam.degrees():
+            dim = fam.module.dim(a)
+            families = [image.columns() for image in fam.images[a]]
+            if len(stanley.max_independent_transversal(field, dim, families)) < dim:
+                expected = a
+                break
+        assert fam.first_singular_degree == expected
+        bound = max(Counter(
+            (i, j) for a, alive in fam.columns.items() for i, image in zip(alive, fam.images[a])
+            for j, column in enumerate(zip(*image.entries)) if any(column)
+        ).values(), default=0)
+        assert fam.exponent_bound == bound
+        answers[expected is None] += 1
+    assert answers[True] >= 20 and answers[False] >= 3
+
+
+def _entrywise_failure(fam, assignment):
+    """The first degree whose entrywise-evaluated A_a(y) has rank below
+    its size, by `Matrix.rank`, or None."""
+    for a in fam.degrees():
+        m = oracles.evaluate_entrywise(fam, a, assignment)
+        if m.rank() < m.nrows:
+            return a
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, PrimeField(1000003)])
+def test_verify_witness_agrees_with_entrywise_evaluation_and_rank(field):
+    # random witnesses, zeros and (over Q) non-integers among them, on the
+    # kernel corpus, whose modules over Q include maps with denominators
+    rng = random.Random(41)
+    if field.is_finite():
+        p = field.cardinality
+
+        def draw():
+            return rng.choice([0, 1, 2, p - 1, rng.randrange(p)])
+    else:
+        values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3)]
+
+        def draw():
+            return rng.choice(values)
+    outcomes = Counter()
+    for gm, d in _kernel_cases(field, 10, seed=43):
+        fam = build_matrices(gm, d)
+        for _ in range(10):
+            assignment = {v: draw() for v in fam.variables}
+            expected = _entrywise_failure(fam, assignment)
+            assert verify_witness(gm, d, assignment) == expected
+            outcomes[expected is None] += 1
+    assert outcomes[True] >= 30 and outcomes[False] >= 15
 
 
 def _unpack_words(words, variables, q):
