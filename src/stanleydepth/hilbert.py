@@ -23,6 +23,9 @@ from .modules import GradedModule
 DECOMPOSITION_SUMMAND_LIMIT = 10**6
 # Most cells the memo of admissible summand shapes holds (see `alive_summands`).
 SHAPE_MEMO_CELLS = 2**18
+# Most residuals one partition search may remember as having no partition
+# (`_CoverSearch.dead`); past it the search raises ResourceLimitError.
+PARTITION_STATE_BUDGET = 10**6
 
 
 class TruncatedSeries:
@@ -313,7 +316,7 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int):
         covers = search.covers(element)[0]
         applied = None
         while pos < len(covers):
-            cover = covers[pos]
+            cover = covers[pos] or search.built(element, pos)
             pos += 1
             if search.fits(cover):
                 search.apply(cover)
@@ -340,8 +343,10 @@ class _CoverSearch:
     subtracts its interval's weight and the key names the residual
     exactly.  Residuals proved to have no partition are remembered in
     `dead` by that key, and those on the path of a partition found in
-    `alive`.  Each cell's covers are listed once; `feasible` tries only
-    their tight tail.
+    `alive`.  Each cell's covers are ranked once and built when first
+    tried, so a chain of k cells does not build its O(k^2) intervals up
+    front; `feasible` tries only their tight tail.  A search whose `dead`
+    grows past PARTITION_STATE_BUDGET raises ResourceLimitError.
     """
 
     def __init__(self, series: TruncatedSeries, min_depth: int):
@@ -359,11 +364,7 @@ class _CoverSearch:
         self.dead: set[int] = set()
         self.alive: set[int] = {0}
         self._covers: dict[int, tuple[list, int]] = {}
-
-    def _cover(self, a: tuple, b: tuple) -> tuple:
-        """(b, cell indices of [a, b], summed weight)."""
-        members = tuple(self.index[c] for c in dg.box(a, b))
-        return b, members, sum(self.weights[i] for i in members)
+        self._ends: dict[int, list[tuple]] = {}
 
     def _contact(self, b: tuple) -> int:
         return sum(1 for x, y in zip(b, self.g) if x == y)
@@ -372,15 +373,24 @@ class _CoverSearch:
         """Covers at a cell a of contact >= min_depth, by descending contact,
         then lexicographically, and the index of the first tight one: no
         [a, b] has contact below contact(a), so the covers of contact
-        max(min_depth, contact(a)) are the tail."""
+        max(min_depth, contact(a)) are the tail.  Only the upper ends are
+        ranked here; each cover is None until `built`."""
         cached = self._covers.get(element)
         if cached is None:
             a = self.cells[element]
             tight = max(self.min_depth, self._contact(a))
             ranked = sorted((-self._contact(b), b) for b in dg.box(a, self.g))
-            covers = [self._cover(a, b) for rho, b in ranked if -rho >= self.min_depth]
-            cached = self._covers[element] = covers, sum(1 for rho, _b in ranked if -rho > tight)
+            ends = self._ends[element] = [b for rho, b in ranked if -rho >= self.min_depth]
+            cached = self._covers[element] = [None] * len(ends), sum(1 for rho, _b in ranked if -rho > tight)
         return cached
+
+    def built(self, element: int, pos: int) -> tuple:
+        """The cover at `pos` in the list of a cell a, stored there: (b,
+        cell indices of [a, b], summed weight)."""
+        b = self._ends[element][pos]
+        members = tuple(self.index[c] for c in dg.box(self.cells[element], b))
+        cover = self._covers[element][0][pos] = b, members, sum(self.weights[i] for i in members)
+        return cover
 
     def fits(self, cover: tuple) -> bool:
         residual = self.residual
@@ -427,13 +437,18 @@ class _CoverSearch:
                 self.restore(applied)
             applied = None
             while pos < len(covers):
-                cover = covers[pos]
+                cover = covers[pos] or self.built(element, pos)
                 pos += 1
                 if self.key - cover[2] not in dead and self.fits(cover):
                     applied = cover
                     break
             if applied is None:
                 dead.add(key)
+                if len(dead) > PARTITION_STATE_BUDGET:
+                    raise ResourceLimitError(
+                        f"the partition search of depth >= {self.min_depth} holds more than "
+                        f"PARTITION_STATE_BUDGET = {PARTITION_STATE_BUDGET} residuals with no partition"
+                    )
                 frames.pop()
                 continue
             frame[3], frame[4] = pos, applied

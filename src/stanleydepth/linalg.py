@@ -1,10 +1,13 @@
-"""Dense exact linear algebra over a Field.
+"""Dense exact linear algebra over a Field: one row reduction per arithmetic.
 
-Row reduction uses the first nonzero entry in column order as pivot
-(deterministic; no numerical concerns over exact fields).  Quotient bases
-are the unit vectors at non-pivot columns, listed by ascending column
-index; this is the canonical basis convention used by every downstream
-module, so certificates are reproducible bit for bit.
+Over field scalars, `Subspace.extended` grows a reduced-echelon basis,
+taking the first nonzero entry in column order as pivot; `Subspace`,
+`Matrix.rref` and `Matrix.rank` grow theirs from the zero subspace.
+Quotient bases are the unit vectors at non-pivot columns, listed by
+ascending column index; this is the canonical basis convention used by
+every downstream module, so certificates are reproducible bit for bit.
+The searches push and pop integer rows on an `IntegerEchelon`, and
+`bareiss_determinant` verifies witnesses by an elimination of its own.
 """
 
 from __future__ import annotations
@@ -77,34 +80,15 @@ class Matrix:
         return tuple(_dot(f, row, vector) for row in self.entries)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the pivot columns, by one batch
-        elimination over the field.  `Subspace` and `rank` build on it;
-        the witness search and checks work on ints instead
-        (`IntegerEchelon`, `bareiss_determinant`)."""
-        f = self.field
-        rows = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = next((i for i in range(r, self.nrows) if not f.is_zero(rows[i][c])), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            if rows[r][c] != f.one:
-                inv = f.inv(rows[r][c])
-                rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and not f.is_zero(rows[i][c]):
-                    factor = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(f, rows, self.ncols), tuple(pivots)
+        """Reduced row-echelon form and the pivot columns: the basis of
+        the row space that `Subspace.extended` grows, padded with zero
+        rows to the matrix's height."""
+        span = Subspace.zero(self.field, self.ncols).extended(self.entries)
+        padding = ((self.field.zero,) * self.ncols,) * (self.nrows - span.dim)
+        return Matrix(self.field, span.basis + padding, self.ncols), span.pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return Subspace.zero(self.field, self.ncols).extended(self.entries).dim
 
     def __eq__(self, other):
         return (
@@ -138,15 +122,15 @@ class Subspace:
         rows = [tuple(v) for v in vectors]
         if any(len(v) != ambient_dim for v in rows):
             raise DimensionMismatchError("vector length does not match ambient dimension")
-        reduced, pivots = Matrix(field, rows, ambient_dim).rref()
+        span = Subspace.zero(field, ambient_dim).extended(rows)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = reduced.entries[: len(pivots)]
-        self.pivots = pivots
+        self.basis = span.basis
+        self.pivots = span.pivots
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        """The zero subspace of K^n, built without a row reduction."""
+        """The zero subspace of K^n."""
         return cls._from_echelon(field, ambient_dim, (), ())
 
     @classmethod
@@ -168,7 +152,7 @@ class Subspace:
 
         Each vector is reduced against the growing basis; a nonzero
         remainder, scaled to a unit pivot and cleared from the other rows,
-        becomes a new basis row, so no full row reduction runs.
+        becomes a new basis row.
         """
         f = self.field
         n = self.ambient_dim
@@ -181,11 +165,7 @@ class Subspace:
                 break
             if len(vector) != n:
                 raise DimensionMismatchError("vector length does not match ambient dimension")
-            v = list(vector)
-            for row, p in zip(rows, pivots):
-                c = v[p]
-                if not f.is_zero(c):
-                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            v = _reduced(f, vector, rows, pivots)
             lead = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
             if lead is None:
                 continue
@@ -203,21 +183,11 @@ class Subspace:
         return Subspace._from_echelon(f, n, tuple(rows), tuple(pivots))
 
     def reduce(self, vector: Sequence) -> tuple:
-        """Normal form of a vector modulo this subspace.
-
-        Subtracts the unique pivot-column multiples; the result is
-        supported on non-pivot columns and is zero iff the vector lies in
-        the subspace.
-        """
-        f = self.field
-        v = list(vector)
-        if len(v) != self.ambient_dim:
+        """Normal form of a vector modulo this subspace: supported on
+        non-pivot columns, and zero iff the vector lies in the subspace."""
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatchError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        return tuple(_reduced(self.field, vector, self.basis, self.pivots))
 
     def __eq__(self, other):
         return (
@@ -229,6 +199,17 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
+
+
+def _reduced(f: Field, vector: Sequence, rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
+    """The vector minus, for each reduced-echelon row, its pivot-column
+    multiple of that row."""
+    v = list(vector)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if not f.is_zero(c):
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return v
 
 
 class IntegerEchelon:

@@ -16,10 +16,10 @@ A greedy seed decides most calls: family by family, it picks the first
 vector that grows an `IntegerEchelon` of the picks so far, on integer
 rows.  The augmenting-path search runs only when the seed leaves a
 family unmatched and the picks do not fill K^d.  Its exchange arcs come
-from one tagged echelon basis, a `Subspace` spanned by the rows
-[vector(x) | e_x] over the picks x, built once per path.  Reducing
-[vector(t) | 0] by it leaves a nonzero vector part iff t is a sink;
-otherwise the tag part is minus t's coordinates in the picks, and its
+from one tagged `IntegerEchelon` of the rows [vector(x) | e_x] over the
+picks x, pushed once per path.  The remainder of [vector(t) | 0], pushed,
+read and popped, leads in the vector part iff t is a sink; otherwise its
+tag part is a multiple of minus t's coordinates in the picks, and its
 support is t's fundamental circuit, the picks x with an arc t -> x.
 """
 
@@ -29,7 +29,7 @@ from collections import deque
 from collections.abc import Sequence
 
 from .fields import Field
-from .linalg import IntegerEchelon, Subspace
+from .linalg import IntegerEchelon
 
 
 def max_independent_transversal(
@@ -66,19 +66,24 @@ def _augmenting_path(f, ambient_dim, items, selected):
     """Shortest augmenting path in the exchange digraph, or None at maximum."""
     sel = sorted(selected)
     used_classes = {items[t][0] for t in sel}
-    tags = [tuple(f.one if y == x else f.zero for y in sel) for x in sel]
-    tagged = Subspace(f, ambient_dim + len(sel), [items[x][1] + tag for x, tag in zip(sel, tags)])
+    tagged = IntegerEchelon(f, ambient_dim + len(sel))
+    for x in sel:
+        tagged.push(items[x][1] + tuple(int(y == x) for y in sel))
+    untagged = (0,) * len(sel)
 
     outside = [t for t in range(len(items)) if t not in selected]
     sources = [t for t in outside if items[t][0] not in used_classes]
     sinks: set[int] = set()
     circuits: dict[int, set[int]] = {}
     for t in outside:
-        reduced = tagged.reduce(items[t][1] + (f.zero,) * len(sel))
-        if any(reduced[:ambient_dim]):
-            sinks.add(t)
-        else:
-            circuits[t] = {x for x, c in zip(sel, reduced[ambient_dim:]) if not f.is_zero(c)}
+        # a zero vector adds no row: it is no sink and has no arcs out
+        if tagged.push(items[t][1] + untagged):
+            lead, remainder = tagged.rows[-1]
+            tagged.pop()
+            if lead < ambient_dim:
+                sinks.add(t)
+            else:
+                circuits[t] = {x for x, c in zip(sel, remainder[ambient_dim:]) if c}
 
     parent: dict[int, int | None] = {}
     queue: deque[int] = deque()

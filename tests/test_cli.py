@@ -416,6 +416,20 @@ def test_the_omega_budget_exits_with_code_two(tmp_path):
         assert run(*argv, "--g", "2000") == (2, "", message)
 
 
+def test_the_partition_state_budget_exits_with_code_two(tmp_path, monkeypatch):
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps({"ring": {"n": 3}, "module": {
+        "kind": "monomial_ideal", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}))
+    assert run("hdepth", path) == (0, "hdepth = 2\n", "")
+    monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 1)
+    message = (
+        "error: the partition search of depth >= 2 holds more than "
+        "PARTITION_STATE_BUDGET = 1 residuals with no partition\n"
+    )
+    for command in ("hdepth", "sdepth"):
+        assert run(command, path) == (2, "", message)
+
+
 def test_import_solution_rejects_a_file_that_is_not_utf8(tmp_path):
     sol = tmp_path / "sol.txt"
     sol.write_bytes(b"\xff\xfe")

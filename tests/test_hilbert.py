@@ -463,6 +463,27 @@ def test_hdepth_zero_module_is_infinite():
     assert value == math.inf and len(partition) == 0
 
 
+def test_hdepth_of_a_long_chain_builds_only_the_covers_it_tries():
+    # K[X_1]/(X_1^1000): 1000 cells, and the covers of every cell would be
+    # about 500,000 intervals of 333 cells on average
+    gm = modules.build(modules.quotient_by_monomial_ideal(QQ, 1, [(1000,)]))
+    start = time.perf_counter()
+    assert hdepth(gm) == 0
+    assert time.perf_counter() - start < 5.0
+
+
+def test_the_partition_search_raises_past_its_state_budget(monkeypatch):
+    # the search for m_3's depth-2 partition proves two residuals to have none
+    m3 = modules.build(modules.maximal_ideal(QQ, 3))
+    monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 2)
+    assert hdepth(m3) == 2
+    monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 1)
+    with pytest.raises(ResourceLimitError, match="holds more than PARTITION_STATE_BUDGET = 1 residuals"):
+        hdepth(m3)
+    with pytest.raises(ResourceLimitError, match="PARTITION_STATE_BUDGET"):
+        list(enumerate_partitions(truncated_series(m3), 2))
+
+
 def _assert_walks_every_partition_by_depth(gm):
     walk = list(partitions_by_depth(gm))
     levels = [s for s, _ in walk]

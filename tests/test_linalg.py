@@ -100,6 +100,48 @@ def test_rank_matches_minor_oracle_over_gf2(m):
     assert m.rank() == oracles.rank_by_minors(GF(2), m.entries)
 
 
+def _rref_cases(field, elems):
+    """(field, rows, combination): one to four rows of one to four
+    entries and, when combination is not None, the coefficients of a
+    further row combining them, so that rank deficiency shows over the
+    large fields too."""
+    return st.tuples(
+        st.just(field),
+        matrices(field, elems).map(lambda m: [list(row) for row in m.entries]),
+        st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=4, max_size=4)),
+    )
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    _rref_cases(QQ, st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=50))),
+    *(_rref_cases(GF(p), st.one_of(st.integers(0, min(p - 1, 2)), st.integers(0, p - 1)))
+      for p in (2, 3, 5, 7, 1000003)),
+))
+def test_rref_is_the_canonical_reduced_row_echelon_form(case):
+    field, rows, combination = case
+    if combination is not None:
+        last = [field.zero] * len(rows[0])
+        for c, row in zip(combination, rows):
+            last = _combination(field, last, row, c)
+        rows.append(last)
+    m = Matrix(field, rows)
+    reduced, pivots = m.rref()
+    assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
+    assert list(pivots) == sorted(set(pivots))
+    assert len(pivots) == oracles.rank_by_minors(field, rows)
+    for r, row in enumerate(reduced.entries):
+        if r >= len(pivots):
+            assert all(field.is_zero(x) for x in row)
+            continue
+        p = pivots[r]
+        assert all(field.is_zero(x) for x in row[:p]) and row[p] == field.one
+        assert all(field.is_zero(other[p]) for i, other in enumerate(reduced.entries) if i != r)
+    # the rows span the row space of m
+    assert oracles.rank_by_minors(field, rows + [list(row) for row in reduced.entries]) == len(pivots)
+    assert m.rank() == len(pivots)
+
+
 @given(matrices(GF(5), st.integers(0, 4)))
 def test_rref_recombination_over_gf5(m):
     reduced, pivots = m.rref()

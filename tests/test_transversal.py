@@ -162,3 +162,47 @@ def test_augmenting_paths_match_the_unseeded_search(field, entries, monkeypatch)
         assert len(picks) == oracles.max_transversal_bound(field, ambient, families)
     assert max(lengths) >= 5
     assert sum(length >= 3 for length in lengths) >= 3
+
+
+
+def _atom_families(rng, field, scalar):
+    """(ambient, families): two to five families of one to three vectors
+    in K^3 or K^4, each a multiple of one of two to four atoms, or a sum
+    of multiples of two.  Over a large field random vectors are
+    independent; combinations of a few atoms leave families to the
+    augmenting path."""
+    ambient = rng.randint(3, 4)
+    atoms = [tuple(scalar() for _ in range(ambient)) for _ in range(rng.randint(2, 4))]
+
+    def vector():
+        u, v = rng.choice(atoms), rng.choice(atoms)
+        c, d = scalar(), rng.choice([field.zero, field.zero, scalar()])
+        return tuple(field.add(field.mul(c, x), field.mul(d, y)) for x, y in zip(u, v))
+
+    return ambient, [[vector() for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(2, 5))]
+
+
+@pytest.mark.parametrize("field, scalar", [
+    (QQ, lambda rng: Fraction(rng.randint(-50, 50), rng.randint(1, 50))),
+    (GF(7), lambda rng: rng.randrange(7)),
+    (GF(1000003), lambda rng: rng.randrange(1000003)),
+])
+def test_augmenting_paths_match_the_unseeded_search_over_larger_fields(field, scalar, monkeypatch):
+    rng = random.Random(2024)
+    corpus = [(length, _chain(field, length, scalar(rng) or field.one)) for length in (2, 3, 4)]
+    corpus += [_atom_families(rng, field, lambda: scalar(rng)) for _ in range(200)]
+    paths = []
+    search = transversal._augmenting_path
+
+    def counted(*args):
+        paths.append(search(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(transversal, "_augmenting_path", counted)
+    for ambient, families in corpus:
+        picks = max_independent_transversal(field, ambient, families)
+        assert picks == oracles.unseeded_max_independent_transversal(field, ambient, families)
+        assert len(picks) == oracles.max_transversal_bound(field, ambient, families)
+    lengths = [len(path) for path in paths if path is not None]
+    assert len(paths) >= 100 and len(lengths) >= 15
+    assert max(lengths) >= 7
