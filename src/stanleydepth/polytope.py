@@ -155,8 +155,10 @@ def build_stanley_inequalities(
 ) -> LinearSystem:
     """Equalities plus rank inequalities.
 
-    max_subset caps |J| (None = all nonempty J); any cap keeps the system
-    a relaxation whose integer points may still need the exact check.
+    max_subset caps |J| (None = all nonempty J); a cap below |[0, g]|
+    keeps the system a relaxation whose integer points may still need
+    the exact check, and a cap of |[0, g]| or more is None, since every
+    J then has a row.
     min_depth drops every variable with |Z| below the bound.  Z = all
     coordinates is admissible, so the shifts below a are the box [0, a];
     its size counts a's rows before any is built.
@@ -166,6 +168,8 @@ def build_stanley_inequalities(
     if min_depth is not None and not 0 <= min_depth <= gm.n:
         raise PreconditionError(f"min_depth must be within [0, {gm.n}], got {min_depth}")
     origin = dg.zero(gm.n)
+    if max_subset is not None and max_subset >= dg.box_size(origin, gm.g):
+        max_subset = None
     caps = {}
     count = 0
     for a in dg.box(origin, gm.g):
@@ -187,49 +191,56 @@ def build_stanley_inequalities(
     return LinearSystem(gm.n, gm.g, table, tuple(rows), max_subset)
 
 
-def _rank_rows(gm: GradedModule, a: tuple, alive: tuple, variables: tuple, cap: int):
+def _rank_rows(gm: GradedModule, a: tuple, alive: tuple, variables: tuple, cap: int) -> list[LinearRow]:
     """The rank rows at degree a, for every J of 1..cap shifts from the
     box [0, a], ordered by size and then lexicographically.
 
-    A depth-first walk over J extends the span of J[:-1] by the images of
-    J[-1]'s summands.  The images grow with the shift (b <= b' <= a gives
-    X^(a-b) M_b inside X^(a-b') M_b'), so few distinct spans occur: each
-    is interned by its reduced-echelon basis, which is canonical, and the
-    sum of interned span s with the images of shift k is reduced once and
-    then looked up by (s, k).  A span that fills M_a extends to itself.
+    The rows are built level by level: each row of size k extends a row
+    of size k - 1, in order, by one later shift, and the span of J is the
+    span of J[:-1] extended by the images of J[-1]'s summands.  The
+    images grow with the shift (b <= b' <= a gives X^(a-b) M_b inside
+    X^(a-b') M_b'), so few distinct spans occur: each is interned by its
+    reduced-echelon basis, which is canonical, and the sum of interned
+    span s with the images of shift k is reduced once and then read from
+    `sums[s][k]`.  A span that fills M_a extends to itself.
     """
     below = list(dg.box(dg.zero(gm.n), a))
-    alive_from = {b: () for b in below}
+    position = {b: k for k, b in enumerate(below)}
+    alive_from = [()] * len(below)
     for i in alive:
-        shift = variables[i].shift
-        alive_from[shift] = alive_from[shift] + (i,)
+        k = position[variables[i].shift]
+        alive_from[k] = alive_from[k] + (i,)
     images = [gm.power_map(b, a).columns() for b in below]
     spans = [Subspace.zero(gm.field, gm.dim(a))]
+    dims = [0]
     index_of = {spans[0].basis: 0}
-    sums: dict[tuple[int, int], int] = {}
-    by_size: list[list[LinearRow]] = [[] for _ in range(cap + 1)]
-    # frame: next index into below, index of the span of J, support of J, J
-    frames = [[0, 0, (), ()]]
-    while frames:
-        frame = frames[-1]
-        k, s, support, J = frame
-        if k == len(below):
-            frames.pop()
-            continue
-        frame[0] = k + 1
-        t = sums.get((s, k))
-        if t is None:
-            span = spans[s].extended(images[k])
-            t = index_of.setdefault(span.basis, len(spans))
-            if t == len(spans):
-                spans.append(span)
-            sums[s, k] = t
-        b = below[k]
-        support, J = support + alive_from[b], J + (b,)
-        by_size[len(J)].append(LinearRow(support, "<=", spans[t].dim, (a, J)))
-        if len(J) < cap:
-            frames.append([k + 1, t, support, J])
-    return [row for rows in by_size for row in rows]
+    sums = [[None] * len(below)]
+    # builds a LinearRow without the NamedTuple's Python-level __new__
+    new_row = tuple.__new__
+    rows: list[LinearRow] = []
+    # the rows of the last level (first the empty J), with the position of
+    # each row's last shift and the index of its span
+    level, lasts, span_ids = [LinearRow((), "<=", 0, (a, ()))], [-1], [0]
+    for _ in range(cap):
+        next_level, next_lasts, next_ids = [], [], []
+        for (support, _, _, (_, J)), last, s in zip(level, lasts, span_ids):
+            sum_of = sums[s]
+            for k in range(last + 1, len(below)):
+                t = sum_of[k]
+                if t is None:
+                    span = spans[s].extended(images[k])
+                    t = index_of.setdefault(span.basis, len(spans))
+                    if t == len(spans):
+                        spans.append(span)
+                        dims.append(len(span.basis))
+                        sums.append([None] * len(below))
+                    sum_of[k] = t
+                next_level.append(new_row(LinearRow, (support + alive_from[k], "<=", dims[t], (a, J + (below[k],)))))
+                next_lasts.append(k)
+                next_ids.append(t)
+        rows += next_level
+        level, lasts, span_ids = next_level, next_lasts, next_ids
+    return rows
 
 
 def decomposition_to_point(system: LinearSystem, d: HilbertDecomposition) -> list[int]:
@@ -289,41 +300,37 @@ def check_u_vector(gm: GradedModule, system: LinearSystem, values) -> tuple | No
 
 def export_sip(system: LinearSystem, comment: str = "") -> str:
     """The system in the native format.  Each shift's coordinates are
-    formatted once per call, and every row label joins the cached texts."""
+    formatted once per call; a row's label joins the cached texts and its
+    terms join the variable names, and the lines are joined once."""
     coords = _ShiftText()
-    lines = []
-    if comment:
-        for line in comment.splitlines():
-            lines.append(f"# {line}" if line else "#")
+    lines = [f"# {line}" if line else "#" for line in comment.splitlines()]
     if system.max_subset is not None:
         lines.append(f"# relaxation: subset size capped at {system.max_subset}")
     lines.append(f"ip {system.n} " + " ".join(str(x) for x in system.g))
     names = system.table.names
-    for name in names:
-        lines.append(f"var {name} >= 0 integer")
-    for row in system.rows:
-        op = "==" if row.sense == "==" else "<="
-        kind = "eq" if row.sense == "==" else "le"
-        terms = " + ".join([names[i] for i in row.support]) or "0"
-        lines.append(f"{kind} {_label_text(row.label, coords)}: {terms} {op} {row.rhs}")
-    return "\n".join(lines) + "\n"
+    lines += [f"var {name} >= 0 integer" for name in names]
+    for support, sense, rhs, label in system.rows:
+        kind, op = ("eq", "==") if sense == "==" else ("le", "<=")
+        terms = " + ".join([names[i] for i in support]) or "0"
+        lines.append(f"{kind} {_label_text(label, coords)}: {terms} {op} {rhs}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def export_lp(system: LinearSystem) -> str:
+    """The system as a CPLEX LP file; each row's terms join the variable
+    names, and the lines are joined once."""
     names = system.table.lp_names
     lines = ["Minimize", " obj: 0", "Subject To"]
-    for idx, row in enumerate(system.rows):
-        terms = " + ".join([names[i] for i in row.support]) or f"0 {names[0]}"
-        op = "=" if row.sense == "==" else "<="
-        lines.append(f" r{idx}: {terms} {op} {row.rhs}")
+    for idx, (support, sense, rhs, _) in enumerate(system.rows):
+        terms = " + ".join([names[i] for i in support]) or f"0 {names[0]}"
+        lines.append(f" r{idx}: {terms} {'=' if sense == '==' else '<='} {rhs}")
     lines.append("Bounds")
-    for name in names:
-        lines.append(f" {name} >= 0")
+    lines += [f" {name} >= 0" for name in names]
     lines.append("General")
-    for name in names:
-        lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += [f" {name}" for name in names]
+    lines += ["End", ""]
+    return "\n".join(lines)
 
 
 class _ShiftText(dict):
@@ -338,7 +345,7 @@ def _label_text(label, coords: _ShiftText) -> str:
     """`[a]` for an equality row, `[a]{b1|b2|..}` for the rank row of (a, J)."""
     if isinstance(label, tuple) and label and isinstance(label[0], tuple):
         a, J = label
-        return f"[{coords[a]}]{{{'|'.join([coords[b] for b in J])}}}"
+        return f"[{coords[a]}]{{{'|'.join(map(coords.__getitem__, J))}}}"
     return f"[{coords[label]}]"
 
 

@@ -488,6 +488,69 @@ def per_subset_stanley_inequalities(gm, max_subset=polytope.DEFAULT_MAX_SUBSET, 
     return SimpleNamespace(variables=variables, rows=tuple(rows))
 
 
+def distinct_span_shift_pairs(gm, max_subset=polytope.DEFAULT_MAX_SUBSET):
+    """Summed over the degrees a, the number of distinct pairs (span of
+    the images of J[:-1], J[-1]) over every J of 1..max_subset shifts
+    below a, each span told apart by the basis of a fresh Subspace."""
+    total = 0
+    for a in dg.box(dg.zero(gm.n), gm.g):
+        below = list(dg.box(dg.zero(gm.n), a))
+        cap = len(below) if max_subset is None else min(max_subset, len(below))
+        pairs = set()
+        for size in range(1, cap + 1):
+            for J in combinations(below, size):
+                vectors = [col for b in J[:-1] for col in gm.power_map(b, a).columns()]
+                pairs.add((Subspace(gm.field, gm.dim(a), vectors).basis, J[-1]))
+        total += len(pairs)
+    return total
+
+
+def export_sip_by_row(system, comment=""):
+    """The .sip text as it was first written: one line per row, each
+    label and support formatted on its own."""
+    lines = []
+    if comment:
+        for line in comment.splitlines():
+            lines.append(f"# {line}" if line else "#")
+    if system.max_subset is not None:
+        lines.append(f"# relaxation: subset size capped at {system.max_subset}")
+    lines.append(f"ip {system.n} " + " ".join(str(x) for x in system.g))
+    names = system.table.names
+    for name in names:
+        lines.append(f"var {name} >= 0 integer")
+    for row in system.rows:
+        op = "==" if row.sense == "==" else "<="
+        kind = "eq" if row.sense == "==" else "le"
+        terms = " + ".join([names[i] for i in row.support]) or "0"
+        lines.append(f"{kind} {_label_text_by_row(row.label)}: {terms} {op} {row.rhs}")
+    return "\n".join(lines) + "\n"
+
+
+def _label_text_by_row(label):
+    if isinstance(label, tuple) and label and isinstance(label[0], tuple):
+        a, J = label
+        return f"[{','.join(map(str, a))}]{{{'|'.join([','.join(map(str, b)) for b in J])}}}"
+    return f"[{','.join(map(str, label))}]"
+
+
+def export_lp_by_row(system):
+    """The .lp text as it was first written, one line per row."""
+    names = system.table.lp_names
+    lines = ["Minimize", " obj: 0", "Subject To"]
+    for idx, row in enumerate(system.rows):
+        terms = " + ".join([names[i] for i in row.support]) or f"0 {names[0]}"
+        op = "=" if row.sense == "==" else "<="
+        lines.append(f" r{idx}: {terms} {op} {row.rhs}")
+    lines.append("Bounds")
+    for name in names:
+        lines.append(f" {name} >= 0")
+    lines.append("General")
+    for name in names:
+        lines.append(f" {name}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
 def _alive_at(v, a):
     return is_alive(v.zset, v.shift, a)
 

@@ -194,6 +194,74 @@ def test_rank_rows_reduce_each_distinct_span_and_shift_once(ex36, monkeypatch):
     assert 0 < len(calls) <= 300
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([QQ, GF(2), GF(3)]),
+    st.sampled_from([1, 2, 3, 4, None]),
+)
+def test_rank_rows_reduce_each_distinct_span_and_shift_once_exactly(seed, field, max_subset):
+    box = 8 if max_subset is None else 20
+    for gm in oracles.random_modules(2, seed=seed, max_box=box, field=field):
+        expected = oracles.distinct_span_shift_pairs(gm, max_subset)
+        calls = []
+        extended = Subspace.extended
+
+        def counted(self, vectors):
+            calls.append(vectors)
+            return extended(self, vectors)
+
+        Subspace.extended = counted
+        try:
+            build_stanley_inequalities(gm, max_subset=max_subset)
+        finally:
+            Subspace.extended = extended
+        assert len(calls) == expected
+
+
+def _hand_built_system():
+    # an empty-support row of each sense, and a rank row whose J is empty
+    gm = modules.build(modules.free(QQ, 2, [(0, 0)]), (1, 0))
+    system = build_stanley_inequalities(gm, max_subset=1)
+    rows = (
+        polytope.LinearRow((), "==", 0, (1, 0)),
+        polytope.LinearRow((), "<=", 3, ((1, 0), ((0, 0), (1, 0)))),
+        polytope.LinearRow((2, 0), "<=", 1, ((0, 0), ())),
+    )
+    return dataclasses.replace(system, rows=system.rows + rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([QQ, GF(2), GF(3)]),
+    st.sampled_from([1, 2, 3, 4, None]),
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from(["", "module: x.json; system: stanley", "two\n\nlines"]),
+)
+def test_exports_match_the_row_by_row_oracle(seed, field, max_subset, min_depth, comment):
+    box = 8 if max_subset is None else 20
+    systems = [_hand_built_system()]
+    for gm in oracles.random_modules(2, seed=seed, max_box=box, field=field):
+        if min_depth is None or min_depth <= gm.n:
+            systems.append(build_stanley_inequalities(gm, max_subset=max_subset, min_depth=min_depth))
+            systems.append(build_hilbert_system(gm))
+    for system in systems:
+        assert export_sip(system, comment) == oracles.export_sip_by_row(system, comment)
+        assert export_lp(system) == oracles.export_lp_by_row(system)
+
+
+@pytest.mark.parametrize("max_subset", [4, 5, 100])
+def test_a_cap_no_box_reaches_is_no_cap(m2, max_subset):
+    # the box of m2 has 4 degrees, so a cap of 4 or more writes every J
+    system = build_stanley_inequalities(m2, max_subset=max_subset)
+    exact = build_stanley_inequalities(m2, max_subset=None)
+    assert system == exact
+    assert system.max_subset is None
+    assert export_sip(system).startswith("ip 2 1 1\n")
+    assert build_stanley_inequalities(m2, max_subset=3).max_subset == 3
+
+
 @pytest.mark.parametrize("max_subset, sip, lp", [
     (4, "a9eac9e556d1c3952223e637fe684dec10d9d487e47c1e6e978c1a86bfefb0f7",
      "9430291184f4b47fef4728804ccc182df11a324b7e8e1bbc0eb4c029b0831675"),
