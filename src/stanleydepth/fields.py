@@ -58,6 +58,7 @@ class Field:
     """Common interface; instances are immutable and hashable."""
 
     cardinality: float | int  # math.inf for the rationals, p for GF(p)
+    modulus: int  # what integer rows are reduced by: 0 for the rationals, p for GF(p)
 
     def is_finite(self) -> bool:
         return self.cardinality != math.inf
@@ -73,6 +74,7 @@ class RationalField(Field):
     """The field of rational numbers; elements are Fraction values."""
 
     cardinality = math.inf
+    modulus = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -134,7 +136,7 @@ class PrimeField(Field):
         if not isinstance(p, int) or not is_prime(p):
             raise InputFormatError(f"prime field order must be prime, got {p!r}")
         self.p = p
-        self.cardinality = p
+        self.cardinality = self.modulus = p
         self.zero = 0
         self.one = 1 % p
 

@@ -560,6 +560,8 @@ def decomposition_from_json(obj, g: tuple):
     induced-summand construction for the given g."""
     if not isinstance(obj, dict):
         raise InputFormatError("decomposition file must be a JSON object")
+    if "summands" in obj and "intervals" in obj:
+        raise InputFormatError('decomposition file has both a "summands" and an "intervals" key')
     total = 0
     if "summands" in obj:
         summands = []
@@ -590,14 +592,13 @@ def decomposition_from_json(obj, g: tuple):
                 raise InputFormatError(f"interval endpoints must have length {len(g)} in {item!r}")
             if not dg.leq(a, b):
                 raise InputFormatError(f"interval needs a <= b in {item!r}")
+            if not dg.leq(b, g):
+                raise InputFormatError(f"interval upper bound {b} exceeds g = {g}")
             if mult < 0:
                 raise InputFormatError(f"negative multiplicity in {item!r}")
             total = _within_summand_limit(total + mult * dg.box_size(a, _last_shift(a, b, g)))
             intervals.extend([(a, b)] * mult)
-        try:
-            return partition_to_decomposition(HilbertPartition(intervals), g)
-        except ShapeError as exc:
-            raise InputFormatError(str(exc)) from exc
+        return partition_to_decomposition(HilbertPartition(intervals), g)
     raise InputFormatError('decomposition file needs a "summands" or "intervals" key')
 
 

@@ -6,23 +6,47 @@ taking the first nonzero entry in column order as pivot; `Subspace`,
 Quotient bases are the unit vectors at non-pivot columns, listed by
 ascending column index; this is the canonical basis convention used by
 every downstream module, so certificates are reproducible bit for bit.
-The searches push and pop integer rows on an `IntegerEchelon`, and
-`bareiss_determinant` verifies witnesses by an elimination of its own.
+The searches push and pop integer rows (`integral_rows`, kept per Matrix
+by `Matrix.integral`) on an `IntegerEchelon`, and `bareiss_determinant`
+verifies witnesses by an elimination of its own; both reduce mod the
+field's `modulus`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, ShapeError
 from .fields import Field
 
 
+def integral_rows(field: Field, rows: Sequence[Sequence]) -> Sequence[Sequence]:
+    """The block of rows on ints, for the rank kernels.
+
+    Over GF(p) the rows come back as they are.  Over Q they are multiplied
+    by one positive scale, the lcm of every denominator in the block.  A
+    nonzero scale of the whole block keeps its rank, and the rank of any
+    matrix with a column that is an image under it.
+    """
+    if field.modulus:
+        return rows
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+
+
+class Integral(NamedTuple):
+    """A matrix's `integral_rows`, and the columns of those rows."""
+
+    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+
+
 class Matrix:
     """Immutable dense matrix of raw scalar values."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "entries", "_integral")
 
     def __init__(self, field: Field, entries: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(row) for row in entries)
@@ -39,6 +63,7 @@ class Matrix:
         self.entries = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._integral = None
 
     @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
@@ -89,6 +114,14 @@ class Matrix:
 
     def rank(self) -> int:
         return Subspace.zero(self.field, self.ncols).extended(self.entries).dim
+
+    def integral(self) -> Integral:
+        """The matrix on ints (`integral_rows` of its rows, one block) and
+        their columns, built on first use and kept."""
+        if self._integral is None:
+            rows = integral_rows(self.field, self.entries)
+            self._integral = Integral(rows, tuple(zip(*rows)) if rows else ((),) * self.ncols)
+        return self._integral
 
     def __eq__(self, other):
         return (
@@ -217,8 +250,8 @@ class IntegerEchelon:
     shrunk by `pop` in stack order.
 
     Over GF(p) the rows are reduced mod p with unit pivots; over Q a
-    pushed vector with a non-integer entry is first scaled by the lcm of
-    its denominators (which keeps the rank), and rows are primitive and
+    pushed vector with a non-integer entry is first made one block of
+    `integral_rows` (which keeps the rank), and rows are primitive and
     fraction-free.  A vector is
     reduced by the rows in the order they were pushed (forward
     elimination only, so no earlier row changes).  With
@@ -227,10 +260,10 @@ class IntegerEchelon:
     its witness search about six times.
     """
 
-    __slots__ = ("p", "ambient_dim", "rows")
+    __slots__ = ("field", "ambient_dim", "rows")
 
     def __init__(self, field: Field, ambient_dim: int):
-        self.p = field.cardinality if field.is_finite() else 0
+        self.field = field
         self.ambient_dim = ambient_dim
         self.rows: list[tuple[int, list[int]]] = []
 
@@ -241,11 +274,10 @@ class IntegerEchelon:
             raise DimensionMismatchError("vector length does not match ambient dimension")
         if len(self.rows) == self.ambient_dim:
             return False
-        p = self.p
+        p = self.field.modulus
         v = vector
         if not p and not all(type(x) is int for x in v):
-            scale = math.lcm(*(x.denominator for x in v))
-            v = [x.numerator * (scale // x.denominator) for x in v]
+            v = integral_rows(self.field, (v,))[0]
         for pivot, row in self.rows:
             c = v[pivot] % p if p else v[pivot]
             if c:
@@ -284,7 +316,7 @@ def bareiss_determinant(field: Field, rows: Sequence[Sequence[int]]) -> int:
     the determinant up to the sign.  No row is normalized, unlike in
     `IntegerEchelon`, so the two share no elimination.
     """
-    p = field.cardinality if field.is_finite() else 0
+    p = field.modulus
     m = [[x % p for x in row] if p else list(row) for row in rows]
     if any(len(row) != len(m) for row in m):
         raise ShapeError(f"determinant of a {len(m)}-row matrix with a row of another length")

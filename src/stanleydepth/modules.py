@@ -17,15 +17,13 @@ M_a depends only on the signature of a: which generators and which
 relations have degree <= a.  Degrees with one signature share one
 immutable GradedPiece, and a map X^(b-a) depends only on the pieces at
 its two ends, so each is built once per pair of pieces.  So is its
-integer form, the rows and columns every rank question of `stanley`
-reads.
+integer form (`Matrix.integral`, kept by the map itself), the rows and
+columns every rank question of `stanley` reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import degrees as dg
 from .errors import (
@@ -121,14 +119,6 @@ class GradedPiece:
         return tuple(reduced[c] for c in self.nonpivot_columns)
 
 
-class IntegerForm(NamedTuple):
-    """A map's matrix on ints, scaled to keep every rank: its rows, and
-    the columns of those rows."""
-
-    rows: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
-
-
 class GradedModule:
     """A presentation together with all graded pieces on [0, g+1]."""
 
@@ -162,8 +152,6 @@ class GradedModule:
         # the only table of maps: X^(b-a) keyed by the ids of its two shared
         # pieces, which self.pieces keeps alive for the module's lifetime
         self._transfers: dict[tuple, Matrix] = {}
-        # the integer form of each map in _transfers, keyed by its id
-        self._integer_forms: dict[int, IntegerForm] = {}
         self._build()
 
     def _build(self) -> None:
@@ -213,26 +201,6 @@ class GradedModule:
                 columns.append(dst.coords(image))
             out = self._transfers[key] = Matrix.from_columns(f, columns, dst.dim)
         return out
-
-    def integer_form(self, m: Matrix) -> IntegerForm:
-        """The integer form of a map `power_map` or `mult_map` returned,
-        built on its first use.
-
-        Over GF(p) the rows are the entries as they are; over Q they are
-        the entries times the lcm of their denominators.  That is one
-        nonzero scale for the whole map, so any matrix whose columns are
-        images under such maps keeps its rank.  The module keeps its maps
-        alive, so the id of one names it for the module's lifetime.
-        """
-        form = self._integer_forms.get(id(m))
-        if form is None:
-            rows = m.entries
-            if not self.field.is_finite():
-                scale = math.lcm(*(e.denominator for row in rows for e in row))
-                rows = tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in rows)
-            columns = tuple(zip(*rows)) if rows else ((),) * m.ncols
-            form = self._integer_forms[id(m)] = IntegerForm(rows, columns)
-        return form
 
     def piece(self, a: tuple) -> GradedPiece:
         piece = self.pieces.get(tuple(a))

@@ -25,17 +25,16 @@ coefficient vector at a time and rejects a vector whose column falls in
 the span of the columns fixed before it at some degree; it evaluates no
 determinant.
 
-Every rank question reads the module's integer form of each image
-(`GradedModule.integer_form`): the transversals its columns, the
-exponent bound their support, the search and the witness check its
-rows.  Every witness check (after the search, in `verify_witness` and in
+Every rank question reads each image's integer form
+(`Matrix.integral`): the transversals its columns, the exponent bound
+their support, the search and the witness check its rows.  Every
+witness check (after the search, in `verify_witness` and in
 `verify-cert`) takes one Bareiss determinant of each A_a(y) on ints, an
 elimination the search does not use.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,8 +58,8 @@ from .hilbert import (
     partitions_by_depth,
     validated_alive,
 )
-from .linalg import IntegerEchelon, Matrix, bareiss_determinant
-from .modules import GradedModule, IntegerForm
+from .linalg import IntegerEchelon, Matrix, bareiss_determinant, integral_rows
+from .modules import GradedModule
 from .polynomials import Poly, Var, parse_var_name, var_name
 from .transversal import max_independent_transversal
 
@@ -78,8 +77,8 @@ class SymbolicMatrixFamily:
     for every degree a with alive summands, their indices (`columns[a]`)
     and the images X^(a - shift) of their pieces (`images[a]`, power
     maps M_shift -> M_a).  Column i of A_a is image i applied to summand
-    i's generic coefficients Y[i, *]; `integer_images` holds the
-    module's integer form of each image, and every rank question reads it.
+    i's generic coefficients Y[i, *]; every rank question reads the
+    image's integer form (`Matrix.integral`).
     `first_singular_degree` is the one per-degree answer every check
     reads, and `exponent_bound` the one bound on the determinant product
     that picks the finite-field check and the witness stages.
@@ -116,12 +115,6 @@ class SymbolicMatrixFamily:
             for a, alive in self.columns.items()
         }
 
-    @cached_property
-    def integer_images(self) -> dict[tuple, list[IntegerForm]]:
-        """The module's integer form of each image, parallel to `images`."""
-        form = self.module.integer_form
-        return {a: [form(image) for image in images] for a, images in self.images.items()}
-
     @property
     def variables(self) -> tuple[Var, ...]:
         return tuple((i, j) for i, l in enumerate(self.summand_dims) for j in range(l))
@@ -145,7 +138,7 @@ class SymbolicMatrixFamily:
         """
         for a in self.degrees():
             dim = self.module.dim(a)
-            families = [form.columns for form in self.integer_images[a]]
+            families = [image.integral().columns for image in self.images[a]]
             if len(max_independent_transversal(self.field, dim, families)) < dim:
                 return a
         return None
@@ -161,8 +154,8 @@ class SymbolicMatrixFamily:
         return max(Counter(
             (i, j)
             for a, alive in self.columns.items()
-            for i, form in zip(alive, self.integer_images[a])
-            for j, column in enumerate(form.columns)
+            for i, image in zip(alive, self.images[a])
+            for j, column in enumerate(image.integral().columns)
             if any(column)
         ).values(), default=0)
 
@@ -179,7 +172,7 @@ class SymbolicMatrixFamily:
         (`check_finite`, once per degree) and `det` call this, so nothing
         is cached.
         """
-        p = self.field.cardinality if self.field.is_finite() else 0
+        p = self.field.modulus
         layer = {0: {0: self.field.one}}
         for i, image in zip(self.columns[a], self.images[a]):
             base = self._offsets[i]
@@ -396,24 +389,18 @@ def _witness_failure(fam: SymbolicMatrixFamily, assignment) -> tuple | None:
     """First degree where A_a(y) drops rank, or None; the assignment
     binds every variable of fam.
 
-    Column i of A_a(y) is the integer rows of image i dotted with summand
-    i's vector y_i, which over Q is first scaled by the lcm of its
-    denominators.  Both scales are nonzero and act on one column, so they
-    keep every rank.  A_a(y) is square, and it has full rank iff its
+    Column i of A_a(y) is the integer rows of image i dotted with
+    summand i's vector y_i, itself made one block of `integral_rows`.
+    Both scales are nonzero and act on one column, so they keep every
+    rank.  A_a(y) is square, and it has full rank iff its
     `bareiss_determinant` is nonzero; its columns serve as the rows, as
     det A = det A^T.
     """
-    finite = fam.field.is_finite()
-    vectors = []
-    for i, dim in enumerate(fam.summand_dims):
-        y = [assignment[(i, j)] for j in range(dim)]
-        if not finite:
-            scale = math.lcm(*(x.denominator for x in y))
-            y = [x.numerator * (scale // x.denominator) for x in y]
-        vectors.append(y)
+    vectors = [integral_rows(fam.field, ([assignment[(i, j)] for j in range(dim)],))[0]
+               for i, dim in enumerate(fam.summand_dims)]
     for a in fam.degrees():
-        columns = [[sum(map(mul, row, vectors[i])) for row in form.rows]
-                   for i, form in zip(fam.columns[a], fam.integer_images[a])]
+        columns = [[sum(map(mul, row, vectors[i])) for row in image.integral().rows]
+                   for i, image in zip(fam.columns[a], fam.images[a])]
         if not bareiss_determinant(fam.field, columns):
             return a
     return None
@@ -490,8 +477,8 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     taken from values^dim in lexicographic order.
 
     `values` are ints: one stage of `extract_witness`.  A summand's
-    column at a degree is the integer rows of its image there (the
-    module's integer form, a column scale that keeps every rank) dotted
+    column at a degree is the integer rows of its image there
+    (`Matrix.integral`, a column scale that keeps every rank) dotted
     with its vector.  Every degree keeps an
     `IntegerEchelon` of the columns fixed so far: a summand's columns are
     pushed when its vector is fixed and popped when the search backs up
@@ -509,8 +496,8 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     dims = fam.summand_dims
     alive_at: list[list] = [[] for _ in dims]
     for k, a in enumerate(fam.degrees()):
-        for i, form in zip(fam.columns[a], fam.integer_images[a]):
-            alive_at[i].append((k, form.rows))
+        for i, image in zip(fam.columns[a], fam.images[a]):
+            alive_at[i].append((k, image.integral().rows))
     bases = [IntegerEchelon(f, fam.module.dim(a)) for a in fam.degrees()]
 
     def place(i, y) -> list | None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import data_file, load_json
 from stanleydepth import hilbert, modules, polytope, stanley
 from stanleydepth.cli import main
+from stanleydepth.errors import InputFormatError
 
 
 def run(*argv):
@@ -559,6 +560,27 @@ def test_malformed_decomposition_shapes_exit_with_code_two(tmp_path, decompositi
         code, out, err = run(command, M2, path)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("b", [[5, 0], [1000000, 1000000]])
+def test_an_interval_outside_the_box_exits_with_code_two_naming_its_bound(tmp_path, b):
+    # checked before the summand count, which b = (10^6, 10^6) would overflow
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps({"intervals": [{"a": [0, 0], "b": b}]}))
+    for command in ("check", "certify"):
+        assert run(command, EX36, path) == (
+            2, "", f"error: {path}: interval upper bound {tuple(b)} exceeds g = (3, 3)\n")
+
+
+def test_a_decomposition_with_both_keys_exits_with_code_two(tmp_path):
+    path = tmp_path / "dec.json"
+    obj = load_json("ex36_dec.json")
+    obj["intervals"] = [{"a": [0, 0], "b": [3, 3]}]
+    path.write_text(json.dumps(obj))
+    assert run("check", EX36, path) == (
+        2, "", f'error: {path}: decomposition file has both a "summands" and an "intervals" key\n')
+    with pytest.raises(InputFormatError, match='"summands" and an "intervals"'):
+        hilbert.decomposition_from_json(obj, (3, 3))
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from stanleydepth.errors import DimensionMismatchError, ShapeError
 from stanleydepth.fields import GF, QQ
-from stanleydepth.linalg import IntegerEchelon, Matrix, Subspace, bareiss_determinant
+from stanleydepth.linalg import IntegerEchelon, Matrix, Subspace, bareiss_determinant, integral_rows
 from stanleydepth.transversal import max_independent_transversal
 
 
@@ -279,6 +279,46 @@ def test_integer_echelon_refuses_a_vector_of_the_wrong_length(field):
     with pytest.raises(DimensionMismatchError):
         echelon.push((0, 1, 5))
     assert echelon.rows == [(0, [1, 0])]
+
+
+def test_integral_rows_scale_a_rational_block_by_the_least_scale_that_clears_it():
+    F = Fraction
+    # denominators 3, 5 and 15, a row of integers, and a zero row
+    block = ((F(1, 3), F(-2, 5)), (F(4), F(-7)), (F(7, 15), F(0)), (F(0), F(0)))
+    assert integral_rows(QQ, block) == ((5, -6), (60, -105), (7, 0), (0, 0))
+    assert integral_rows(QQ, ((F(4), F(-7)),)) == ((4, -7),)
+    assert integral_rows(QQ, ()) == ()
+
+
+@given(st.lists(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=2, max_size=2), max_size=4))
+def test_integral_rows_over_q_are_the_rows_times_the_least_clearing_scale(rows):
+    least = next(s for s in range(1, 61) if all((x * s).denominator == 1 for row in rows for x in row))
+    out = integral_rows(QQ, rows)
+    assert all(type(x) is int for row in out for x in row)
+    assert out == tuple(tuple(x * least for x in row) for row in rows)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(1000003)])
+def test_integral_rows_over_a_prime_field_are_the_rows_as_they_are(field):
+    for block in ((), ((1, 0), (0, 1)), [[field.from_int(x) for x in range(4)]]):
+        assert integral_rows(field, block) is block
+
+
+@pytest.mark.parametrize("matrix", [qmat([[Fraction(1, 3), 2], [0, Fraction(5, 6)]]),
+                                    Matrix(GF(5), [[1, 4, 0]]), Matrix(QQ, [], 3)])
+def test_a_matrix_builds_its_integral_form_once(matrix):
+    form = matrix.integral()
+    assert matrix.integral() is form
+    assert form.rows == integral_rows(matrix.field, matrix.entries)
+    assert form.columns == tuple(Matrix(matrix.field, form.rows, matrix.ncols).columns())
+
+
+@given(st.lists(st.lists(st.fractions(-3, 3, max_denominator=12), min_size=3, max_size=3), max_size=4))
+def test_pushing_a_fraction_vector_stores_the_row_of_its_integral_rows(vectors):
+    direct, scaled = IntegerEchelon(QQ, 3), IntegerEchelon(QQ, 3)
+    for v in vectors:
+        assert direct.push(v) == scaled.push(integral_rows(QQ, (v,))[0])
+        assert direct.rows == scaled.rows
 
 
 def _square_cases(field, elems):

@@ -373,8 +373,8 @@ def test_the_integer_form_is_one_scaled_copy_of_each_map(field):
         for src in gm.pieces:
             for dst in dg.box(src, gm.top):
                 m = gm.power_map(src, dst)
-                form = gm.integer_form(m)
-                assert gm.integer_form(m) is form
+                form = m.integral()
+                assert m.integral() is form
                 assert all(type(x) is int for row in form.rows for x in row)
                 assert form.columns == tuple(Matrix(field, form.rows, m.ncols).columns())
                 if field.is_finite():
