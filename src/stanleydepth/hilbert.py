@@ -5,7 +5,9 @@ A partition writes the truncated series as a sum of interval indicator
 polynomials Q[a,b]; each interval [a,b] induces one summand (Z_b, c) per
 lattice point c of G[a,b], where Z_b collects the coordinates at which b
 touches g and G[a,b] freezes exactly those coordinates at a.  The depth
-of the induced decomposition is min |Z_b| over the intervals.
+of the induced decomposition is min |Z_b| over the intervals.  One
+backtracking walk (`_CoverSearch.walk`) both decides whether a partition
+of depth >= r exists and lists every such partition.
 """
 
 from __future__ import annotations
@@ -278,64 +280,21 @@ def validate_decomposition(d: HilbertDecomposition, gm: GradedModule) -> Validat
 
 def enumerate_partitions(series: TruncatedSeries, min_depth: int):
     """Yield every partition of the series into intervals [a, b] with b
-    touching g in at least min_depth coordinates.
-
-    Depth-first backtracking: repeatedly cover the lexicographically
-    smallest degree with positive residual (such a degree is
-    componentwise-minimal, so it must be an interval lower endpoint);
-    cover candidates are tried by descending contact count, then
-    lexicographically.  Runs of covers at one lower endpoint are forced
-    to be non-decreasing in that order, so each partition multiset is
-    emitted exactly once.  Consumers may stop iterating at any time.
-
-    Subtrees whose residual has no partition are skipped, so the output is
-    unchanged.  That existence test tries at a only covers of contact
-    max(min_depth, #{j : a_j = g_j}): a wider interval splits along a
-    touching j with a_j < g_j into two that keep contact >= min_depth.
-    """
+    touching g in at least min_depth coordinates, each multiset once, in
+    the order of `_CoverSearch.walk`.  Consumers may stop iterating at any
+    time."""
     n = len(series.g)
     if not 0 <= min_depth <= n:
         raise PreconditionError(f"min_depth must be within [0, {n}], got {min_depth}")
     search = _CoverSearch(series, min_depth)
-    if not search.feasible(0):
-        return
-    chosen: list[Interval] = []
-    # One frame per lower endpoint being covered: [cell index, position of
-    # the next cover to try, cover applied by this frame or None].
-    frames = [[search.first_positive(0), 0, None]]
-    while frames:
-        frame = frames[-1]
-        element, pos, applied = frame
-        if element is None:
-            frames.pop()
-            yield HilbertPartition(chosen)
-            continue
-        if applied is not None:
-            chosen.pop()
-            search.restore(applied)
-        covers = search.covers(element)[0]
-        applied = None
-        while pos < len(covers):
-            cover = covers[pos] or search.built(element, pos)
-            pos += 1
-            if search.fits(cover):
-                search.apply(cover)
-                if search.feasible(element):
-                    applied = cover
-                    break
-                search.restore(cover)
-        if applied is None:
-            frames.pop()
-            continue
-        frame[1], frame[2] = pos, applied
-        chosen.append(Interval(search.cells[element], applied[0]))
-        following = search.first_positive(element)
-        # Later covers at the same endpoint resume at this cover's position.
-        frames.append([following, pos - 1 if following == element else 0, None])
+    if search.feasible(0):
+        for frames in search.walk(0, tight=False):
+            yield HilbertPartition(Interval(search.cells[f[1]], f[3][0]) for f in frames)
 
 
 class _CoverSearch:
-    """The residual of a series under a set of applied interval covers.
+    """The residual of a series under a set of applied interval covers,
+    and the one backtracking walk over them (`walk`).
 
     Cells are indexed in lexicographic order.  The residual is also kept
     as one integer key in mixed radix (weight[i] is the product of
@@ -345,8 +304,8 @@ class _CoverSearch:
     `dead` by that key, and those on the path of a partition found in
     `alive`.  Each cell's covers are ranked once and built when first
     tried, so a chain of k cells does not build its O(k^2) intervals up
-    front; `feasible` tries only their tight tail.  A search whose `dead`
-    grows past PARTITION_STATE_BUDGET raises ResourceLimitError.
+    front.  A search whose `dead` grows past PARTITION_STATE_BUDGET
+    raises ResourceLimitError.
     """
 
     def __init__(self, series: TruncatedSeries, min_depth: int):
@@ -408,10 +367,9 @@ class _CoverSearch:
             residual[i] += 1
         self.key += cover[2]
 
-    def first_positive(self, start: int):
-        """Index of the first cell at or after start with positive residual."""
-        if self.key == 0:
-            return None
+    def first_positive(self, start: int) -> int:
+        """Index of the first cell at or after start with positive residual;
+        the residual must not be zero."""
         residual = self.residual
         while not residual[start]:
             start += 1
@@ -419,48 +377,75 @@ class _CoverSearch:
 
     def feasible(self, start: int) -> bool:
         """Whether the residual, positive only at cells >= start, has a
-        partition of depth >= min_depth.  Backtracks over tight covers
-        with an explicit stack; leaves the residual as it found it."""
-        dead = self.dead
+        partition of depth >= min_depth: the first goal of the tight walk,
+        whose path is then marked alive and restored."""
         if self.key in self.alive:
             return True
-        if self.key in dead:
+        if self.key in self.dead:
             return False
-        # [key, cell index, its covers, position of the next cover, applied
-        # cover or None]; the position starts at the first tight cover
+        for frames in self.walk(start, tight=True):
+            for key, _element, _pos, applied in reversed(frames):
+                self.restore(applied)
+                self.alive.add(key)
+            return True
+        return False
+
+    def walk(self, start: int, tight: bool):
+        """Backtrack depth-first over the residual, positive only at cells
+        >= start, on one stack of frames [residual key, cell index, next
+        cover position, applied cover or None]; yield the frames, their
+        covers still applied, each time the residual reaches the goal.  A
+        frame covers the first positive cell: it is componentwise minimal,
+        so it must be a lower endpoint.
+
+        `tight` asks whether a partition exists instead of listing them:
+        - covers: the tight tail (a wider interval splits along a touching
+          j with a_j < g_j into two of contact >= min_depth), instead of
+          all with a run at one cell resuming at its last cover, so that
+          each multiset is listed once;
+        - goal: a residual in `alive`, instead of the zero residual;
+        - child test: none, instead of `feasible` of the child;
+        - exhaustion: the residual joins `dead`, instead of a plain pop.
+        """
+        dead, goal = self.dead, self.alive if tight else {0}
+        if self.key in goal:
+            yield []
+            return
         element = self.first_positive(start)
-        frames = [[self.key, element, *self.covers(element), None]]
+        frames = [[self.key, element, self.covers(element)[1] if tight else 0, None]]
         while frames:
             frame = frames[-1]
-            key, element, covers, pos, applied = frame
+            key, element, pos, applied = frame
             if applied is not None:
                 self.restore(applied)
+            covers = self.covers(element)[0]
             applied = None
             while pos < len(covers):
                 cover = covers[pos] or self.built(element, pos)
                 pos += 1
                 if self.key - cover[2] not in dead and self.fits(cover):
-                    applied = cover
-                    break
+                    self.apply(cover)
+                    if tight or self.feasible(element):
+                        applied = cover
+                        break
+                    self.restore(cover)
             if applied is None:
-                dead.add(key)
-                if len(dead) > PARTITION_STATE_BUDGET:
-                    raise ResourceLimitError(
-                        f"the partition search of depth >= {self.min_depth} holds more than "
-                        f"PARTITION_STATE_BUDGET = {PARTITION_STATE_BUDGET} residuals with no partition"
-                    )
                 frames.pop()
+                if tight:
+                    dead.add(key)
+                    if len(dead) > PARTITION_STATE_BUDGET:
+                        raise ResourceLimitError(
+                            f"the partition search of depth >= {self.min_depth} holds more than "
+                            f"PARTITION_STATE_BUDGET = {PARTITION_STATE_BUDGET} residuals with no partition"
+                        )
                 continue
-            frame[3], frame[4] = pos, applied
-            self.apply(applied)
-            if self.key in self.alive:
-                for frame in reversed(frames):
-                    self.restore(frame[4])
-                    self.alive.add(frame[0])
-                return True
-            element = self.first_positive(element)
-            frames.append([self.key, element, *self.covers(element), None])
-        return False
+            frame[2], frame[3] = pos, applied
+            if self.key in goal:
+                yield frames
+                continue
+            following = self.first_positive(element)
+            resume = self.covers(following)[1] if tight else pos - 1 if following == element else 0
+            frames.append([self.key, following, resume, None])
 
 
 def require_g_determined(gm: GradedModule) -> None:
@@ -592,6 +577,8 @@ def decomposition_from_json(obj, g: tuple):
                 raise InputFormatError(f"interval endpoints must have length {len(g)} in {item!r}")
             if not dg.leq(a, b):
                 raise InputFormatError(f"interval needs a <= b in {item!r}")
+            if any(x < 0 for x in a):
+                raise InputFormatError(f"interval lower bound {a} is negative")
             if not dg.leq(b, g):
                 raise InputFormatError(f"interval upper bound {b} exceeds g = {g}")
             if mult < 0:

@@ -572,6 +572,15 @@ def test_an_interval_outside_the_box_exits_with_code_two_naming_its_bound(tmp_pa
             2, "", f"error: {path}: interval upper bound {tuple(b)} exceeds g = (3, 3)\n")
 
 
+@pytest.mark.parametrize("a", [[-2, 0], [-1000000000, 0]])
+def test_a_negative_interval_lower_bound_exits_with_code_two_naming_it(tmp_path, a):
+    # checked before the summand count, which a = (-10^9, 0) would overflow
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps({"intervals": [{"a": a, "b": [0, 0]}]}))
+    for command in ("check", "certify"):
+        assert run(command, EX36, path) == (2, "", f"error: {path}: interval lower bound {tuple(a)} is negative\n")
+
+
 def test_a_decomposition_with_both_keys_exits_with_code_two(tmp_path):
     path = tmp_path / "dec.json"
     obj = load_json("ex36_dec.json")

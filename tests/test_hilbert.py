@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import sys
 import time
 from collections import Counter
 from itertools import islice
@@ -463,6 +465,13 @@ def test_hdepth_zero_module_is_infinite():
     assert value == math.inf and len(partition) == 0
 
 
+def test_the_zero_series_has_only_the_empty_partition_at_every_depth():
+    gm = modules.build(modules.quotient_by_monomial_ideal(QQ, 2, [(0, 0)]))
+    series = truncated_series(gm)
+    for s in range(gm.n + 1):
+        assert list(enumerate_partitions(series, s)) == [HilbertPartition([])]
+
+
 def test_hdepth_of_a_long_chain_builds_only_the_covers_it_tries():
     # K[X_1]/(X_1^1000): 1000 cells, and the covers of every cell would be
     # about 500,000 intervals of 333 cells on average
@@ -470,6 +479,18 @@ def test_hdepth_of_a_long_chain_builds_only_the_covers_it_tries():
     start = time.perf_counter()
     assert hdepth(gm) == 0
     assert time.perf_counter() - start < 5.0
+
+
+def test_the_depth_search_does_not_recurse():
+    # K[X_1]/(X_1^1000): the depth-0 partition stacks 1000 covers of one cell each
+    gm = modules.build(modules.quotient_by_monomial_ideal(QQ, 1, [(1000,)]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        value, partition = hdepth(gm, return_partition=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (value, len(partition)) == (0, 1000)
 
 
 def test_the_partition_search_raises_past_its_state_budget(monkeypatch):
