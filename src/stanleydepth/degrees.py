@@ -3,8 +3,8 @@
 Degrees are plain tuples of non-negative ints, compared componentwise.
 Indices are 0-based internally; serialization layers convert to 1-based
 variable numbering.  Files are read by `read_text` and `read_json`, and
-their values checked by `as_int`, `as_list` and `as_degree`; every read
-or write error becomes a StanleyDepthError.
+their values checked by `as_int`, `as_scalar`, `as_list` and
+`as_degree`; every read or write error becomes a StanleyDepthError.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 import json
 import operator
 from collections.abc import Iterator
+from decimal import Decimal
 
 from .errors import InputFormatError, StanleyDepthError
 
@@ -27,12 +28,14 @@ def read_text(path) -> str:
 
 
 def read_json(path, parse):
-    """parse(the JSON document in the file at path).  Nesting past the
-    decoder's recursion limit is an input error too, and every input error
-    of parse is raised again with the path in front."""
+    """parse(the JSON document in the file at path).  Numbers with a
+    fraction or an exponent are read as Decimals, so an error can name
+    them as written.  Nesting past the decoder's recursion limit is an
+    input error too, and every input error of parse is raised again with
+    the path in front."""
     text = read_text(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=Decimal)
     except ValueError as exc:  # also integers past int()'s digit limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
@@ -62,6 +65,20 @@ def as_int(value) -> int:
         except TypeError:
             pass
     raise InputFormatError(f"expected an integer, got {value!r}")
+
+
+def as_scalar(field, value):
+    """A field scalar read from input: an integer, or a string in the
+    field's spelling.  A JSON number with a fraction or an exponent (even
+    2.0) raises InputFormatError, as in `as_int`: a float would round it
+    (1e-400 to 0); so do booleans."""
+    if isinstance(value, str):
+        return field.parse(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return field.from_int(value)
+    if isinstance(value, (float, Decimal)):
+        raise InputFormatError(f'scalar {value} is a JSON float: write it as an integer or a string such as "1/3"')
+    raise InputFormatError(f"expected a scalar, got {value!r}")
 
 
 def as_list(value, what: str) -> list | tuple:

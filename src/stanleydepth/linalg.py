@@ -209,11 +209,27 @@ class Subspace:
             for i, row in enumerate(rows):
                 c = row[lead]
                 if not f.is_zero(c):
-                    rows[i] = tuple(f.sub(x, f.mul(c, y)) for x, y in zip(row, new))
+                    rows[i] = tuple(f.sub(x, f.mul(c, y)) if y else x for x, y in zip(row, new))
             at = next((i for i, p in enumerate(pivots) if p > lead), len(pivots))
             rows.insert(at, new)
             pivots.insert(at, lead)
         return Subspace._from_echelon(f, n, tuple(rows), tuple(pivots))
+
+    def embedded(self, ambient_dim: int, positions: Sequence[int]) -> "Subspace":
+        """This subspace inside K^ambient_dim, coordinate i sent to
+        positions[i] and every other coordinate zero.  Increasing
+        positions keep the basis reduced echelon, so nothing is reduced."""
+        if ambient_dim == self.ambient_dim:
+            return self
+        zero = self.field.zero
+        rows = []
+        for row in self.basis:
+            out = [zero] * ambient_dim
+            for p, x in zip(positions, row):
+                out[p] = x
+            rows.append(tuple(out))
+        pivots = tuple(positions[c] for c in self.pivots)
+        return Subspace._from_echelon(self.field, ambient_dim, tuple(rows), pivots)
 
     def reduce(self, vector: Sequence) -> tuple:
         """Normal form of a vector modulo this subspace: supported on
@@ -241,7 +257,7 @@ def _reduced(f: Field, vector: Sequence, rows: Sequence[Sequence], pivots: Seque
     for row, p in zip(rows, pivots):
         c = v[p]
         if not f.is_zero(c):
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            v = [f.sub(x, f.mul(c, y)) if y else x for x, y in zip(v, row)]
     return v
 
 

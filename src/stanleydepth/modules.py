@@ -14,15 +14,23 @@ subspace, by ascending column, which makes every downstream certificate
 reproducible.
 
 M_a depends only on the signature of a: which generators and which
-relations have degree <= a.  Degrees with one signature share one
-immutable GradedPiece, and a map X^(b-a) depends only on the pieces at
-its two ends, so each is built once per pair of pieces.  So is its
-integer form (`Matrix.integral`, kept by the map itself), the rows and
-columns every rank question of `stanley` reads.
+relations have degree <= a.  The build reads each degree's signature as
+a bitmask, the AND of one precomputed mask per coordinate, and decodes
+each distinct signature once.  Degrees with one signature share one
+immutable GradedPiece, whose relation subspace extends a lower
+neighbour's by the relations new to it; the cells that asks for are
+counted first, against BUILD_CELL_BUDGET.  A map X^(b-a) depends only
+on the pieces at its two ends, so each is built once per pair of
+pieces.  So is its integer form (`Matrix.integral`, kept by the map
+itself), the rows and columns every rank question of `stanley` reads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from . import degrees as dg
@@ -39,6 +47,10 @@ from .linalg import Matrix, Subspace
 
 # Largest box [0, g+1], counted in degrees, that build() will fill.
 BOX_DEGREE_LIMIT = 10**5
+
+# Most cells build() will write for a box: its signature masks, and the
+# rows each distinct signature reduces times its width (see _build).
+BUILD_CELL_BUDGET = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -156,29 +168,91 @@ class GradedModule:
 
     def _build(self) -> None:
         """One GradedPiece per signature (the generators and relations of
-        degree <= a), stored under every degree with that signature."""
+        degree <= a), stored under every degree with that signature.
+
+        Bit i of a mask stands for generator i, and bit G + j for relation
+        j, G the number of generators.  For each coordinate k and value v,
+        masks[k][v] holds the items whose k-th degree coordinate is <= v,
+        so the signature of a is the AND of the masks[k][a_k].  Each
+        distinct signature is decoded once, at its first degree a in
+        lexicographic order.  For a != 0 it extends the piece of the lower
+        neighbour a - e_k, k the first coordinate with a_k > 0, which is
+        built already: that piece's relation subspace, with zero columns
+        for the generators new at a, is spanned with the relations new at
+        a.  A span has one reduced echelon basis, so this is the basis of
+        all the relations of degree <= a.
+
+        The cells this writes are counted before they are written, and
+        before any row reduction: one per 64 items in each mask, for the
+        masks[k][v] and for each new signature, and per new signature its
+        width times the rows it reduces (the lower neighbour's rank,
+        bounded by its generator and relation counts, plus the new
+        relations).  Past BUILD_CELL_BUDGET the build stops.
+        """
         pres = self.presentation
         f = self.field
-        by_signature: dict[tuple, GradedPiece] = {}
-        for a in dg.box(dg.zero(self.n), self.top):
-            gens = tuple(i for i, d in enumerate(pres.generator_degrees) if dg.leq(d, a))
-            rels = tuple(j for j, r in enumerate(pres.relations) if dg.leq(r.degree, a))
-            piece = by_signature.get((gens, rels))
-            if piece is None:
-                position = {i: p for p, i in enumerate(gens)}
-                ambient = len(gens)
-                vectors = []
-                for j in rels:
-                    vec = [f.zero] * ambient
-                    for gen, _shift, coeff in pres.relations[j].triples:
-                        p = position[gen]
-                        vec[p] = f.add(vec[p], coeff)
-                    vectors.append(vec)
-                sub = Subspace(f, ambient, vectors)
-                pivot_set = set(sub.pivots)
-                nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
-                piece = by_signature[(gens, rels)] = GradedPiece(gens, sub, nonpivots)
-            self.pieces[a] = piece
+        n_gens = len(pres.generator_degrees)
+        gen_bits = (1 << n_gens) - 1
+        items = pres.generator_degrees + tuple(r.degree for r in pres.relations)
+        words = len(items) // 64 + 1  # the cells of one mask
+        cells = (sum(self.top) + self.n) * words
+        if cells > BUILD_CELL_BUDGET:
+            raise self._over_budget()
+        masks = []
+        for k, top in enumerate(self.top):
+            at = [0] * (top + 1)
+            for i, d in enumerate(items):
+                at[d[k]] |= 1 << i
+            masks.append(tuple(itertools.accumulate(at, operator.or_)))
+        # a - e_k lies strides[k] degrees before a in lexicographic order
+        strides = [math.prod(x + 1 for x in self.top[k + 1:]) for k in range(self.n)]
+        box = list(dg.box(dg.zero(self.n), self.top))
+        signature = []  # per degree of box: its index into new
+        new = []  # (mask, lower neighbour's mask, and index or None) per distinct signature
+        index: dict[int, int] = {}
+        for i, (a, ms) in enumerate(zip(box, itertools.product(*masks))):
+            mask = functools.reduce(operator.and_, ms)
+            s = index.get(mask)
+            if s is None:
+                k = next((k for k, x in enumerate(a) if x), None)
+                below = None if k is None else signature[i - strides[k]]
+                prev = 0 if below is None else new[below][0]
+                rows = min((prev & gen_bits).bit_count(), (prev >> n_gens).bit_count())
+                rows += ((mask ^ prev) >> n_gens).bit_count()
+                cells += rows * (mask & gen_bits).bit_count() + words
+                if cells > BUILD_CELL_BUDGET:
+                    raise self._over_budget()
+                s = index[mask] = len(new)
+                new.append((mask, prev, below))
+            signature.append(s)
+        pieces: list[GradedPiece] = []
+        for mask, prev, below in new:
+            gens = tuple(_bits(mask & gen_bits))
+            position = {gen: p for p, gen in enumerate(gens)}
+            ambient = len(gens)
+            if below is None:
+                start = Subspace.zero(f, ambient)
+            else:
+                lower = pieces[below]
+                start = lower.relation_subspace.embedded(ambient, [position[gen] for gen in lower.gens])
+            vectors = []
+            for j in _bits((mask ^ prev) >> n_gens):
+                vec = [f.zero] * ambient
+                for gen, _shift, coeff in pres.relations[j].triples:
+                    p = position[gen]
+                    vec[p] = f.add(vec[p], coeff)
+                vectors.append(vec)
+            sub = start.extended(vectors)
+            pivot_set = set(sub.pivots)
+            nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
+            pieces.append(GradedPiece(gens, sub, nonpivots))
+        self.pieces.update(zip(box, map(pieces.__getitem__, signature)))
+
+    def _over_budget(self) -> ResourceLimitError:
+        return ResourceLimitError(
+            f"the pieces of the box [0, g+1] = [0, {self.top}] need more than "
+            f"BUILD_CELL_BUDGET = {BUILD_CELL_BUDGET} cells of masks and row reduction"
+        )
 
     def _transfer(self, src: GradedPiece, dst: GradedPiece) -> Matrix:
         """X^(b-a) : M_a -> M_b for pieces src = M_a, dst = M_b with a <= b.
@@ -247,6 +321,16 @@ class GradedModule:
                     return (a, k)
                 isomorphisms.add(id(m))
         return None
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def build(presentation: ModulePresentation, g: tuple | None = None) -> GradedModule:
@@ -355,7 +439,7 @@ def _parse_module_obj(obj, n: int, field: Field) -> ModulePresentation:
                 for t in dg.as_list(row, "a relation row"):
                     if not isinstance(t, dict):
                         raise InputFormatError(f"relation term must be an object, got {t!r}")
-                    triples.append((dg.as_int(t["gen"]) - 1, t["shift"], field.parse(str(t["coeff"]))))
+                    triples.append((dg.as_int(t["gen"]) - 1, t["shift"], dg.as_scalar(field, t["coeff"])))
                 rows.append(triples)
             degrees = dg.as_list(obj["generator_degrees"], '"generator_degrees"')
             return ModulePresentation(n, field, degrees, rows)

@@ -642,7 +642,7 @@ def verify_certificate(gm: GradedModule, cert: dict) -> tuple[bool, str]:
         if var in spelled:
             raise InputFormatError(f"witness assigns {var_name(var)} twice, as {spelled[var]!r} and {key!r}")
         spelled[var] = key
-        assignment[var] = gm.field.parse(str(value))
+        assignment[var] = dg.as_scalar(gm.field, value)
     failing = _assignment_failure(fam, assignment)
     if failing is not None:
         return False, f"witness loses rank at degree {failing}"

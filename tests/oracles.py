@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
@@ -686,4 +687,51 @@ def random_modules(count, seed, max_total_dim=6, max_box=20, allow_sums=True, fi
         if not 1 <= total <= max_total_dim:
             continue
         out.append(gm)
+    return out
+
+
+def random_presentations(count, seed, field=QQ):
+    """Deterministic stream of small presentations whose relations are not
+    monomial: one to three terms, with coefficients a/b (b up to 4) over Q
+    and random residues over GF(p), zero ones dropped.  The generators
+    take their degrees from a pool of two, so some share one.  About a
+    fifth of the relations are a combination of two earlier ones of their
+    degree (so up to six terms), and another fifth have two terms that
+    cancel, so they reduce to zero."""
+    rng = random.Random(seed)
+
+    def scalar():
+        if field.modulus:
+            return field.from_int(rng.randrange(field.modulus))
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def nonzero():
+        return next(c for c in iter(scalar, None) if not field.is_zero(c))
+
+    out = []
+    while len(out) < count:
+        n = rng.choice([1, 2, 3])
+        pool = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(2)]
+        gens = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        rows = []  # (degree, [(gen, shift, coeff)..])
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.2 and rows:
+                degree, first = rng.choice(rows)
+                second = rng.choice([row for d, row in rows if d == degree])
+                a, b = nonzero(), nonzero()
+                rows.append((degree, [(i, s, field.mul(a, c)) for i, s, c in first]
+                             + [(i, s, field.mul(b, c)) for i, s, c in second]))
+                continue
+            degree = tuple(rng.randint(0, 2) for _ in range(n))
+            below = [i for i, d in enumerate(gens) if dg.leq(d, degree)]
+            if not below:
+                continue
+            if kind < 0.4:
+                i, c = rng.choice(below), nonzero()
+                terms = [(i, c), (i, field.neg(c))]
+            else:
+                terms = [(i, scalar()) for i in rng.sample(below, rng.randint(1, min(3, len(below))))]
+            rows.append((degree, [(i, dg.sub(degree, gens[i]), c) for i, c in terms]))
+        out.append(modules.ModulePresentation(n, field, gens, [row for _d, row in rows]))
     return out

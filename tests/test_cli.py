@@ -494,6 +494,41 @@ def test_rational_scalars_with_huge_exponents_exit_with_code_two(tmp_path):
         assert run("info", module(coeff))[0] == 0, coeff
 
 
+@pytest.mark.parametrize("field, spelled", [("Q", '"1/3"'), ("F5", '"3"')])
+def test_json_float_scalars_exit_with_code_two(tmp_path, field, spelled):
+    path = tmp_path / "module.json"
+
+    def hseries(coeff):
+        path.write_text('{"ring": {"n": 1}, "module": {"kind": "presentation", "generator_degrees": [[0], [0]], '
+                        '"relations": [[{"gen": 1, "shift": [1], "coeff": %s}, '
+                        '{"gen": 2, "shift": [1], "coeff": "1"}]]}}' % coeff)
+        return run("hseries", path, "--field", field)
+    # 1e-400 decodes to the float 0.0, which would drop the term
+    for coeff, named in (("1e-400", "1E-400"), ("0.5", "0.5"), ("2.0", "2.0"),
+                         ("0.12345678901234567890", "0.12345678901234567890")):
+        code, out, err = hseries(coeff)
+        assert (code, out) == (2, ""), coeff
+        assert err == f'error: {path}: scalar {named} is a JSON float: write it as an integer or a string such as "1/3"\n'
+    for coeff in (spelled, "2", '"2"'):
+        assert hseries(coeff)[0] == 0, coeff
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_a_json_float_witness_value_exits_with_code_two(tmp_path, field):
+    cert = tmp_path / "cert.json"
+    assert run("certify", EX36, EX36_DEC, "--field", field, "--output", cert)[0] == 0
+    obj = json.loads(cert.read_text())
+    assert obj["witness"]["Y[1,1]"] == "1"
+    obj["witness"]["Y[1,1]"] = 1.0
+    cert.write_text(json.dumps(obj))
+    code, out, err = run("verify-cert", EX36, cert, "--field", field)
+    assert (code, out) == (2, "")
+    assert err == f'error: {cert}: scalar 1.0 is a JSON float: write it as an integer or a string such as "1/3"\n'
+    obj["witness"]["Y[1,1]"] = 1
+    cert.write_text(json.dumps(obj))
+    assert run("verify-cert", EX36, cert, "--field", field)[0] == 0
+
+
 def test_m6r9_is_certified_over_a_million_element_field(tmp_path):
     # B = 32 < 1000002: the same stages {1..s} as over Q, so the same witness
     m6r9, partition = data_file("m6r9.json"), data_file("m6r9_partition.json")

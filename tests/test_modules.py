@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,13 @@ from stanleydepth.errors import (
 )
 from stanleydepth.fields import GF, QQ
 from stanleydepth.linalg import Matrix, Subspace
+
+
+def staircase(K):
+    """The ideal (X1^i X2^(K-i) : 0 <= i <= K): K + 1 generators and
+    K(K+1)/2 relations in two variables."""
+    return modules.monomial_ideal(QQ, 2, [(i, K - i) for i in range(K + 1)])
+
 
 EX36_DIMS = {
     (3, 0): 2, (2, 1): 1, (1, 2): 1, (0, 3): 1, (3, 1): 2,
@@ -310,6 +318,36 @@ def test_box_budget_raises_before_the_build(monkeypatch):
         modules.build(pres, (2, 1))
 
 
+def test_the_cell_budget_admits_m10_and_the_40_staircase():
+    assert len(modules.load_module_file(data_file("m2.json"), g_override=(314, 314)).pieces) == 316 * 316
+    assert len({id(p) for p in modules.build(modules.maximal_ideal(QQ, 10)).pieces.values()}) == 1024
+    assert len({id(p) for p in modules.build(staircase(40)).pieces.values()}) == 862
+
+
+def test_the_cell_budget_refuses_the_100_staircase_before_any_row_reduction(monkeypatch):
+    pres = staircase(100)
+    monkeypatch.setattr(Subspace, "extended", lambda *args: pytest.fail("reduced"))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^the pieces of the box \[0, g\+1\] = \[0, \(101, 101\)\] "
+                       r"need more than BUILD_CELL_BUDGET = 5000000 cells of masks and row reduction$"):
+        modules.build(pres)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_cell_budget_counts_rows_times_width_and_one_cell_per_mask(monkeypatch):
+    # m_2 has 3 items, so a mask is one cell: 2 coordinates x 3 values of
+    # masks, then signatures {}, {e2}, {e1} with no rows at 1 cell each and
+    # {e1, e2, r}, which reduces one relation at width 2, at 2 + 1
+    pres = modules.maximal_ideal(QQ, 2)
+    monkeypatch.setattr(modules, "BUILD_CELL_BUDGET", 12)
+    assert len(modules.build(pres).pieces) == 9
+    for budget in (11, 5):  # short of the last signature, and of the masks
+        monkeypatch.setattr(modules, "BUILD_CELL_BUDGET", budget)
+        monkeypatch.setattr(Subspace, "extended", lambda *args: pytest.fail("reduced"))
+        with pytest.raises(ResourceLimitError, match=f"BUILD_CELL_BUDGET = {budget} "):
+            modules.build(pres)
+
+
 # ---------------------------------------------------------------------------
 # shared pieces against the degree-by-degree build
 
@@ -335,6 +373,23 @@ def assert_matches_unshared(gm):
 def test_shared_build_matches_the_unshared_build(field, seed):
     for gm in oracles.random_modules(1, seed=seed, field=field):
         assert_matches_unshared(gm)
+
+
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(0, 10**6))
+def test_shared_build_matches_the_unshared_build_on_random_presentations(field, seed):
+    pres = oracles.random_presentations(1, seed=seed, field=field)[0]
+    g = pres.default_g()
+    assert_matches_unshared(modules.build(pres, g))
+    for k in range(pres.n):  # g - e_k: the items of degree g_k lie on the top face
+        if g[k]:
+            assert_matches_unshared(modules.build(pres, g[:k] + (g[k] - 1,) + g[k + 1:]))
+
+
+@pytest.mark.parametrize("pres", [
+    *(staircase(K) for K in (1, 4, 8)), *(modules.maximal_ideal(QQ, n) for n in range(1, 6)),
+], ids=[f"staircase{K}" for K in (1, 4, 8)] + [f"m{n}" for n in range(1, 6)])
+def test_shared_build_matches_the_unshared_build_on_staircases_and_maximal_ideals(pres):
+    assert_matches_unshared(modules.build(pres))
 
 
 @pytest.mark.parametrize("name, field", [
