@@ -7,7 +7,9 @@ lattice point c of G[a,b], where Z_b collects the coordinates at which b
 touches g and G[a,b] freezes exactly those coordinates at a.  The depth
 of the induced decomposition is min |Z_b| over the intervals.  One
 backtracking walk (`_CoverSearch.walk`) both decides whether a partition
-of depth >= r exists and lists every such partition.
+of depth >= r exists and lists every such partition; it keeps the
+residual series in one integer of packed per-cell counters, so testing,
+applying and undoing a cover are each one integer operation.
 """
 
 from __future__ import annotations
@@ -287,8 +289,8 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int):
     if not 0 <= min_depth <= n:
         raise PreconditionError(f"min_depth must be within [0, {n}], got {min_depth}")
     search = _CoverSearch(series, min_depth)
-    if search.feasible(0):
-        for frames in search.walk(0, tight=False):
+    if search.feasible():
+        for frames in search.walk(tight=False):
             yield HilbertPartition(Interval(search.cells[f[1]], f[3][0]) for f in frames)
 
 
@@ -296,16 +298,20 @@ class _CoverSearch:
     """The residual of a series under a set of applied interval covers,
     and the one backtracking walk over them (`walk`).
 
-    Cells are indexed in lexicographic order.  The residual is also kept
-    as one integer key in mixed radix (weight[i] is the product of
-    (coefficient + 1) over the cells before i), so applying a cover
-    subtracts its interval's weight and the key names the residual
-    exactly.  Residuals proved to have no partition are remembered in
-    `dead` by that key, and those on the path of a partition found in
-    `alive`.  Each cell's covers are ranked once and built when first
-    tried, so a chain of k cells does not build its O(k^2) intervals up
-    front.  A search whose `dead` grows past PARTITION_STATE_BUDGET
-    raises ResourceLimitError.
+    Cells are indexed in lexicographic order.  The residual is one integer
+    `key` with a field of `width` bits per cell, cell i at bit i * width:
+    the width is one more than the bit length of the largest coefficient,
+    so the top bit of every field, whose mask is `guards`, stays clear.
+    A cover (b, word) holds a 1 in the lowest bit of each field of [a, b]:
+    it fits when subtracting it from the key with every guard bit set
+    clears none of them, since a field borrows only from its own guard,
+    and applying it is one subtraction.  The key names the residual
+    exactly; residuals proved to have no partition are remembered in
+    `dead` by it, and those on the path of a partition found in `alive`.
+    Each cell's covers are ranked once and built when first tried, so a
+    chain of k cells does not build its O(k^2) intervals up front.  A
+    search whose `dead` grows past PARTITION_STATE_BUDGET raises
+    ResourceLimitError.
     """
 
     def __init__(self, series: TruncatedSeries, min_depth: int):
@@ -313,13 +319,10 @@ class _CoverSearch:
         self.min_depth = min_depth
         self.cells = sorted(series.coefficients)
         self.index = {c: i for i, c in enumerate(self.cells)}
-        self.residual = [series.coefficients[c] for c in self.cells]
-        self.weights = []
-        weight = 1
-        for count in self.residual:
-            self.weights.append(weight)
-            weight *= count + 1
-        self.key = sum(w * count for w, count in zip(self.weights, self.residual))
+        counts = [series.coefficients[c] for c in self.cells]
+        self.width = w = max(counts, default=0).bit_length() + 1
+        self.key = sum(count << (i * w) for i, count in enumerate(counts))
+        self.guards = sum(1 << (i * w + w - 1) for i in range(len(counts)))
         self.dead: set[int] = set()
         self.alive: set[int] = {0}
         self._covers: dict[int, tuple[list, int]] = {}
@@ -345,58 +348,40 @@ class _CoverSearch:
 
     def built(self, element: int, pos: int) -> tuple:
         """The cover at `pos` in the list of a cell a, stored there: (b,
-        cell indices of [a, b], summed weight)."""
+        the word of [a, b])."""
         b = self._ends[element][pos]
-        members = tuple(self.index[c] for c in dg.box(self.cells[element], b))
-        cover = self._covers[element][0][pos] = b, members, sum(self.weights[i] for i in members)
+        w, index = self.width, self.index
+        word = sum(1 << (index[c] * w) for c in dg.box(self.cells[element], b))
+        cover = self._covers[element][0][pos] = b, word
         return cover
 
-    def fits(self, cover: tuple) -> bool:
-        residual = self.residual
-        return all(residual[i] for i in cover[1])
+    def first_positive(self) -> int:
+        """Index of the first cell with positive residual; the residual
+        must not be zero."""
+        key = self.key
+        return ((key & -key).bit_length() - 1) // self.width
 
-    def apply(self, cover: tuple) -> None:
-        residual = self.residual
-        for i in cover[1]:
-            residual[i] -= 1
-        self.key -= cover[2]
-
-    def restore(self, cover: tuple) -> None:
-        residual = self.residual
-        for i in cover[1]:
-            residual[i] += 1
-        self.key += cover[2]
-
-    def first_positive(self, start: int) -> int:
-        """Index of the first cell at or after start with positive residual;
-        the residual must not be zero."""
-        residual = self.residual
-        while not residual[start]:
-            start += 1
-        return start
-
-    def feasible(self, start: int) -> bool:
-        """Whether the residual, positive only at cells >= start, has a
-        partition of depth >= min_depth: the first goal of the tight walk,
-        whose path is then marked alive and restored."""
+    def feasible(self) -> bool:
+        """Whether the residual has a partition of depth >= min_depth: the
+        first goal of the tight walk, whose path is then marked alive and
+        restored."""
         if self.key in self.alive:
             return True
         if self.key in self.dead:
             return False
-        for frames in self.walk(start, tight=True):
-            for key, _element, _pos, applied in reversed(frames):
-                self.restore(applied)
-                self.alive.add(key)
+        for frames in self.walk(tight=True):
+            self.alive.update(frame[0] for frame in frames)
+            self.key = frames[0][0]
             return True
         return False
 
-    def walk(self, start: int, tight: bool):
-        """Backtrack depth-first over the residual, positive only at cells
-        >= start, on one stack of frames [residual key, cell index, next
-        cover position, applied cover or None]; yield the frames, their
-        covers still applied, each time the residual reaches the goal.  A
-        frame covers the first positive cell: it is componentwise minimal,
-        so it must be a lower endpoint.
+    def walk(self, tight: bool):
+        """Backtrack depth-first over the residual on one stack of frames
+        [residual key, cell index, next cover position, applied cover or
+        None]; yield the frames, their covers still applied, each time the
+        residual reaches the goal.  A frame covers the first positive cell:
+        it is componentwise minimal, so it must be a lower endpoint, and
+        its key, saved before its cover is applied, restores the residual.
 
         `tight` asks whether a partition exists instead of listing them:
         - covers: the tight tail (a wider interval splits along a touching
@@ -407,28 +392,28 @@ class _CoverSearch:
         - child test: none, instead of `feasible` of the child;
         - exhaustion: the residual joins `dead`, instead of a plain pop.
         """
-        dead, goal = self.dead, self.alive if tight else {0}
+        dead, goal, guards = self.dead, self.alive if tight else {0}, self.guards
         if self.key in goal:
             yield []
             return
-        element = self.first_positive(start)
+        element = self.first_positive()
         frames = [[self.key, element, self.covers(element)[1] if tight else 0, None]]
         while frames:
             frame = frames[-1]
-            key, element, pos, applied = frame
-            if applied is not None:
-                self.restore(applied)
+            key, element, pos, _applied = frame
+            self.key = key
             covers = self.covers(element)[0]
             applied = None
             while pos < len(covers):
                 cover = covers[pos] or self.built(element, pos)
                 pos += 1
-                if self.key - cover[2] not in dead and self.fits(cover):
-                    self.apply(cover)
-                    if tight or self.feasible(element):
+                word = cover[1]
+                if ((key | guards) - word) & guards == guards and key - word not in dead:
+                    self.key = key - word
+                    if tight or self.feasible():
                         applied = cover
                         break
-                    self.restore(cover)
+                    self.key = key
             if applied is None:
                 frames.pop()
                 if tight:
@@ -443,7 +428,7 @@ class _CoverSearch:
             if self.key in goal:
                 yield frames
                 continue
-            following = self.first_positive(element)
+            following = self.first_positive()
             resume = self.covers(following)[1] if tight else pos - 1 if following == element else 0
             frames.append([self.key, following, resume, None])
 

@@ -307,20 +307,37 @@ class GradedModule:
     def verify_g_determined(self):
         """None if multiplication by X_k is an isomorphism on every boundary
         slab a_k = g_k; otherwise the first violating (a, k) in (degree,
-        coordinate) order.  Degrees that share a map share its verdict, so
-        each distinct map is ranked once."""
-        isomorphisms = set()
-        for a in self.pieces:
-            for k in range(self.n):
-                if a[k] != self.g[k]:
-                    continue
-                m = self.mult_map(a, k)
-                if id(m) in isomorphisms:
-                    continue
-                if m.nrows != m.ncols or m.rank() != m.nrows:
-                    return (a, k)
-                isomorphisms.add(id(m))
-        return None
+        coordinate) order.
+
+        The pieces are read by flat index in lexicographic order, where
+        a + e_k lies strides[k] places after a, so each slab is a set of
+        runs of strides[k] places, one every (g_k + 2) * strides[k]; it
+        is sliced by runs or by columns, whichever takes fewer slices.
+        Degrees that share a pair of pieces share its map, so each
+        distinct pair is ranked once."""
+        pieces = list(self.pieces.values())
+        ids = list(map(id, pieces))
+        strides = [math.prod(x + 1 for x in self.top[k + 1:]) for k in range(self.n)]
+        pairs = set()
+        for x, stride in zip(self.g, strides):
+            period = (x + 2) * stride
+            if stride <= len(ids) // period:
+                for i in range(x * stride, (x + 1) * stride):
+                    pairs.update(zip(ids[i::period], ids[i + stride :: period]))
+            else:
+                for i in range(x * stride, len(ids), period):
+                    pairs.update(zip(ids[i : i + stride], ids[i + stride : i + 2 * stride]))
+        by_id = dict(zip(ids, pieces))
+        maps = {pair: self._transfer(by_id[pair[0]], by_id[pair[1]]) for pair in pairs}
+        failing = {pair for pair, m in maps.items() if m.nrows != m.ncols or m.rank() != m.nrows}
+        if not failing:
+            return None
+        return next(
+            (a, k)
+            for i, a in enumerate(self.pieces)
+            for k, stride in enumerate(strides)
+            if a[k] == self.g[k] and (ids[i], ids[i + stride]) in failing
+        )
 
 
 def _bits(mask: int) -> list[int]:

@@ -638,6 +638,24 @@ def unshared_build(presentation, g):
     return SimpleNamespace(pieces=pieces, mult_maps=mult_maps, power_map=power_map)
 
 
+def looped_g_determined(gm):
+    """`GradedModule.verify_g_determined` as a loop over every degree and
+    coordinate, one `mult_map` per boundary (a, k) in (degree, coordinate)
+    order, each distinct map ranked once."""
+    isomorphisms = set()
+    for a in gm.pieces:
+        for k in range(gm.n):
+            if a[k] != gm.g[k]:
+                continue
+            m = gm.mult_map(a, k)
+            if id(m) in isomorphisms:
+                continue
+            if m.nrows != m.ncols or m.rank() != m.nrows:
+                return (a, k)
+            isomorphisms.add(id(m))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # monomial modules
 

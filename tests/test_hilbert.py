@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -370,6 +370,82 @@ def test_pruned_enumeration_yields_the_unpruned_sequence_on_maximal_ideals():
         for s in range(gm.n, -1, -1):
             limit = 300 if s < depth else limit_at_depth if s == depth else None
             _assert_same_sequence(series, s, limit)
+
+
+def _maximal_ideal_plus_free(n, c):
+    """m_n + R^c: c free summands generated in degree 0 beside m_n."""
+    return modules.build(modules.direct_sum([modules.maximal_ideal(QQ, n), modules.free(QQ, n, [dg.zero(n)] * c)]))
+
+
+def _assert_agrees_with_the_oracles(series, limit):
+    """At every level the first `limit` partitions are the unpruned
+    oracle's, `feasible` says whether there is one, and a level of fewer
+    than `limit` partitions holds brute_partitions' set.  Returns the
+    deepest level with a partition, which is brute_hdepth's answer when
+    that level is complete."""
+    deepest = None
+    for s in range(len(series.g), -1, -1):
+        mine = [p.intervals for p in islice(enumerate_partitions(series, s), limit)]
+        reference = [p.intervals for p in islice(oracles.unpruned_partitions(series, s), limit)]
+        assert mine == reference, (series, s)
+        assert hilbert._CoverSearch(series, s).feasible() == bool(mine), (series, s)
+        if len(mine) < limit:
+            assert set(mine) == oracles.brute_partitions(series, s), (series, s)
+        if mine and deepest is None:
+            deepest = s
+            if len(mine) < limit:
+                assert oracles.brute_hdepth(series) == s, series
+    return deepest
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [0, 1, 3, 4, 7, 8, 15, 16])
+def test_the_search_agrees_with_the_oracles_at_the_field_width_boundaries(n, c):
+    # m_n + R^c has coefficients c at 0 and c + 1 elsewhere: 0 and 1, then
+    # 2^k - 1 beside 2^k and 2^k beside 2^k + 1, filling a residual field
+    # of the packed search key or widening it by one bit
+    gm = _maximal_ideal_plus_free(n, c)
+    series = truncated_series(gm)
+    assert set(series.coefficients.values()) == {c, c + 1}
+    assert _assert_agrees_with_the_oracles(series, 1000) == hdepth(gm) == math.ceil(n / 2)
+
+
+@st.composite
+def small_series(draw):
+    g = draw(st.sampled_from([(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1)]))
+    return TruncatedSeries(g, {a: draw(st.integers(0, 17)) for a in dg.box(dg.zero(len(g)), g)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_series())
+def test_the_search_agrees_with_the_oracles_on_series_of_coefficients_up_to_17(series):
+    _assert_agrees_with_the_oracles(series, 200)
+
+
+# m_n + R^c at level s: len(dead), len(alive) after `feasible` and after
+# listing the first `limit` partitions (None: all), pinned so that a search
+# listing the same sequence but remembering fewer residuals fails
+PRUNING_WORK = [
+    (5, 2, 3, 2000, (0, 49), (311, 342)),
+    (4, 0, 4, None, (2, 1), (2, 1)),
+    (4, 0, 3, None, (13, 1), (13, 1)),
+    (4, 0, 2, None, (0, 12), (40, 230)),
+    (5, 0, 5, None, (2, 1), (2, 1)),
+    (5, 0, 4, None, (18, 1), (18, 1)),
+    (5, 0, 3, None, (0, 17), (1562, 855)),
+]
+
+
+@pytest.mark.parametrize("n, c, s, limit, after_feasible, after_listing", PRUNING_WORK)
+def test_the_partition_search_remembers_the_pinned_residuals(n, c, s, limit, after_feasible, after_listing):
+    gm = _maximal_ideal_plus_free(n, c)
+    series = truncated_series(gm)
+    search = hilbert._CoverSearch(series, s)
+    feasible = search.feasible()
+    assert (len(search.dead), len(search.alive)) == after_feasible
+    listed = sum(1 for _ in islice(search.walk(tight=False), limit)) if feasible else 0
+    assert (len(search.dead), len(search.alive)) == after_listing
+    assert listed == (limit or len(list(oracles.unpruned_partitions(series, s))))
 
 
 def test_hdepth_matches_brute_oracle_on_random_modules():

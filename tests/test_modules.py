@@ -458,6 +458,34 @@ def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
     assert len(calls) == len({id(m) for m in calls}) == 63
 
 
+def _g_determined_like_the_loop(pres, g):
+    # each side on its own build, so neither reads maps the other built
+    verdict = modules.build(pres, g).verify_g_determined()
+    assert verdict == oracles.looped_g_determined(modules.build(pres, g))
+    return verdict
+
+
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(0, 10**6))
+def test_g_determinedness_matches_the_loop_on_random_presentations(field, seed):
+    pres = oracles.random_presentations(1, seed=seed, field=field)[0]
+    top = pres.default_g()
+    for g in dg.box(tuple(max(x - 1, 0) for x in top), top):
+        _g_determined_like_the_loop(pres, g)
+
+
+def test_g_determinedness_matches_the_loop_under_an_overridden_g():
+    # every g from the default one down to one below it in each coordinate,
+    # where the boundary slabs cut through the generators and relations
+    violations = 0
+    presentations = [modules.maximal_ideal(QQ, 3), staircase(3), staircase(5)]
+    presentations += [gm.presentation for gm in oracles.random_modules(15, seed=31, field=GF(2))]
+    for pres in presentations:
+        top = pres.default_g()
+        for g in dg.box(tuple(max(x - 1, 0) for x in top), top):
+            violations += _g_determined_like_the_loop(pres, g) is not None
+    assert violations >= 20
+
+
 def first_unshared_violation(pres, g):
     """The first (a, k) in (degree, coordinate) order whose boundary map,
     built degree by degree, is not square of full rank."""
