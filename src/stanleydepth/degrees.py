@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from collections.abc import Iterator
 from decimal import Decimal
@@ -118,6 +119,11 @@ def support(a: tuple) -> frozenset:
     return frozenset(i for i, x in enumerate(a) if x > 0)
 
 
+def touching(b: tuple, g: tuple) -> frozenset:
+    """The coordinates j at which b touches g: b_j = g_j."""
+    return frozenset(j for j, (x, y) in enumerate(zip(b, g)) if x == y)
+
+
 def zero(n: int) -> tuple:
     return (0,) * n
 
@@ -137,10 +143,10 @@ def box(lo: tuple, hi: tuple) -> Iterator[tuple]:
     return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
+def strides(hi: tuple) -> list[int]:
+    """c + e_k lies strides[k] degrees after c in `box(zero, hi)`."""
+    return [math.prod(x + 1 for x in hi[k + 1:]) for k in range(len(hi))]
+
+
 def box_size(lo: tuple, hi: tuple) -> int:
-    if not leq(lo, hi):
-        return 0
-    size = 1
-    for a, b in zip(lo, hi):
-        size *= b - a + 1
-    return size
+    return math.prod(b - a + 1 for a, b in zip(lo, hi)) if leq(lo, hi) else 0

@@ -7,9 +7,9 @@ lattice point c of G[a,b], where Z_b collects the coordinates at which b
 touches g and G[a,b] freezes exactly those coordinates at a.  The depth
 of the induced decomposition is min |Z_b| over the intervals.  One
 backtracking walk (`_CoverSearch.walk`) both decides whether a partition
-of depth >= r exists and lists every such partition; it keeps the
-residual series in one integer of packed per-cell counters, so testing,
-applying and undoing a cover are each one integer operation.
+of depth >= r exists and lists every such partition, on frames that
+hold their cell's covers and a residual of packed per-cell counters in
+one integer, so testing, applying and undoing a cover are one operation.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ class TruncatedSeries:
         self.coefficients = {tuple(a): int(c) for a, c in coefficients.items()}
         for a in dg.box(dg.zero(len(self.g)), self.g):
             self.coefficients.setdefault(a, 0)
+        if len(self.coefficients) > dg.box_size(dg.zero(len(self.g)), self.g):
+            raise ShapeError(f"a truncated series over [0, {self.g}] has a degree outside it")
 
     def coefficient(self, a: tuple) -> int:
         return self.coefficients.get(tuple(a), 0)
@@ -93,7 +95,7 @@ class HilbertPartition:
     def depth(self, g: tuple):
         if not self.intervals:
             return math.inf
-        return min(sum(1 for j in range(len(g)) if b[j] == g[j]) for _, b in self.intervals)
+        return min(len(dg.touching(b, g)) for _, b in self.intervals)
 
     def __eq__(self, other):
         return isinstance(other, HilbertPartition) and self.intervals == other.intervals
@@ -149,7 +151,7 @@ def partition_to_decomposition(p: HilbertPartition, g: tuple) -> HilbertDecompos
     for a, b in p.intervals:
         if not dg.leq(b, g):
             raise ShapeError(f"interval upper bound {b} exceeds g = {g}")
-        zset = frozenset(j for j in range(len(g)) if b[j] == g[j])
+        zset = dg.touching(b, g)
         for c in dg.box(a, _last_shift(a, b, g)):
             summands.append((zset, c))
     return HilbertDecomposition(summands)
@@ -167,7 +169,7 @@ def _summand_shape_failure(zset, shift, g, n):
         return f"summand variable set {sorted(zset)} is out of range for n = {n}"
     if not (all(x >= 0 for x in shift) and dg.leq(shift, g)):
         return f"summand shift {shift} is outside [0, g] = [0, {g}]"
-    forced = {j for j in range(n) if shift[j] == g[j]}
+    forced = dg.touching(shift, g)
     if not forced <= zset:
         return (
             f"summand (Z={sorted(j + 1 for j in zset)}, shift={shift}) misses the "
@@ -182,7 +184,7 @@ def admissible_shapes(g: tuple):
     sorted tuple of their coordinates beyond the forced ones."""
     n = len(g)
     for b in dg.box(dg.zero(n), g):
-        forced = frozenset(j for j in range(n) if b[j] == g[j])
+        forced = dg.touching(b, g)
         free = [j for j in range(n) if j not in forced]
         extensions = sorted(ext for r in range(len(free) + 1) for ext in combinations(free, r))
         for ext in extensions:
@@ -291,69 +293,62 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int):
     search = _CoverSearch(series, min_depth)
     if search.feasible():
         for frames in search.walk(tight=False):
-            yield HilbertPartition(Interval(search.cells[f[1]], f[3][0]) for f in frames)
+            yield HilbertPartition(Interval(search.cells[f[1]], f[3][0][f[2] - 1]) for f in frames)
 
 
 class _CoverSearch:
     """The residual of a series under a set of applied interval covers,
     and the one backtracking walk over them (`walk`).
 
-    Cells are indexed in lexicographic order.  The residual is one integer
-    `key` with a field of `width` bits per cell, cell i at bit i * width:
-    the width is one more than the bit length of the largest coefficient,
-    so the top bit of every field, whose mask is `guards`, stays clear.
-    A cover (b, word) holds a 1 in the lowest bit of each field of [a, b]:
-    it fits when subtracting it from the key with every guard bit set
-    clears none of them, since a field borrows only from its own guard,
-    and applying it is one subtraction.  The key names the residual
-    exactly; residuals proved to have no partition are remembered in
-    `dead` by it, and those on the path of a partition found in `alive`.
-    Each cell's covers are ranked once and built when first tried, so a
-    chain of k cells does not build its O(k^2) intervals up front.  A
-    search whose `dead` grows past PARTITION_STATE_BUDGET raises
-    ResourceLimitError.
+    Cells are the degrees of [0, g] in lexicographic order.  The residual
+    is one integer `key` with a field of `width` bits per cell, cell i at
+    bit i * width: the width is one more than the bit length of the
+    largest coefficient, so the top bit of every field, whose mask is
+    `guards`, stays clear.  The word of a cover [a, b] holds a 1 in the
+    lowest bit of each field of [a, b]: it fits when subtracting it from
+    the key with every guard bit set clears none of them, since a field
+    borrows only from its own guard, and applying it is one subtraction.
+    The key names the residual exactly; residuals proved to have no
+    partition are remembered in `dead` by it, and those on the path of a
+    partition found in `alive`.  A cell's covers are ranked on its first
+    visit and each word is made when first tried, so a chain of k cells
+    does not build its O(k^2) intervals up front.  A search whose `dead`
+    grows past PARTITION_STATE_BUDGET raises ResourceLimitError.
     """
 
     def __init__(self, series: TruncatedSeries, min_depth: int):
         self.g = series.g
         self.min_depth = min_depth
-        self.cells = sorted(series.coefficients)
-        self.index = {c: i for i, c in enumerate(self.cells)}
+        self.cells = list(dg.box(dg.zero(len(self.g)), self.g))
         counts = [series.coefficients[c] for c in self.cells]
         self.width = w = max(counts, default=0).bit_length() + 1
         self.key = sum(count << (i * w) for i, count in enumerate(counts))
         self.guards = sum(1 << (i * w + w - 1) for i in range(len(counts)))
+        self.steps = [w * stride for stride in dg.strides(self.g)]
         self.dead: set[int] = set()
         self.alive: set[int] = {0}
-        self._covers: dict[int, tuple[list, int]] = {}
-        self._ends: dict[int, list[tuple]] = {}
+        self._records: dict[int, tuple[list, int, list]] = {}
 
-    def _contact(self, b: tuple) -> int:
-        return sum(1 for x, y in zip(b, self.g) if x == y)
+    def covers(self, element: int) -> tuple[list, int, list]:
+        """The cover record of cell a: the ends b of contact >= min_depth,
+        by descending contact, then lexicographically; the index of the
+        first tight one (contact max(min_depth, contact(a)), the least an
+        [a, b] can have); and their words, each None until first tried."""
+        record = self._records.get(element)
+        if record is None:
+            a, g = self.cells[element], self.g
+            tight = max(self.min_depth, len(dg.touching(a, g)))
+            ranked = sorted((-len(dg.touching(b, g)), b) for b in dg.box(a, g))
+            ends = [b for rho, b in ranked if -rho >= self.min_depth]
+            record = self._records[element] = ends, sum(1 for rho, _b in ranked if -rho > tight), [None] * len(ends)
+        return record
 
-    def covers(self, element: int) -> tuple[list, int]:
-        """Covers at a cell a of contact >= min_depth, by descending contact,
-        then lexicographically, and the index of the first tight one: no
-        [a, b] has contact below contact(a), so the covers of contact
-        max(min_depth, contact(a)) are the tail.  Only the upper ends are
-        ranked here; each cover is None until `built`."""
-        cached = self._covers.get(element)
-        if cached is None:
-            a = self.cells[element]
-            tight = max(self.min_depth, self._contact(a))
-            ranked = sorted((-self._contact(b), b) for b in dg.box(a, self.g))
-            ends = self._ends[element] = [b for rho, b in ranked if -rho >= self.min_depth]
-            cached = self._covers[element] = [None] * len(ends), sum(1 for rho, _b in ranked if -rho > tight)
-        return cached
-
-    def built(self, element: int, pos: int) -> tuple:
-        """The cover at `pos` in the list of a cell a, stored there: (b,
-        the word of [a, b])."""
-        b = self._ends[element][pos]
-        w, index = self.width, self.index
-        word = sum(1 << (index[c] * w) for c in dg.box(self.cells[element], b))
-        cover = self._covers[element][0][pos] = b, word
-        return cover
+    def word(self, element: int, b: tuple) -> int:
+        """The word of [a, b], a the cell at `element`, in closed form: c +
+        e_k lies steps[k] = d bits above c, so it is 2^(width * element)
+        times the product over k of 1 + 2^d + ... + 2^(d (b_k - a_k))."""
+        sums = (((1 << d * (y - x + 1)) - 1) // ((1 << d) - 1) for x, y, d in zip(self.cells[element], b, self.steps))
+        return math.prod(sums) << element * self.width
 
     def first_positive(self) -> int:
         """Index of the first cell with positive residual; the residual
@@ -377,8 +372,9 @@ class _CoverSearch:
 
     def walk(self, tight: bool):
         """Backtrack depth-first over the residual on one stack of frames
-        [residual key, cell index, next cover position, applied cover or
-        None]; yield the frames, their covers still applied, each time the
+        [residual key, cell index, next cover position, the cell's cover
+        record, read once, when the frame is pushed]; yield the frames,
+        their covers, ends[position - 1], still applied, each time the
         residual reaches the goal.  A frame covers the first positive cell:
         it is componentwise minimal, so it must be a lower endpoint, and
         its key, saved before its cover is applied, restores the residual.
@@ -397,24 +393,23 @@ class _CoverSearch:
             yield []
             return
         element = self.first_positive()
-        frames = [[self.key, element, self.covers(element)[1] if tight else 0, None]]
+        record = self.covers(element)
+        frames = [[self.key, element, record[1] if tight else 0, record]]
         while frames:
             frame = frames[-1]
-            key, element, pos, _applied = frame
+            key, element, pos, (ends, _tight, words) = frame
             self.key = key
-            covers = self.covers(element)[0]
-            applied = None
-            while pos < len(covers):
-                cover = covers[pos] or self.built(element, pos)
+            while pos < len(ends):
+                word = words[pos]
+                if word is None:
+                    word = words[pos] = self.word(element, ends[pos])
                 pos += 1
-                word = cover[1]
                 if ((key | guards) - word) & guards == guards and key - word not in dead:
                     self.key = key - word
                     if tight or self.feasible():
-                        applied = cover
                         break
                     self.key = key
-            if applied is None:
+            else:
                 frames.pop()
                 if tight:
                     dead.add(key)
@@ -424,13 +419,14 @@ class _CoverSearch:
                             f"PARTITION_STATE_BUDGET = {PARTITION_STATE_BUDGET} residuals with no partition"
                         )
                 continue
-            frame[2], frame[3] = pos, applied
+            frame[2] = pos
             if self.key in goal:
                 yield frames
                 continue
             following = self.first_positive()
-            resume = self.covers(following)[1] if tight else pos - 1 if following == element else 0
-            frames.append([self.key, following, resume, None])
+            record = self.covers(following)
+            resume = record[1] if tight else pos - 1 if following == element else 0
+            frames.append([self.key, following, resume, record])
 
 
 def require_g_determined(gm: GradedModule) -> None:
@@ -469,7 +465,7 @@ def z_graded_hdepth(series: TruncatedSeries) -> int:
     by_contact = [[0] * (top + 1) for _ in range(n + 1)]
     for a, count in series.coefficients.items():
         if count:
-            by_contact[sum(x == y for x, y in zip(a, g))][sum(a)] += count
+            by_contact[len(dg.touching(a, g))][sum(a)] += count
     q = [0] * (top + 1)
     for part in by_contact:
         q = [x - y + z for x, y, z in zip(q, [0, *q], part)]

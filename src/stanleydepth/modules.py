@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -204,8 +203,7 @@ class GradedModule:
             for i, d in enumerate(items):
                 at[d[k]] |= 1 << i
             masks.append(tuple(itertools.accumulate(at, operator.or_)))
-        # a - e_k lies strides[k] degrees before a in lexicographic order
-        strides = [math.prod(x + 1 for x in self.top[k + 1:]) for k in range(self.n)]
+        strides = dg.strides(self.top)
         box = list(dg.box(dg.zero(self.n), self.top))
         signature = []  # per degree of box: its index into new
         new = []  # (mask, lower neighbour's mask, and index or None) per distinct signature
@@ -317,7 +315,7 @@ class GradedModule:
         distinct pair is ranked once."""
         pieces = list(self.pieces.values())
         ids = list(map(id, pieces))
-        strides = [math.prod(x + 1 for x in self.top[k + 1:]) for k in range(self.n)]
+        strides = dg.strides(self.top)
         pairs = set()
         for x, stride in zip(self.g, strides):
             period = (x + 2) * stride

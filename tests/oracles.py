@@ -217,6 +217,14 @@ def unpruned_partitions(series, min_depth):
     yield from rec(None, None)
 
 
+def box_word(g, a, b, width):
+    """The packed-residual word of the interval [a, b] over [0, g]: a 1 at
+    the lowest bit of the width-bit field of each of its cells, with the
+    cells of [0, g] numbered in lexicographic order, summed cell by cell."""
+    index = {c: i for i, c in enumerate(sorted(product(*(range(x + 1) for x in g))))}
+    return sum(1 << (index[c] * width) for c in product(*(range(x, y + 1) for x, y in zip(a, b))))
+
+
 def brute_hdepth(series):
     """Largest s with a brute-force partition of contact >= s."""
     for s in range(len(series.g), -1, -1):

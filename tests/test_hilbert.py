@@ -66,6 +66,16 @@ def test_series_equality():
     assert a != TruncatedSeries((1,), {(0,): 2})
 
 
+def test_a_series_has_no_degree_outside_its_box():
+    # the partition search numbers the cells of [0, g] alone, so a degree
+    # outside the box is refused rather than left out of the search
+    for degree in [(2,), (-1,), (0, 0)]:
+        with pytest.raises(ShapeError, match=r"over \[0, \(1,\)\] has a degree outside it"):
+            TruncatedSeries((1,), {(0,): 1, degree: 1})
+    with pytest.raises(ShapeError):
+        HilbertPartition([((-1,), (0,))]).series((1,))
+
+
 def test_partition_sorts_and_counts_multiplicity():
     p = HilbertPartition([((1, 0), (1, 0)), ((0, 0), (0, 0)), ((1, 0), (1, 0))])
     assert p.intervals[0] == Interval((0, 0), (0, 0))
@@ -446,6 +456,69 @@ def test_the_partition_search_remembers_the_pinned_residuals(n, c, s, limit, aft
     listed = sum(1 for _ in islice(search.walk(tight=False), limit)) if feasible else 0
     assert (len(search.dead), len(search.alive)) == after_listing
     assert listed == (limit or len(list(oracles.unpruned_partitions(series, s))))
+
+
+class _AddOnce(set):
+    def add(self, key):
+        assert key not in self, "a residual joined dead twice"
+        super().add(key)
+
+
+@pytest.mark.parametrize("n, c", [(3, 0), (4, 0), (5, 0), (5, 2)])
+def test_the_partition_search_adds_no_residual_to_dead_twice(n, c):
+    # the child test skips a residual already in dead; without it the tight
+    # walk walks that residual again and adds it a second time
+    series = truncated_series(_maximal_ideal_plus_free(n, c))
+    for s in range(n, -1, -1):
+        search = hilbert._CoverSearch(series, s)
+        search.dead = _AddOnce()
+        if search.feasible():
+            sum(1 for _ in islice(search.walk(tight=False), 2000))
+
+
+def test_the_partition_search_looks_up_a_cover_record_once_per_pushed_frame():
+    series = truncated_series(_maximal_ideal_plus_free(5, 2))
+    for s in range(5, 2, -1):
+        search = hilbert._CoverSearch(series, s)
+        calls = Counter()
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        for name in ("covers", "first_positive"):
+            setattr(search, name, counted(name, getattr(search, name)))
+        feasible = search.feasible()
+        # a fresh tight walk pushes each residual it refutes once, and the
+        # path it ends on: one frame per key of dead and of alive but 0
+        assert calls["covers"] == calls["first_positive"] == len(search.dead) + len(search.alive) - 1
+        if feasible:
+            assert sum(1 for _ in islice(search.walk(tight=False), 2000)) == 2000
+            assert calls["covers"] == calls["first_positive"] > len(search.dead) + len(search.alive)
+
+
+@st.composite
+def cover_boxes(draw):
+    n = draw(st.integers(1, 4))
+    g = tuple(draw(st.lists(st.integers(0, 3 if n < 4 else 2), min_size=n, max_size=n)))
+    width = draw(st.integers(2, 6))
+    cells = list(dg.box(dg.zero(n), g))
+    top = draw(st.sampled_from(cells))
+    largest = draw(st.integers(1 << (width - 2), (1 << (width - 1)) - 1))
+    return TruncatedSeries(g, {a: largest if a == top else draw(st.integers(0, largest)) for a in cells}), width
+
+
+@settings(max_examples=40, deadline=None)
+@given(cover_boxes())
+def test_every_cover_word_is_the_box_sum_of_its_cells(series_and_width):
+    series, width = series_and_width
+    search = hilbert._CoverSearch(series, 0)
+    assert search.width == width
+    for element, a in enumerate(search.cells):
+        for b in search.covers(element)[0]:
+            assert search.word(element, b) == oracles.box_word(series.g, a, b, search.width), (a, b)
 
 
 def test_hdepth_matches_brute_oracle_on_random_modules():
