@@ -30,6 +30,9 @@ SHAPE_MEMO_CELLS = 2**18
 # Most residuals one partition search may remember as having no partition
 # (`_CoverSearch.dead`); past it the search raises ResourceLimitError.
 PARTITION_STATE_BUDGET = 10**6
+# Most interval ends one partition search may rank for its cover records
+# (`_CoverSearch.covers`); past it the search raises ResourceLimitError.
+COVER_RANK_BUDGET = 10**6
 
 
 class TruncatedSeries:
@@ -290,7 +293,11 @@ def enumerate_partitions(series: TruncatedSeries, min_depth: int):
     n = len(series.g)
     if not 0 <= min_depth <= n:
         raise PreconditionError(f"min_depth must be within [0, {n}], got {min_depth}")
-    search = _CoverSearch(series, min_depth)
+    yield from _partitions(_CoverSearch(series, min_depth))
+
+
+def _partitions(search):
+    """Every partition of the residual that `search.walk` lists."""
     if search.feasible():
         for frames in search.walk(tight=False):
             yield HilbertPartition(Interval(search.cells[f[1]], f[3][0][f[2] - 1]) for f in frames)
@@ -312,13 +319,16 @@ class _CoverSearch:
     partition are remembered in `dead` by it, and those on the path of a
     partition found in `alive`.  A cell's covers are ranked on its first
     visit and each word is made when first tried, so a chain of k cells
-    does not build its O(k^2) intervals up front.  A search whose `dead`
-    grows past PARTITION_STATE_BUDGET raises ResourceLimitError.
+    does not build its O(k^2) intervals up front; one that is not `wide`
+    keeps only the tight ones.  A search whose `dead` grows past
+    PARTITION_STATE_BUDGET raises ResourceLimitError.
     """
 
-    def __init__(self, series: TruncatedSeries, min_depth: int):
+    def __init__(self, series: TruncatedSeries, min_depth: int, wide: bool = True):
         self.g = series.g
         self.min_depth = min_depth
+        self.wide = wide
+        self.ranked = 0
         self.cells = list(dg.box(dg.zero(len(self.g)), self.g))
         counts = [series.coefficients[c] for c in self.cells]
         self.width = w = max(counts, default=0).bit_length() + 1
@@ -331,16 +341,25 @@ class _CoverSearch:
 
     def covers(self, element: int) -> tuple[list, int, list]:
         """The cover record of cell a: the ends b of contact >= min_depth,
-        by descending contact, then lexicographically; the index of the
-        first tight one (contact max(min_depth, contact(a)), the least an
-        [a, b] can have); and their words, each None until first tried."""
+        only the tight ones unless `wide`, by descending contact, then
+        lexicographically; the index of the first tight one (contact
+        max(min_depth, contact(a)), the least an [a, b] can have); and
+        their words, each None until first tried.  Ranking more than
+        COVER_RANK_BUDGET ends in one search raises ResourceLimitError."""
         record = self._records.get(element)
         if record is None:
             a, g = self.cells[element], self.g
+            self.ranked += dg.box_size(a, g)
+            if self.ranked > COVER_RANK_BUDGET:
+                raise ResourceLimitError(
+                    f"the partition search of depth >= {self.min_depth} ranks more than "
+                    f"COVER_RANK_BUDGET = {COVER_RANK_BUDGET} interval ends"
+                )
             tight = max(self.min_depth, len(dg.touching(a, g)))
             ranked = sorted((-len(dg.touching(b, g)), b) for b in dg.box(a, g))
-            ends = [b for rho, b in ranked if -rho >= self.min_depth]
-            record = self._records[element] = ends, sum(1 for rho, _b in ranked if -rho > tight), [None] * len(ends)
+            wide = [b for rho, b in ranked if -rho > tight] if self.wide else []
+            ends = wide + [b for rho, b in ranked if -rho == tight]
+            record = self._records[element] = ends, len(wide), [None] * len(ends)
         return record
 
     def word(self, element: int, b: tuple) -> int:
@@ -382,8 +401,8 @@ class _CoverSearch:
         `tight` asks whether a partition exists instead of listing them:
         - covers: the tight tail (a wider interval splits along a touching
           j with a_j < g_j into two of contact >= min_depth), instead of
-          all with a run at one cell resuming at its last cover, so that
-          each multiset is listed once;
+          the whole record with a run at one cell resuming at its last
+          cover, so that each multiset is listed once;
         - goal: a residual in `alive`, instead of the zero residual;
         - child test: none, instead of `feasible` of the child;
         - exhaustion: the residual joins `dead`, instead of a plain pop.
@@ -477,19 +496,21 @@ def z_graded_hdepth(series: TruncatedSeries) -> int:
 
 
 def partitions_by_depth(gm: GradedModule):
-    """Yield (s, partition) for every interval partition of the truncated
-    series, of depth exactly s, for s = `z_graded_hdepth` of the series
-    (at most n) down to 0: level s enumerates depth >= s and keeps depth
-    s, and no level above that bound has a partition.  The zero module
-    yields (inf, the empty partition) alone.  Raises PreconditionError
-    unless gm is g-determined."""
+    """Yield (s, partition) for every partition of the truncated series
+    into tight intervals, of depth exactly s, for s = `z_graded_hdepth`
+    of the series (at most n) down to 0: level s lists the partitions
+    whose every [a, b] has contact max(s, contact(a)) and keeps depth s.
+    No level above that bound has a partition, and splitting [a, b] along
+    a touching j with a_j < g_j refines one of depth >= s into a tight
+    one, induced when it was.  The zero module yields (inf, the empty
+    partition) alone.  Raises PreconditionError unless gm is g-determined."""
     require_g_determined(gm)
     if gm.is_zero_module():
         yield math.inf, HilbertPartition([])
         return
     series = truncated_series(gm)
     for s in range(z_graded_hdepth(series), -1, -1):
-        for partition in enumerate_partitions(series, s):
+        for partition in _partitions(_CoverSearch(series, s, wide=False)):
             if partition.depth(gm.g) == s:
                 yield s, partition
 

@@ -286,24 +286,13 @@ class IntegerEchelon:
     def push(self, vector: Sequence) -> bool:
         """Add the vector and return True if it lies outside the span of
         the rows; leave the rows as they are and return False otherwise."""
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatchError("vector length does not match ambient dimension")
-        if len(self.rows) == self.ambient_dim:
+        if len(self.rows) == self.ambient_dim == len(vector):
             return False
-        p = self.field.modulus
-        v = vector
-        if not p and not all(type(x) is int for x in v):
-            v = integral_rows(self.field, (v,))[0]
-        for pivot, row in self.rows:
-            c = v[pivot] % p if p else v[pivot]
-            if c:
-                d = row[pivot]
-                v = [d * x - c * r for x, r in zip(v, row)]
-        if p:
-            v = [x % p for x in v]
+        v = self._reduced(vector)
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             return False
+        p = self.field.modulus
         if p:
             inv = pow(v[lead], -1, p)
             v = [x * inv % p for x in v]
@@ -316,6 +305,25 @@ class IntegerEchelon:
     def pop(self) -> None:
         """Remove the last row pushed."""
         self.rows.pop()
+
+    def spans(self, vector: Sequence) -> bool:
+        """Whether the vector lies in the span of the rows."""
+        return len(self.rows) == self.ambient_dim == len(vector) or not any(self._reduced(vector))
+
+    def _reduced(self, vector: Sequence) -> Sequence:
+        """The vector reduced by the rows, zero iff it lies in their span."""
+        if len(vector) != self.ambient_dim:
+            raise DimensionMismatchError("vector length does not match ambient dimension")
+        p = self.field.modulus
+        v = vector
+        if not p and not all(type(x) is int for x in v):
+            v = integral_rows(self.field, (v,))[0]
+        for pivot, row in self.rows:
+            c = v[pivot] % p if p else v[pivot]
+            if c:
+                d = row[pivot]
+                v = [d * x - c * r for x, r in zip(v, row)]
+        return [x % p for x in v] if p else v
 
 
 def bareiss_determinant(field: Field, rows: Sequence[Sequence[int]]) -> int:

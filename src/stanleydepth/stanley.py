@@ -21,9 +21,11 @@ budget, and reduces it on packed exponent words.  A witness is the
 lexicographically first point of the first stage that holds one: the
 stages {1..s}^vars, s = 1..B+1, when the field has more than B+1
 elements, else the whole field.  The search fixes one summand's
-coefficient vector at a time and rejects a vector whose column falls in
-the span of the columns fixed before it at some degree; it evaluates no
-determinant.
+coefficient vector at a time, one coordinate at a time, and cuts a
+prefix once at some degree every completion's column falls in the span
+of the columns fixed before it; it evaluates no determinant.  Over
+GF(q), where the product would need expanding, `sdepth` decides by that
+search over the whole field instead.
 
 Every rank question reads each image's integer form
 (`Matrix.integral`): the transversals its columns, the exponent bound
@@ -38,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import mul
 
 from . import degrees as dg
@@ -482,15 +484,20 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     with its vector.  Every degree keeps an
     `IntegerEchelon` of the columns fixed so far: a summand's columns are
     pushed when its vector is fixed and popped when the search backs up
-    past it.  A vector is rejected when its image at a degree where its
-    summand is alive does not grow the echelon there; no completion can
-    then give that matrix full rank, and a vector accepted at every
-    degree extends each echelon by one.  So the first complete assignment
-    is the lexicographically first witness.  A vector whose first nonzero
-    coordinate is not 1 is skipped untried, over every field
-    (`extract_witness` says why).  The stack holds one vector iterator
-    per fixed summand, so the depth is not bounded by the recursion
-    limit; every vector tried counts against DEFAULT_SEARCH_BUDGET.
+    past it.  A vector is fixed only when its column at every degree
+    where its summand is alive grows the echelon there; no completion
+    can otherwise give that matrix full rank.  A summand's vector is
+    itself fixed one coordinate at a time.  Once a degree has rejected
+    one of its vectors, a prefix is cut when at that degree the column
+    the fixed coordinates give lies in the echelon's span, and so does
+    the image column of every coordinate still free: each completion's
+    column then lies in the span too.  So the first complete assignment
+    is the lexicographically first witness.  A vector whose first
+    nonzero coordinate is not 1 is skipped untried, over every field
+    (`extract_witness` says why).  The stacks hold one iterator per
+    fixed summand and one per fixed coordinate, so the depth is not
+    bounded by the recursion limit; every prefix tried counts against
+    DEFAULT_SEARCH_BUDGET.
     """
     f = fam.field
     dims = fam.summand_dims
@@ -499,50 +506,64 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
         for i, image in zip(fam.columns[a], fam.images[a]):
             alive_at[i].append((k, image.integral().rows))
     bases = [IntegerEchelon(f, fam.module.dim(a)) for a in fam.degrees()]
-
-    def place(i, y) -> list | None:
-        """Push summand i's columns for y onto the bases, or None if one is dependent."""
-        added = []
-        images = {}
-        for k, entries in alive_at[i]:
-            v = images.get(id(entries))
-            if v is None:
-                v = images[id(entries)] = [sum(map(mul, row, y)) for row in entries]
-            if not bases[k].push(v):
-                for done in added:
-                    bases[done].pop()
-                return None
-            added.append(k)
-        return added
-
-    chosen: list[tuple] = []
-    placed: list[list] = []
-    stack = [product(values, repeat=dims[0])] if dims else []
     tried = 0
-    while stack:
-        for y in stack[-1]:
-            if next((x for x in y if x), 1) != 1:
+
+    def vectors(i):
+        """Summand i's vectors in lexicographic order that grow every
+        echelon it is alive at, each yielded with its columns pushed and
+        popped again when the search resumes it; at each degree that has
+        rejected one of them, a prefix no completion saves is cut."""
+        nonlocal tried
+        alive = [(bases[k], rows) for k, rows in alive_at[i]]
+        cuts = {}  # alive position -> (the shortest prefix whose free columns all lie in the span, echelon, rows)
+        y: list = []
+        coordinates = [iter(values)]
+        while coordinates:
+            x = next(coordinates[-1], None)
+            if x is None:
+                coordinates.pop()
+                if y:
+                    y.pop()
+                continue
+            if x != 1 and x and not any(y):
                 continue
             tried += 1
             if tried > DEFAULT_SEARCH_BUDGET:
                 raise ResourceLimitError(
                     f"witness search exceeded the budget of {DEFAULT_SEARCH_BUDGET} candidates"
                 )
-            slots = place(len(chosen), y)
-            if slots is not None:
-                chosen.append(y)
-                placed.append(slots)
-                break
-        else:
+            y.append(x)
+            if len(y) < dims[i]:
+                if not (cuts and any(m <= len(y) and echelon.spans([sum(map(mul, row, y)) for row in rows])
+                                     for m, echelon, rows in cuts.values())):
+                    coordinates.append(iter(values))
+                    continue
+            else:
+                grown = []
+                for j, (echelon, rows) in enumerate(alive):
+                    if not echelon.push([sum(map(mul, row, y)) for row in rows]):
+                        if j not in cuts:
+                            cuts[j] = (_free_span_start(echelon, rows, dims[i]), echelon, rows)
+                        break
+                    grown.append(echelon)
+                else:
+                    yield tuple(y)
+                for echelon in grown:
+                    echelon.pop()
+            y.pop()
+
+    chosen: list[tuple] = []
+    stack = [vectors(0)] if dims else []
+    while stack:
+        del chosen[len(stack) - 1:]
+        y = next(stack[-1], None)
+        if y is None:
             stack.pop()
-            if chosen:
-                chosen.pop()
-                for k in placed.pop():
-                    bases[k].pop()
             continue
+        chosen.append(y)
         if len(chosen) == len(dims):
             break
-        stack.append(product(values, repeat=dims[len(chosen)]))
+        stack.append(vectors(len(chosen)))
     if len(chosen) < len(dims):
         return None
     found = {(i, j): f.from_int(x) for i, y in enumerate(chosen) for j, x in enumerate(y)}
@@ -550,6 +571,15 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     if failing is not None:
         raise AssertionError(f"search returned a non-witness failing at {failing}")
     return StanleyWitness(found)
+
+
+def _free_span_start(echelon: IntegerEchelon, rows: list, dim: int) -> int:
+    """The least m such that the columns m..dim-1 of rows all lie in the
+    echelon's span."""
+    m = dim
+    while m and echelon.spans([row[m - 1] for row in rows]):
+        m -= 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -567,15 +597,25 @@ def sdepth(gm: GradedModule, with_witness: bool = True) -> SdepthResult:
 
     Searching box-truncated decompositions is lossless: every Stanley
     decomposition re-truncates to one of them with no smaller depth.
+
+    Over GF(q) with exponent bound B >= q, a partition is induced iff
+    some point of the field makes every A_a nonsingular, which is what
+    the witness search over the whole field looks for.  There the search
+    decides instead of `check`, which would expand the determinant
+    product: a tight partition has many summands, and its product can
+    pass the term budget.
     """
     for s, partition in partitions_by_depth(gm):
         d = partition_to_decomposition(partition, gm.g)
         fam = build_matrices(gm, d)
-        if check(gm, d, fam=fam).induced:
-            witness = None
-            if with_witness:
-                witness = extract_witness(gm, d, fam=fam, check_first=False)
-            return SdepthResult(s, d, witness)
+        searched = fam.exponent_bound >= fam.field.cardinality
+        if not searched and not check(gm, d, fam=fam).induced:
+            continue
+        try:
+            witness = extract_witness(gm, d, fam=fam, check_first=False) if with_witness or searched else None
+        except WitnessNotFoundError:
+            continue
+        return SdepthResult(s, d, witness if with_witness else None)
     raise AssertionError("the all-singletons partition at s = 0 is always induced")
 
 

@@ -217,6 +217,29 @@ def unpruned_partitions(series, min_depth):
     yield from rec(None, None)
 
 
+def tight_refinement(partition, g, s):
+    """The partition with every interval split until it is tight at level
+    s, that is of contact max(s, contact(a)): [a, b] with a larger contact
+    is split along the first j with b_j = g_j > a_j into [a, b'], b'_j =
+    g_j - 1, and [a', b], a'_j = g_j; read on summands, that is the split
+    of the Stanley space uK[Z] into the uX_j^k K[Z - {j}], k < g_j - a_j,
+    and uX_j^(g_j - a_j) K[Z].  Every interval must have contact >= s."""
+    def contact(c):
+        return sum(1 for x, y in zip(c, g) if x == y)
+
+    tight, pending = [], list(partition.intervals)
+    while pending:
+        a, b = pending.pop()
+        assert contact(b) >= s, (a, b, s)
+        if contact(b) == max(s, contact(a)):
+            tight.append((a, b))
+            continue
+        j = next(j for j in range(len(g)) if b[j] == g[j] > a[j])
+        pending.append((a, b[:j] + (g[j] - 1,) + b[j + 1 :]))
+        pending.append((a[:j] + (g[j],) + a[j + 1 :], b))
+    return hilbert.HilbertPartition(tight)
+
+
 def box_word(g, a, b, width):
     """The packed-residual word of the interval [a, b] over [0, g]: a 1 at
     the lowest bit of the width-bit field of each of its cells, with the

@@ -115,8 +115,9 @@ def test_hdepth_prints_the_value_and_writes_the_partition(tmp_path):
     assert code == 0 and f"wrote {part}" in err
     assert json.loads(part.read_text()) == {
         "intervals": [
-            {"a": [0, 1], "b": [1, 1], "mult": 1},
+            {"a": [0, 1], "b": [0, 1], "mult": 1},
             {"a": [1, 0], "b": [1, 0], "mult": 1},
+            {"a": [1, 1], "b": [1, 1], "mult": 1},
         ]
     }
 
@@ -132,8 +133,9 @@ def test_sdepth_lists_the_summands():
     assert code == 0
     assert out == (
         "sdepth = 1\n"
-        "summand shift=(0,1) vars={1,2}\n"
+        "summand shift=(0,1) vars={2}\n"
         "summand shift=(1,0) vars={1}\n"
+        "summand shift=(1,1) vars={1,2}\n"
     )
 
 
@@ -144,7 +146,7 @@ def test_sdepth_writes_a_verifiable_certificate(tmp_path):
     assert out.endswith(f"certificate: {cert}\n")
     obj = json.loads(cert.read_text())
     assert obj["format"] == "stanleydepth-certificate/1"
-    assert obj["witness"] == {"Y[1,1]": "1", "Y[2,1]": "1"}
+    assert obj["witness"] == {"Y[1,1]": "1", "Y[2,1]": "1", "Y[3,1]": "1"}
 
     code, out, _ = run("verify-cert", M2, cert)
     assert code == 0
@@ -418,14 +420,30 @@ def test_the_omega_budget_exits_with_code_two(tmp_path):
 
 
 def test_the_partition_state_budget_exits_with_code_two(tmp_path, monkeypatch):
-    path = tmp_path / "m3.json"
-    path.write_text(json.dumps({"ring": {"n": 3}, "module": {
-        "kind": "monomial_ideal", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}))
-    assert run("hdepth", path) == (0, "hdepth = 2\n", "")
+    # m_4 + R^2: its depth-3 search proves three residuals to have no partition
+    path = tmp_path / "m4r2.json"
+    path.write_text(json.dumps({"ring": {"n": 4}, "module": {"kind": "direct_sum", "parts": [
+        {"kind": "monomial_ideal", "generators": [[int(i == k) for i in range(4)] for k in range(4)]},
+        {"kind": "free", "shifts": [[0, 0, 0, 0]] * 2}]}}))
+    assert run("hdepth", path) == (0, "hdepth = 3\n", "")
     monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 1)
     message = (
-        "error: the partition search of depth >= 2 holds more than "
+        "error: the partition search of depth >= 3 holds more than "
         "PARTITION_STATE_BUDGET = 1 residuals with no partition\n"
+    )
+    for command in ("hdepth", "sdepth"):
+        assert run(command, path) == (2, "", message)
+
+
+def test_the_cover_rank_budget_exits_with_code_two(tmp_path, monkeypatch):
+    # K[X_1]/(X_1^10): its depth-0 search ranks 65 interval ends
+    path = tmp_path / "chain10.json"
+    path.write_text(json.dumps({"ring": {"n": 1}, "module": {
+        "kind": "quotient_by_monomial_ideal", "generators": [[10]]}}))
+    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 64)
+    message = (
+        "error: the partition search of depth >= 0 ranks more than "
+        "COVER_RANK_BUDGET = 64 interval ends\n"
     )
     for command in ("hdepth", "sdepth"):
         assert run(command, path) == (2, "", message)

@@ -580,7 +580,7 @@ def _first_of_the_walk_from_n(gm):
     series = truncated_series(gm)
     for s in range(gm.n, -1, -1):
         for partition in enumerate_partitions(series, s):
-            if partition.depth(gm.g) == s:
+            if partition.depth(gm.g) == s and oracles.tight_refinement(partition, gm.g, s) == partition:
                 return s, partition
 
 
@@ -596,8 +596,9 @@ def test_hdepth_examples(m2):
     value, partition = hdepth(m2, return_partition=True)
     assert value == 1
     assert partition.intervals == (
-        Interval((0, 1), (1, 1)),
+        Interval((0, 1), (0, 1)),
         Interval((1, 0), (1, 0)),
+        Interval((1, 1), (1, 1)),
     )
     assert hdepth(m2) == 1
 
@@ -643,15 +644,28 @@ def test_the_depth_search_does_not_recurse():
 
 
 def test_the_partition_search_raises_past_its_state_budget(monkeypatch):
-    # the search for m_3's depth-2 partition proves two residuals to have none
-    m3 = modules.build(modules.maximal_ideal(QQ, 3))
+    # the search for m_4 + R^2's depth-3 partition proves three residuals to have none
+    m4r2 = _maximal_ideal_plus_free(4, 2)
+    monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 3)
+    assert hdepth(m4r2) == 3
     monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 2)
-    assert hdepth(m3) == 2
-    monkeypatch.setattr(hilbert, "PARTITION_STATE_BUDGET", 1)
-    with pytest.raises(ResourceLimitError, match="holds more than PARTITION_STATE_BUDGET = 1 residuals"):
-        hdepth(m3)
+    with pytest.raises(ResourceLimitError, match="holds more than PARTITION_STATE_BUDGET = 2 residuals"):
+        hdepth(m4r2)
     with pytest.raises(ResourceLimitError, match="PARTITION_STATE_BUDGET"):
-        list(enumerate_partitions(truncated_series(m3), 2))
+        list(enumerate_partitions(truncated_series(m4r2), 3))
+
+
+def test_the_partition_search_raises_past_its_cover_rank_budget(monkeypatch):
+    # K[X_1]/(X_1^10): the depth-0 search ranks the 11 - a ends of box(a, g)
+    # at each cell a < 10, 65 in all
+    chain = modules.build(modules.quotient_by_monomial_ideal(QQ, 1, [(10,)]))
+    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 65)
+    assert hdepth(chain) == 0
+    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 64)
+    with pytest.raises(ResourceLimitError, match="ranks more than COVER_RANK_BUDGET = 64 interval ends"):
+        hdepth(chain)
+    with pytest.raises(ResourceLimitError, match="COVER_RANK_BUDGET"):
+        list(enumerate_partitions(truncated_series(chain), 0))
 
 
 def _assert_walks_every_partition_by_depth(gm):
@@ -660,7 +674,8 @@ def _assert_walks_every_partition_by_depth(gm):
     assert levels == sorted(levels, reverse=True)
     assert all(p.depth(gm.g) == s for s, p in walk)
     everything = enumerate_partitions(truncated_series(gm), 0)
-    assert Counter(p for _, p in walk) == Counter(everything)
+    tight = (p for p in everything if oracles.tight_refinement(p, gm.g, p.depth(gm.g)) == p)
+    assert Counter(p for _, p in walk) == Counter(tight)
     assert walk[0] == hdepth(gm, return_partition=True)
 
 
@@ -672,6 +687,35 @@ def test_partitions_by_depth_walks_every_partition_once(m2, ex34, ex36):
 def test_partitions_by_depth_on_random_modules():
     for gm in oracles.random_modules(12, seed=2026):
         _assert_walks_every_partition_by_depth(gm)
+
+
+def test_partitions_by_depth_lists_the_tight_partitions_of_each_depth():
+    # level s holds exactly the brute-force partitions of depth s whose
+    # every interval [a, b] has contact max(s, contact(a))
+    for seed in (2026, 7):
+        for gm in oracles.random_modules(12, seed=seed):
+            series = truncated_series(gm)
+            levels = {s: set() for s in range(gm.n + 1)}
+            for s, partition in partitions_by_depth(gm):
+                assert oracles.tight_refinement(partition, gm.g, s) == partition, (s, partition)
+                levels[s].add(partition.intervals)
+            for s, listed in levels.items():
+                brute = (HilbertPartition(intervals) for intervals in oracles.brute_partitions(series, s))
+                tight = {p.intervals for p in brute if p.depth(gm.g) == s and oracles.tight_refinement(p, gm.g, s) == p}
+                assert listed == tight, (gm.g, s)
+
+
+def test_the_tight_refinement_of_m2s_widest_partition(m2):
+    # [(0,1), (1,1)] has contact 2 > max(1, 1): it splits along X_1 into
+    # [(0,1), (0,1)] and [(1,1), (1,1)], both tight at level 1
+    widest = HilbertPartition([((0, 1), (1, 1)), ((1, 0), (1, 0))])
+    singletons = HilbertPartition([((0, 1), (0, 1)), ((1, 0), (1, 0)), ((1, 1), (1, 1))])
+    assert oracles.tight_refinement(widest, m2.g, 1) == singletons
+    assert oracles.tight_refinement(singletons, m2.g, 1) == singletons
+    # at level 2 the interval of contact 2 is already tight
+    assert oracles.tight_refinement(HilbertPartition([((0, 0), (1, 1))]), (1, 1), 2).intervals == (
+        Interval((0, 0), (1, 1)),
+    )
 
 
 def test_partitions_by_depth_of_the_zero_module_and_an_undetermined_one():

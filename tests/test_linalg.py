@@ -229,9 +229,10 @@ def _combination(field, u, v, c):
       for p in (2, 3, 5, 7, 1000003)),
 ))
 def test_integer_echelon_matches_subspace_extended(case):
-    """push accepts exactly when `Subspace.extended` grows the span, the
-    rows span that subspace, a combination of accepted vectors is refused
-    without a change, and pop restores the rows before the push."""
+    """push accepts exactly when `Subspace.extended` grows the span, and
+    spans says so without a change, the rows span that subspace, a
+    combination of accepted vectors is refused without a change, and pop
+    restores the rows before the push."""
     field, ops = case
     echelon = IntegerEchelon(field, 4)
     spans = [Subspace.zero(field, 4)]
@@ -251,6 +252,8 @@ def test_integer_echelon_matches_subspace_extended(case):
             continue
         before = rows()
         grown = spans[-1].extended([v])
+        assert echelon.spans(v) == (grown.dim == spans[-1].dim)
+        assert rows() == before
         assert echelon.push(v) == (grown.dim > spans[-1].dim)
         if grown.dim == spans[-1].dim:
             assert rows() == before
@@ -275,6 +278,8 @@ def test_integer_echelon_refuses_a_vector_of_the_wrong_length(field):
     for v in ((1, 0, 0), (1,), ()):
         with pytest.raises(DimensionMismatchError):
             echelon.push(v)
+        with pytest.raises(DimensionMismatchError):
+            echelon.spans(v)
     assert echelon.push((1, 0))
     with pytest.raises(DimensionMismatchError):
         echelon.push((0, 1, 5))

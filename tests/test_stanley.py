@@ -517,6 +517,14 @@ def _kernel_cases(field, count, seed):
     return cases
 
 
+def _every_partition_by_depth(gm):
+    """Every interval partition of gm's truncated series, by descending
+    depth, each depth in `enumerate_partitions` order."""
+    series = truncated_series(gm)
+    for s in range(gm.n, -1, -1):
+        yield from (p for p in enumerate_partitions(series, s) if p.depth(gm.g) == s)
+
+
 def _kernel_families(field, count, seed):
     """Families of the first partitions of the kernel modules, plus ex36's shipped one."""
     return [build_matrices(gm, d) for gm, d in _kernel_cases(field, count, seed)]
@@ -563,7 +571,7 @@ def test_the_integer_form_gives_the_matrix_based_singular_degree_and_bound(field
     ex34 = modules.load_module_file(data_file("ex34.json"), field_override=field)
     fams = [build_matrices(ex34, hilbert.load_decomposition_file(data_file("ex34_dec.json"), ex34.g))]
     for gm in _kernel_modules(field, 12, seed=37):
-        for _s, partition in islice(hilbert.partitions_by_depth(gm), 20):
+        for partition in islice(_every_partition_by_depth(gm), 20):
             fams.append(build_matrices(gm, partition_to_decomposition(partition, gm.g)))
     answers = Counter()
     for fam in fams:
@@ -694,7 +702,7 @@ def test_witness_search_is_complete_over_small_and_large_fields(p):
     cases = [(ex36, hilbert.load_decomposition_file(data_file("ex36_dec.json"), ex36.g))]
     for gm in _kernel_modules(field, 20, seed=71):
         cases += [(gm, partition_to_decomposition(partition, gm.g))
-                  for _s, partition in islice(hilbert.partitions_by_depth(gm), 30)]
+                  for partition in islice(_every_partition_by_depth(gm), 30)]
     seen = Counter()
     for gm, d in cases:
         fam = build_matrices(gm, d)
@@ -824,10 +832,11 @@ def test_sdepth_of_the_maximal_ideal_in_two_variables(m2):
     result = sdepth(m2)
     assert result.value == 1
     assert result.decomposition.summands == (
-        (frozenset({0, 1}), (0, 1)),
+        (frozenset({1}), (0, 1)),
         (frozenset({0}), (1, 0)),
+        (frozenset({0, 1}), (1, 1)),
     )
-    assert result.witness.assignment == {(0, 0): 1, (1, 0): 1}
+    assert result.witness.assignment == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
     assert verify_witness(m2, result.decomposition, result.witness) is None
 
 
@@ -835,8 +844,9 @@ def test_sdepth_matches_the_brute_oracle_on_ex34(ex34):
     result = sdepth(ex34)
     assert result.value == 1 == oracles.brute_sdepth(ex34)
     assert result.decomposition.summands == (
-        (frozenset({0, 1}), (0, 1)),
+        (frozenset({1}), (0, 1)),
         (frozenset({0}), (1, 0)),
+        (frozenset({0, 1}), (1, 1)),
         (frozenset({0, 1}), (1, 1)),
     )
     assert validate_decomposition(result.decomposition, ex34) is None
@@ -871,6 +881,104 @@ def test_sdepth_is_bounded_by_hdepth_on_the_corpus():
         assert validate_decomposition(result.decomposition, gm) is None
 
 
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_every_induced_partition_refines_to_an_induced_tight_one(field):
+    # splitting uK[Z] into the uX_j^k K[Z - {j}], k < t, and uX_j^t K[Z]
+    # keeps a decomposition induced, so searching tight partitions loses
+    # no depth; over monomial and non-monomial modules
+    corpus = oracles.random_modules(20, seed=5, field=field) + oracles.random_modules(20, seed=11, field=field)
+    for pres in oracles.random_presentations(30, seed=13, field=field):
+        gm = modules.build(pres)
+        if dg.box_size(dg.zero(gm.n), gm.g) <= 8 and gm.verify_g_determined() is None:
+            corpus.append(gm)
+    seen = Counter()
+    for gm in corpus:
+        series = truncated_series(gm)
+        for partition in islice(enumerate_partitions(series, 0), 50):
+            induced = check(gm, partition_to_decomposition(partition, gm.g)).induced
+            seen[induced] += 1
+            if not induced:
+                continue
+            depth = partition.depth(gm.g)
+            tight = oracles.tight_refinement(partition, gm.g, depth)
+            assert tight.validates_against(series) and tight.depth(gm.g) >= depth
+            assert check(gm, partition_to_decomposition(tight, gm.g)).induced, (gm.g, partition, tight)
+            seen["refined"] += tight != partition
+    assert seen[True] >= 200 and seen["refined"] >= 100 and seen[False] >= 5
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_sdepth_is_the_brute_oracles_over_small_and_large_fields(field):
+    # the brute oracle checks every partition, tight or not, by Rado's
+    # condition; the corpus holds modules with sdepth below hdepth, and
+    # non-monomial presentations whose tight partitions over F2 and F3
+    # the whole-field witness search decides
+    corpus = [gm for seed in (3, 4, 5, 6) for gm in oracles.random_modules(60, seed=seed, field=field)]
+    for seed in (13, 17, 19, 23):
+        for pres in oracles.random_presentations(30, seed=seed, field=field):
+            gm = modules.build(pres)
+            if dg.box_size(dg.zero(gm.n), gm.g) <= 8 and not gm.is_zero_module() and gm.verify_g_determined() is None:
+                corpus.append(gm)
+    searched = []
+    original = stanley.extract_witness
+
+    def counting(gm, d, fam=None, check_first=True):
+        searched.append(fam.exponent_bound >= fam.field.cardinality)
+        return original(gm, d, fam=fam, check_first=check_first)
+
+    below = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stanley, "extract_witness", counting)
+        for gm in corpus:
+            value = sdepth(gm, with_witness=False).value
+            assert value == oracles.brute_sdepth(gm), gm
+            below += value < hdepth(gm)
+    assert below >= 5
+    assert field.is_finite() == (sum(searched) >= 8) and all(searched)
+
+
+def test_sdepth_of_m6r9_over_f5_cuts_each_prefix_no_completion_saves(monkeypatch):
+    # 70 tight summands over 691 variables, exponent bound 32; trying every
+    # vector of each summand passes a million candidates, and cutting each
+    # prefix whose column and free columns lie in the span of an echelon
+    # that has rejected a vector tries 1,628
+    monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 2000)
+    gm = modules.load_module_file(data_file("m6r9.json"), field_override=F5)
+    result = sdepth(gm)
+    assert result.value == 5
+    assert verify_certificate(gm, certificate_json(gm, result.decomposition, result.witness))[0]
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_sdepth_over_a_small_field_never_expands_the_determinant_product(monkeypatch, field):
+    # a tight partition has many summands; where the exponent bound
+    # reaches q the witness search decides it, so the product that could
+    # pass the term budget is never formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("sdepth expanded the determinant product")
+
+    monkeypatch.setattr(stanley, "check_finite", refuse)
+    monkeypatch.setattr(stanley.SymbolicMatrixFamily, "packed_det", refuse)
+    for seed in (1, 2, 3):
+        for pres in oracles.random_presentations(40, seed=seed, field=field):
+            gm = modules.build(pres)
+            if dg.box_size(dg.zero(gm.n), gm.g) <= 16 and gm.verify_g_determined() is None:
+                result = sdepth(gm)
+                assert verify_witness(gm, result.decomposition, result.witness) is None
+
+
+def test_sdepth_of_a_presentation_whose_tight_product_passes_the_term_budget():
+    # g = (2, 2); the first tight partition has 14 summands over 53
+    # variables and exponent bound 3, so its reduced product over F2 passes
+    # DEFAULT_TERM_BUDGET; the whole-field search finds a witness at once
+    gm = modules.build(oracles.random_presentations(40, seed=2, field=F2)[1])
+    result = sdepth(gm)
+    fam = build_matrices(gm, result.decomposition)
+    assert (result.value, len(fam.summand_dims), len(fam.variables), fam.exponent_bound) == (1, 14, 53, 3)
+    assert verify_witness(gm, result.decomposition, result.witness) is None
+    assert sdepth(gm, with_witness=False).decomposition == result.decomposition
+
+
 def test_sdepth_checks_each_decomposition_once(monkeypatch, ex34):
     corpus = [ex34] + oracles.random_modules(40, seed=7)
     original = stanley.check
@@ -880,6 +988,8 @@ def test_sdepth_checks_each_decomposition_once(monkeypatch, ex34):
         series = truncated_series(gm)
         for s in range(gm.n, -1, -1):
             for partition in enumerate_partitions(series, s):
+                if oracles.tight_refinement(partition, gm.g, s) != partition:
+                    continue
                 d = partition_to_decomposition(partition, gm.g)
                 if original(gm, d).induced:
                     return s, d
@@ -895,10 +1005,9 @@ def test_sdepth_checks_each_decomposition_once(monkeypatch, ex34):
     for gm, (value, d) in zip(corpus, expected):
         result = sdepth(gm, with_witness=False)
         assert (result.value, result.decomposition) == (value, d)
-    # ex34 and the corpus took 3 and 49 checks of 2 and 45 decompositions
-    # when every level re-checked the partitions refuted above it
+    # ex34 and the corpus take 2 and 42 checks, each of its own decomposition
     assert sum(1 for gm, _ in checked if gm is ex34) == 2
-    assert len(checked) == len({(id(gm), d) for gm, d in checked}) == 2 + 45
+    assert len(checked) == len({(id(gm), d) for gm, d in checked}) == 2 + 42
 
 
 @pytest.mark.extended
@@ -926,11 +1035,12 @@ def test_certificate_round_trip(m2):
         "g": [1, 1],
         "decomposition": {
             "summands": [
-                {"vars": [1, 2], "shift": [0, 1]},
+                {"vars": [2], "shift": [0, 1]},
                 {"vars": [1], "shift": [1, 0]},
+                {"vars": [1, 2], "shift": [1, 1]},
             ]
         },
-        "witness": {"Y[1,1]": "1", "Y[2,1]": "1"},
+        "witness": {"Y[1,1]": "1", "Y[2,1]": "1", "Y[3,1]": "1"},
     }
     reparsed = json.loads(json.dumps(cert))
     ok, message = verify_certificate(m2, reparsed)
