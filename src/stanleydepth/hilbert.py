@@ -15,7 +15,7 @@ one integer, so testing, applying and undoing a cover are one operation.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 from . import degrees as dg
@@ -30,7 +30,7 @@ SHAPE_MEMO_CELLS = 2**18
 # Most residuals one partition search may remember as having no partition
 # (`_CoverSearch.dead`); past it the search raises ResourceLimitError.
 PARTITION_STATE_BUDGET = 10**6
-# Most interval ends one partition search may rank for its cover records
+# Most interval ends one partition search may list for its cover records
 # (`_CoverSearch.covers`); past it the search raises ResourceLimitError.
 COVER_RANK_BUDGET = 10**6
 
@@ -317,10 +317,11 @@ class _CoverSearch:
     borrows only from its own guard, and applying it is one subtraction.
     The key names the residual exactly; residuals proved to have no
     partition are remembered in `dead` by it, and those on the path of a
-    partition found in `alive`.  A cell's covers are ranked on its first
-    visit and each word is made when first tried, so a chain of k cells
-    does not build its O(k^2) intervals up front; one that is not `wide`
-    keeps only the tight ones.  A search whose `dead` grows past
+    partition found in `alive`.  A cell's covers are listed on its first
+    visit, one sub-box of ends per set of coordinates they touch, and
+    each word is made when first tried, so a chain of k cells does not
+    build its O(k^2) intervals up front; a search that is not `wide`
+    lists only the tight ones.  A search whose `dead` grows past
     PARTITION_STATE_BUDGET raises ResourceLimitError.
     """
 
@@ -344,22 +345,36 @@ class _CoverSearch:
         only the tight ones unless `wide`, by descending contact, then
         lexicographically; the index of the first tight one (contact
         max(min_depth, contact(a)), the least an [a, b] can have); and
-        their words, each None until first tried.  Ranking more than
-        COVER_RANK_BUDGET ends in one search raises ResourceLimitError."""
+        their words, each None until first tried.
+
+        b touches g wherever a does, so the ends of contact c are the
+        sub-boxes, one per set S of c - contact(a) coordinates where a does
+        not touch, with b_j = g_j on S and a_j <= b_j < g_j off S and off
+        a's contact; each level is sorted on its own.  Listing more than
+        COVER_RANK_BUDGET ends in one search, each sub-box counted before
+        it is built, raises ResourceLimitError."""
         record = self._records.get(element)
         if record is None:
             a, g = self.cells[element], self.g
-            self.ranked += dg.box_size(a, g)
-            if self.ranked > COVER_RANK_BUDGET:
-                raise ResourceLimitError(
-                    f"the partition search of depth >= {self.min_depth} ranks more than "
-                    f"COVER_RANK_BUDGET = {COVER_RANK_BUDGET} interval ends"
-                )
-            tight = max(self.min_depth, len(dg.touching(a, g)))
-            ranked = sorted((-len(dg.touching(b, g)), b) for b in dg.box(a, g))
-            wide = [b for rho, b in ranked if -rho > tight] if self.wide else []
-            ends = wide + [b for rho, b in ranked if -rho == tight]
-            record = self._records[element] = ends, len(wide), [None] * len(ends)
+            below = [range(x, y + (x == y)) for x, y in zip(a, g)]  # g_j where a touches, else a_j..g_j - 1
+            free = [j for j, (x, y) in enumerate(zip(a, g)) if x < y]
+            tight = max(self.min_depth, len(g) - len(free))
+            ends: list[tuple] = []
+            for contact in range(len(g) if self.wide else tight, tight - 1, -1):
+                first_tight, level = len(ends), []
+                for top in combinations(free, contact - len(g) + len(free)):
+                    ranges = below.copy()
+                    for j in top:
+                        ranges[j] = range(g[j], g[j] + 1)
+                    self.ranked += math.prod(map(len, ranges))
+                    if self.ranked > COVER_RANK_BUDGET:
+                        raise ResourceLimitError(
+                            f"the partition search of depth >= {self.min_depth} ranks more than "
+                            f"COVER_RANK_BUDGET = {COVER_RANK_BUDGET} interval ends"
+                        )
+                    level += product(*ranges)
+                ends += sorted(level)
+            record = self._records[element] = ends, first_tight, [None] * len(ends)
         return record
 
     def word(self, element: int, b: tuple) -> int:

@@ -542,7 +542,7 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
                 grown = []
                 for j, (echelon, rows) in enumerate(alive):
                     if not echelon.push([sum(map(mul, row, y)) for row in rows]):
-                        if j not in cuts:
+                        if dims[i] > 1 and j not in cuts:  # a one-coordinate vector has no prefix to cut
                             cuts[j] = (_free_span_start(echelon, rows, dims[i]), echelon, rows)
                         break
                     grown.append(echelon)

@@ -240,6 +240,17 @@ def tight_refinement(partition, g, s):
     return hilbert.HilbertPartition(tight)
 
 
+def ranked_cover_ends(a, g, min_depth, wide):
+    """The upper ends b of cell a's covers and the index of the first
+    tight one, by ranking the whole box [a, g]: by descending contact,
+    then lexicographically, keeping contact max(min_depth, contact(a))
+    and, when `wide`, every larger contact before it."""
+    tight = max(min_depth, len(dg.touching(a, g)))
+    ranked = sorted((-len(dg.touching(b, g)), b) for b in dg.box(a, g))
+    wider = [b for rho, b in ranked if -rho > tight] if wide else []
+    return wider + [b for rho, b in ranked if -rho == tight], len(wider)
+
+
 def box_word(g, a, b, width):
     """The packed-residual word of the interval [a, b] over [0, g]: a 1 at
     the lowest bit of the width-bit field of each of its cells, with the

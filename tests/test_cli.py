@@ -436,14 +436,14 @@ def test_the_partition_state_budget_exits_with_code_two(tmp_path, monkeypatch):
 
 
 def test_the_cover_rank_budget_exits_with_code_two(tmp_path, monkeypatch):
-    # K[X_1]/(X_1^10): its depth-0 search ranks 65 interval ends
+    # K[X_1]/(X_1^10): its depth-0 search lists 55 interval ends
     path = tmp_path / "chain10.json"
     path.write_text(json.dumps({"ring": {"n": 1}, "module": {
         "kind": "quotient_by_monomial_ideal", "generators": [[10]]}}))
-    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 64)
+    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 54)
     message = (
         "error: the partition search of depth >= 0 ranks more than "
-        "COVER_RANK_BUDGET = 64 interval ends\n"
+        "COVER_RANK_BUDGET = 54 interval ends\n"
     )
     for command in ("hdepth", "sdepth"):
         assert run(command, path) == (2, "", message)

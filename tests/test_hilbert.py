@@ -521,6 +521,22 @@ def test_every_cover_word_is_the_box_sum_of_its_cells(series_and_width):
             assert search.word(element, b) == oracles.box_word(series.g, a, b, search.width), (a, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.booleans())
+def test_each_cover_record_lists_the_ends_of_the_whole_box_ranking(g, wide):
+    g = tuple(g)
+    series = TruncatedSeries(g, {a: 1 for a in dg.box(dg.zero(len(g)), g)})
+    for min_depth in range(len(g) + 1):
+        search = hilbert._CoverSearch(series, min_depth, wide)
+        listed = 0
+        for element, a in enumerate(search.cells):
+            ends, first_tight, words = search.covers(element)
+            assert (ends, first_tight) == oracles.ranked_cover_ends(a, g, min_depth, wide), a
+            assert words == [None] * len(ends)
+            listed += len(ends)
+        assert search.ranked == listed
+
+
 def test_hdepth_matches_brute_oracle_on_random_modules():
     for seed in (2026, 7):
         for gm in oracles.random_modules(12, seed=seed):
@@ -656,13 +672,13 @@ def test_the_partition_search_raises_past_its_state_budget(monkeypatch):
 
 
 def test_the_partition_search_raises_past_its_cover_rank_budget(monkeypatch):
-    # K[X_1]/(X_1^10): the depth-0 search ranks the 11 - a ends of box(a, g)
-    # at each cell a < 10, 65 in all
+    # K[X_1]/(X_1^10): the depth-0 search lists the 10 - a tight ends of
+    # box(a, g) at each cell a < 10, 55 in all
     chain = modules.build(modules.quotient_by_monomial_ideal(QQ, 1, [(10,)]))
-    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 65)
+    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 55)
     assert hdepth(chain) == 0
-    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 64)
-    with pytest.raises(ResourceLimitError, match="ranks more than COVER_RANK_BUDGET = 64 interval ends"):
+    monkeypatch.setattr(hilbert, "COVER_RANK_BUDGET", 54)
+    with pytest.raises(ResourceLimitError, match="ranks more than COVER_RANK_BUDGET = 54 interval ends"):
         hdepth(chain)
     with pytest.raises(ResourceLimitError, match="COVER_RANK_BUDGET"):
         list(enumerate_partitions(truncated_series(chain), 0))

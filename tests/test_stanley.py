@@ -949,6 +949,42 @@ def test_sdepth_of_m6r9_over_f5_cuts_each_prefix_no_completion_saves(monkeypatch
     assert verify_certificate(gm, certificate_json(gm, result.decomposition, result.witness))[0]
 
 
+def _cut_cases():
+    """The first 40 depth-1 partitions of ex36 over F2 and over F3, and
+    the first tight partition of m_5 + R^2 over Q."""
+    for field in (F2, F3):
+        ex36 = modules.load_module_file(data_file("ex36.json"), field_override=field)
+        depth_one = (p for p in enumerate_partitions(truncated_series(ex36), 1) if p.depth(ex36.g) == 1)
+        for partition in islice(depth_one, 40):
+            yield ex36, partition_to_decomposition(partition, ex36.g)
+    gm = modules.build(modules.direct_sum([modules.maximal_ideal(QQ, 5), modules.free(QQ, 5, [dg.zero(5)] * 2)]))
+    _s, partition = next(hilbert.partitions_by_depth(gm))
+    yield gm, partition_to_decomposition(partition, gm.g)
+
+
+def test_the_witness_search_computes_no_cut_for_a_one_coordinate_summand(monkeypatch):
+    # a summand of one coordinate has no shorter prefix, so its cut would
+    # never be read; the cuts of wider summands leave every witness the
+    # one the search finds with no cut at all
+    span_start = stanley._free_span_start
+    widths = []
+
+    def guarded(echelon, rows, dim):
+        if dim == 1:
+            raise AssertionError("cut start computed for a one-coordinate summand")
+        widths.append(dim)
+        return span_start(echelon, rows, dim)
+
+    def witnesses():
+        return [extract_witness(gm, d, check_first=False).assignment for gm, d in _cut_cases()]
+
+    monkeypatch.setattr(stanley, "_free_span_start", lambda echelon, rows, dim: dim)
+    uncut = witnesses()
+    monkeypatch.setattr(stanley, "_free_span_start", guarded)
+    assert witnesses() == uncut
+    assert widths
+
+
 @pytest.mark.parametrize("field", [F2, F3])
 def test_sdepth_over_a_small_field_never_expands_the_determinant_product(monkeypatch, field):
     # a tight partition has many summands; where the exponent bound
