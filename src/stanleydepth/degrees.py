@@ -89,18 +89,24 @@ def as_list(value, what: str) -> list | tuple:
     return value
 
 
+_INT = frozenset({int})
+
+
 def as_degree(value) -> tuple:
-    """A degree read from input: a list of integers."""
+    """A degree read from input: a list of integers, each as `as_int`
+    reads it (exact ints pass at once)."""
     try:
         items = tuple(value)
     except TypeError:
         raise InputFormatError(f"expected a list of integers, got {value!r}") from None
+    if _INT.issuperset(map(type, items)):
+        return items
     return tuple(as_int(x) for x in items)
 
 
 def leq(a: tuple, b: tuple) -> bool:
     """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def add(a: tuple, b: tuple) -> tuple:

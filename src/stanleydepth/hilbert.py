@@ -25,8 +25,6 @@ from .modules import GradedModule
 # Most summands a decomposition file may stand for, counted before any
 # list of them is built; an interval counts every summand it stands for.
 DECOMPOSITION_SUMMAND_LIMIT = 10**6
-# Most cells the memo of admissible summand shapes holds (see `alive_summands`).
-SHAPE_MEMO_CELLS = 2**18
 # Most residuals one partition search may remember as having no partition
 # (`_CoverSearch.dead`); past it the search raises ResourceLimitError.
 PARTITION_STATE_BUDGET = 10**6
@@ -73,15 +71,22 @@ class Interval(NamedTuple):
 
 
 class HilbertPartition:
-    """A multiset of intervals, stored canonically sorted."""
+    """A multiset of intervals, stored canonically sorted; endpoints are
+    read by `dg.as_degree`.  `_of` takes them checked and sorted."""
 
     __slots__ = ("intervals",)
 
     def __init__(self, intervals):
-        self.intervals = tuple(sorted(Interval(tuple(a), tuple(b)) for a, b in intervals))
+        self.intervals = tuple(sorted(Interval(dg.as_degree(a), dg.as_degree(b)) for a, b in intervals))
         for a, b in self.intervals:
             if not dg.leq(a, b):
                 raise ShapeError(f"interval needs a <= b, got {a}, {b}")
+
+    @classmethod
+    def _of(cls, intervals: tuple) -> HilbertPartition:
+        p = object.__new__(cls)
+        p.intervals = intervals
+        return p
 
     def series(self, g: tuple) -> TruncatedSeries:
         coeffs: dict[tuple, int] = {}
@@ -115,15 +120,19 @@ class HilbertPartition:
 
 class HilbertDecomposition:
     """An ordered list of summands (Z, shift); order fixes the generic
-    variable numbering Y[i,j], so it is preserved from the input."""
+    variable numbering Y[i,j], so it is preserved from the input.  Z and
+    shift are read by `dg.as_degree`; `_of` takes them in stored form."""
 
     __slots__ = ("summands",)
 
     def __init__(self, summands):
-        cleaned = []
-        for zset, shift in summands:
-            cleaned.append((frozenset(int(j) for j in zset), tuple(int(x) for x in shift)))
-        self.summands = tuple(cleaned)
+        self.summands = tuple((frozenset(dg.as_degree(z)), dg.as_degree(shift)) for z, shift in summands)
+
+    @classmethod
+    def _of(cls, summands: tuple) -> HilbertDecomposition:
+        d = object.__new__(cls)
+        d.summands = summands
+        return d
 
     def depth(self):
         if not self.summands:
@@ -150,19 +159,21 @@ class HilbertDecomposition:
 def partition_to_decomposition(p: HilbertPartition, g: tuple) -> HilbertDecomposition:
     """One summand (Z_b, c) per interval [a, b] and point c of G[a, b]."""
     g = tuple(g)
-    summands = []
-    for a, b in p.intervals:
+    for _a, b in p.intervals:
         if not dg.leq(b, g):
             raise ShapeError(f"interval upper bound {b} exceeds g = {g}")
+    return _induced([(a, b, 1) for a, b in p.intervals], g)
+
+
+def _induced(items, g: tuple) -> HilbertDecomposition:
+    """The summands of intervals (a, b, mult), checked and sorted: (Z_b, c)
+    for c in G[a, b] in lexicographic order, mult times over."""
+    summands = []
+    for a, b, mult in items:
         zset = dg.touching(b, g)
-        for c in dg.box(a, _last_shift(a, b, g)):
-            summands.append((zset, c))
-    return HilbertDecomposition(summands)
-
-
-def _last_shift(a: tuple, b: tuple, g: tuple) -> tuple:
-    """The largest point of G[a, b]: b, with a_j wherever b_j = g_j."""
-    return tuple(x if y == top else y for x, y, top in zip(a, b, g))
+        ranges = [range(x, (x if y == top else y) + 1) for x, y, top in zip(a, b, g)]
+        summands += [(zset, c) for c in product(*ranges)] * mult
+    return HilbertDecomposition._of(tuple(summands))
 
 
 def _summand_shape_failure(zset, shift, g, n):
@@ -194,37 +205,14 @@ def admissible_shapes(g: tuple):
             yield forced | frozenset(ext), b
 
 
-class _ShapeMemo(dict):
-    """(g, Z, b) -> the cells of [0, g] where an admissible summand shape
-    is alive, in lexicographic order: the box from b to the corner equal
-    to g on Z and to b elsewhere.
-
-    Only admissible shapes are stored, so a hit also answers the shape
-    check.  Storing a shape that would take the memo past
-    SHAPE_MEMO_CELLS cells empties it first, and a shape of more cells
-    than that is not stored.
-    """
-
-    held = 0
-
-    def admit(self, g: tuple, zset: frozenset, shift: tuple):
-        """The cells of (Z, b) over [0, g], stored; ShapeError with
-        `_summand_shape_failure`'s text when the shape is not admissible."""
-        failure = _summand_shape_failure(zset, shift, g, len(g))
-        if failure is not None:
-            raise ShapeError(failure)
-        corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
-        cells = tuple(dg.box(shift, corner))
-        if self.held + len(cells) > SHAPE_MEMO_CELLS:
-            self.clear()
-            self.held = 0
-        if len(cells) <= SHAPE_MEMO_CELLS:
-            self[g, zset, shift] = cells
-            self.held += len(cells)
-        return cells
-
-
-_SHAPES = _ShapeMemo()
+def _alive_cells(g: tuple, zset: frozenset, shift: tuple) -> tuple:
+    """The cells where (Z, b) is alive, in lexicographic order: the box from
+    b to g on Z and b elsewhere.  ShapeError unless (Z, b) is admissible."""
+    failure = _summand_shape_failure(zset, shift, g, len(g))
+    if failure is not None:
+        raise ShapeError(failure)
+    corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
+    return tuple(dg.box(shift, corner))
 
 
 def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
@@ -232,16 +220,13 @@ def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
     (Z, b) alive at a: b <= a and a - b is supported in Z.
 
     Every summand must be admissible; the first that is not raises
-    ShapeError with `_summand_shape_failure`'s text.  The cells of a
-    shape are computed once per (g, Z, b) and then read from the shape
-    memo, so a call costs one lookup and the appends per summand.  Z and
-    b may be any iterables; the dict and its lists are new on every call.
+    ShapeError with `_summand_shape_failure`'s text.  Z and b may be any
+    iterables; the dict and its lists are new on every call.
     """
     g = tuple(g)
     alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(len(g)), g)}
     for i, (zset, shift) in enumerate(summands):
-        zset, shift = frozenset(zset), tuple(shift)
-        for a in _SHAPES.get((g, zset, shift)) or _SHAPES.admit(g, zset, shift):
+        for a in _alive_cells(g, frozenset(zset), tuple(shift)):
             alive[a].append(i)
     return alive
 
@@ -257,23 +242,31 @@ class ValidationFailure(PreconditionError):
         super().__init__(f"not a Hilbert decomposition of the module: {self.reason}")
 
 
-def validated_alive(d: HilbertDecomposition, gm: GradedModule) -> dict[tuple, list[int]]:
-    """The alive map of d when d is a Hilbert decomposition of gm;
-    otherwise raise ValidationFailure for the first failure.
-
-    The one `alive_summands` walk checks the summand shapes (shift within
-    [0, g], forced coordinates present in Z) with one shape-memo lookup
-    per summand; then, for every a in [0, g], the number of summands
-    alive at a must equal dim M_a.
+def validated_alive(d: HilbertDecomposition, gm: GradedModule) -> tuple[list, dict, dict]:
+    """(records, alive, images) when d is a Hilbert decomposition of gm:
+    each summand's ShapeRecord, and for every a in [0, g] the indices of
+    the summands alive at a and their images there; otherwise raise
+    ValidationFailure for the first failure.  One record lookup per
+    summand checks its shape; then the summands alive at each a must be
+    dim M_a many.  The dicts and lists are new on every call.
     """
+    g, shapes = gm.g, gm.shapes
+    alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(gm.n), g)}
+    images: dict[tuple, list] = {a: [] for a in alive}
+    records = []
     try:
-        alive = alive_summands(d.summands, gm.g)
+        for i, summand in enumerate(d.summands):
+            record = shapes.get(summand) or gm.shape_record(summand, _alive_cells(g, *summand))
+            records.append(record)
+            for a, image in zip(record.cells, record.images):
+                alive[a].append(i)
+                images[a].append(image)
     except ShapeError as exc:
         raise ValidationFailure("shape", None, str(exc)) from None
     for a, indices in alive.items():
         if len(indices) != gm.dim(a):
             raise ValidationFailure("count", a, f"decomposition covers {len(indices)}, module has {gm.dim(a)}")
-    return alive
+    return records, alive, images
 
 
 def validate_decomposition(d: HilbertDecomposition, gm: GradedModule) -> ValidationFailure | None:
@@ -300,7 +293,7 @@ def _partitions(search):
     """Every partition of the residual that `search.walk` lists."""
     if search.feasible():
         for frames in search.walk(tight=False):
-            yield HilbertPartition(Interval(search.cells[f[1]], f[3][0][f[2] - 1]) for f in frames)
+            yield HilbertPartition._of(tuple(sorted(Interval(search.cells[f[1]], f[3][0][f[2] - 1]) for f in frames)))
 
 
 class _CoverSearch:
@@ -580,9 +573,9 @@ def decomposition_from_json(obj, g: tuple):
                 raise InputFormatError(f"negative multiplicity in {item!r}")
             total = _within_summand_limit(total + mult)
             summands.extend([(zset, shift)] * mult)
-        return HilbertDecomposition(summands)
+        return HilbertDecomposition._of(tuple(summands))
     if "intervals" in obj:
-        intervals = []
+        items = []
         for item in dg.as_list(obj["intervals"], '"intervals"'):
             try:
                 a = dg.as_degree(item["a"])
@@ -600,9 +593,11 @@ def decomposition_from_json(obj, g: tuple):
                 raise InputFormatError(f"interval upper bound {b} exceeds g = {g}")
             if mult < 0:
                 raise InputFormatError(f"negative multiplicity in {item!r}")
-            total = _within_summand_limit(total + mult * dg.box_size(a, _last_shift(a, b, g)))
-            intervals.extend([(a, b)] * mult)
-        return partition_to_decomposition(HilbertPartition(intervals), g)
+            size = math.prod(y - x + 1 for x, y, top in zip(a, b, g) if y < top)
+            total = _within_summand_limit(total + mult * size)
+            items.append((a, b, mult))
+        items.sort()
+        return _induced(items, g)
     raise InputFormatError('decomposition file needs a "summands" or "intervals" key')
 
 

@@ -23,6 +23,11 @@ counted first, against BUILD_CELL_BUDGET.  A map X^(b-a) depends only
 on the pieces at its two ends, so each is built once per pair of
 pieces.  So is its integer form (`Matrix.integral`, kept by the map
 itself), the rows and columns every rank question of `stanley` reads.
+
+A module also keeps one ShapeRecord per summand shape (Z, b) it is
+asked about: its alive cells, the maps X^(a-b) : M_b -> M_a into them
+and dim M_b, so a family A_a is gathered by one lookup per summand; at
+most SHAPE_MEMO_CELLS cells per module.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ BOX_DEGREE_LIMIT = 10**5
 # Most cells build() will write for a box: its signature masks, and the
 # rows each distinct signature reduces times its width (see _build).
 BUILD_CELL_BUDGET = 5 * 10**6
+
+# Most cells one module's shape records hold (see `GradedModule.shape_record`).
+SHAPE_MEMO_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,30 @@ class GradedPiece:
         return tuple(reduced[c] for c in self.nonpivot_columns)
 
 
+class ShapeRecord:
+    """One summand shape (Z, b) of a module: the `cells` where it is alive,
+    the map X^(a-b) : M_b -> M_a at each (`images`) and dim M_b.
+    `exponent_count`, made on first use, is the most images in which one
+    column is nonzero."""
+
+    __slots__ = ("cells", "images", "dim", "_count")
+
+    def __init__(self, cells: tuple, images: tuple, dim: int):
+        self.cells, self.images, self.dim = cells, images, dim
+        self._count = None
+
+    @property
+    def exponent_count(self) -> int:
+        if self._count is None:
+            counts = [0] * self.dim
+            for image in self.images:
+                for j, column in enumerate(image.integral().columns):
+                    if any(column):
+                        counts[j] += 1
+            self._count = max(counts, default=0)
+        return self._count
+
+
 class GradedModule:
     """A presentation together with all graded pieces on [0, g+1]."""
 
@@ -163,6 +195,8 @@ class GradedModule:
         # the only table of maps: X^(b-a) keyed by the ids of its two shared
         # pieces, which self.pieces keeps alive for the module's lifetime
         self._transfers: dict[tuple, Matrix] = {}
+        self.shapes: dict[tuple, ShapeRecord] = {}
+        self._shape_cells = 0
         self._build()
 
     def _build(self) -> None:
@@ -298,6 +332,21 @@ class GradedModule:
         if not dg.leq(src, dst):
             raise RangeError(f"power map needs src <= dst, got {src}, {dst}")
         return self._transfer(self.piece(src), self.piece(dst))
+
+    def shape_record(self, summand: tuple, cells: tuple) -> ShapeRecord:
+        """The record of summand = (Z, b), alive at `cells` (checked by the
+        caller), kept in `shapes`: a record that would take them past
+        SHAPE_MEMO_CELLS cells empties them first, and one of more cells
+        than that is not kept."""
+        shift = summand[1]
+        record = ShapeRecord(cells, tuple(self.power_map(shift, a) for a in cells), self.dim(shift))
+        if self._shape_cells + len(cells) > SHAPE_MEMO_CELLS:
+            self.shapes.clear()
+            self._shape_cells = 0
+        if len(cells) <= SHAPE_MEMO_CELLS:
+            self.shapes[summand] = record
+            self._shape_cells += len(cells)
+        return record
 
     def is_zero_module(self) -> bool:
         return all(p.dim == 0 for p in self.pieces.values())

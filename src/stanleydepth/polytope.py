@@ -265,7 +265,7 @@ def point_to_decomposition(system: LinearSystem, values) -> HilbertDecomposition
             raise InputFormatError(f"negative multiplicity for {v.name()}")
         if count:
             summands += [v] * count
-    return HilbertDecomposition(summands)
+    return HilbertDecomposition._of(tuple(summands))
 
 
 def check_u_vector(gm: GradedModule, system: LinearSystem, values) -> tuple | None:

@@ -37,7 +37,6 @@ elimination the search does not use.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -74,13 +73,14 @@ CHECK_MODES = ("auto", "unified")
 class SymbolicMatrixFamily:
     """The matrices A_a of one decomposition, indexed by degree.
 
-    The constructor validates the decomposition with one alive-summand
-    walk (`validated_alive`, which raises ValidationFailure) and keeps,
-    for every degree a with alive summands, their indices (`columns[a]`)
-    and the images X^(a - shift) of their pieces (`images[a]`, power
-    maps M_shift -> M_a).  Column i of A_a is image i applied to summand
-    i's generic coefficients Y[i, *]; every rank question reads the
-    image's integer form (`Matrix.integral`).
+    The constructor validates the decomposition with one walk over the
+    module's shape records (`validated_alive`, one lookup per summand,
+    which raises ValidationFailure) and keeps, for every degree a with
+    alive summands, their indices (`columns[a]`) and the images
+    X^(a - shift) of their pieces (`images[a]`, power maps M_shift ->
+    M_a).  Column i of A_a is image i applied to summand i's generic
+    coefficients Y[i, *]; every rank question reads the image's integer
+    form (`Matrix.integral`).
     `first_singular_degree` is the one per-degree answer every check
     reads, and `exponent_bound` the one bound on the determinant product
     that picks the finite-field check and the witness stages.
@@ -91,17 +91,14 @@ class SymbolicMatrixFamily:
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
-        alive = validated_alive(decomposition, gm)
-        shifts = [shift for _z, shift in decomposition.summands]
+        self._records, alive, images = validated_alive(decomposition, gm)
         self.module = gm
         self.field: Field = gm.field
-        self.summand_dims = tuple(gm.dim(shift) for shift in shifts)
+        self.summand_dims = tuple(record.dim for record in self._records)
         self.columns: dict[tuple, tuple[int, ...]] = {
             a: tuple(indices) for a, indices in alive.items() if indices
         }
-        self.images: dict[tuple, list[Matrix]] = {
-            a: [gm.power_map(shifts[i], a) for i in indices] for a, indices in self.columns.items()
-        }
+        self.images: dict[tuple, list[Matrix]] = {a: images[a] for a in self.columns}
         self._offsets = list(accumulate(self.summand_dims, initial=0))
 
     @cached_property
@@ -152,14 +149,9 @@ class SymbolicMatrixFamily:
         The unified check expands that product only when B >= q, and the
         witness search walks the stages {1..s}, s <= B+1, only when the
         field has more than B+1 elements.  Y[i,j] appears in A_a iff
-        column j of image i is nonzero."""
-        return max(Counter(
-            (i, j)
-            for a, alive in self.columns.items()
-            for i, image in zip(alive, self.images[a])
-            for j, column in enumerate(image.integral().columns)
-            if any(column)
-        ).values(), default=0)
+        column j of image i is nonzero, which depends only on summand
+        i's shape (`ShapeRecord.exponent_count`)."""
+        return max((record.exponent_count for record in self._records), default=0)
 
     def packed_det(self, a: tuple) -> dict:
         """det A_a as {bitmask of variable positions: coefficient}.

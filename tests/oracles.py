@@ -19,6 +19,7 @@ from collections import Counter, deque
 
 from stanleydepth import degrees as dg
 from stanleydepth import hilbert, modules, polynomials, polytope
+from stanleydepth.errors import InputFormatError, ResourceLimitError
 from stanleydepth.fields import QQ
 from stanleydepth.linalg import Matrix, Subspace
 
@@ -611,6 +612,111 @@ def decomposition_to_partition(d, g):
         (shift, tuple(g[j] if j in zset else shift[j] for j in range(n)))
         for zset, shift in d.summands
     )
+
+
+# ---------------------------------------------------------------------------
+# decomposition front end
+
+
+def summand_walk_front_end(obj, gm):
+    """A decomposition file object read against gm the long way: each
+    interval entry checked, the intervals expanded by multiplicity and
+    sorted, each spread over G[a, b] (b, with a_j wherever b_j = g_j),
+    every entry cleaned by int(); then every summand's shape checked and
+    its aliveness tested at every degree by `is_alive`, one power map per
+    (summand, degree), and the exponent bound counted over (summand,
+    coordinate) pairs.  Returns (summands, columns, image entries by
+    degree, summand dims, exponent bound); the first error raises as the
+    program would raise it."""
+    g = gm.g
+    if not isinstance(obj, dict):
+        raise InputFormatError("decomposition file must be a JSON object")
+    if "summands" in obj and "intervals" in obj:
+        raise InputFormatError('decomposition file has both a "summands" and an "intervals" key')
+    total, summands = 0, []
+    if "summands" in obj:
+        for item in dg.as_list(obj["summands"], '"summands"'):
+            try:
+                zset = frozenset(j - 1 for j in dg.as_degree(item["vars"]))
+                shift = dg.as_degree(item["shift"])
+                mult = dg.as_int(item.get("mult", 1))
+            except (KeyError, TypeError, InputFormatError) as exc:
+                raise InputFormatError(f"bad summand entry {item!r}") from exc
+            if any(j < 0 for j in zset):
+                raise InputFormatError(f"summand vars must be >= 1 in {item!r}")
+            if mult < 0:
+                raise InputFormatError(f"negative multiplicity in {item!r}")
+            total += mult
+            if total > hilbert.DECOMPOSITION_SUMMAND_LIMIT:
+                raise ResourceLimitError(
+                    "the decomposition has more than DECOMPOSITION_SUMMAND_LIMIT = "
+                    f"{hilbert.DECOMPOSITION_SUMMAND_LIMIT} summands")
+            summands += [(zset, shift)] * mult
+    elif "intervals" in obj:
+        intervals = []
+        for item in dg.as_list(obj["intervals"], '"intervals"'):
+            try:
+                a, b = dg.as_degree(item["a"]), dg.as_degree(item["b"])
+                mult = dg.as_int(item.get("mult", 1))
+            except (KeyError, TypeError, InputFormatError) as exc:
+                raise InputFormatError(f"bad interval entry {item!r}") from exc
+            if len(a) != len(g) or len(b) != len(g):
+                raise InputFormatError(f"interval endpoints must have length {len(g)} in {item!r}")
+            if not dg.leq(a, b):
+                raise InputFormatError(f"interval needs a <= b in {item!r}")
+            if any(x < 0 for x in a):
+                raise InputFormatError(f"interval lower bound {a} is negative")
+            if not dg.leq(b, g):
+                raise InputFormatError(f"interval upper bound {b} exceeds g = {g}")
+            if mult < 0:
+                raise InputFormatError(f"negative multiplicity in {item!r}")
+            last = tuple(x if y == top else y for x, y, top in zip(a, b, g))
+            total += mult * len(list(dg.box(a, last)))
+            if total > hilbert.DECOMPOSITION_SUMMAND_LIMIT:
+                raise ResourceLimitError(
+                    "the decomposition has more than DECOMPOSITION_SUMMAND_LIMIT = "
+                    f"{hilbert.DECOMPOSITION_SUMMAND_LIMIT} summands")
+            intervals += [(a, b)] * mult
+        for a, b in sorted(intervals):
+            zset = frozenset(j for j in range(len(g)) if b[j] == g[j])
+            last = tuple(a[j] if b[j] == g[j] else b[j] for j in range(len(g)))
+            summands += [(zset, c) for c in dg.box(a, last)]
+    else:
+        raise InputFormatError('decomposition file needs a "summands" or "intervals" key')
+    summands = [(frozenset(int(j) for j in z), tuple(int(x) for x in b)) for z, b in summands]
+    n = len(g)
+    for zset, shift in summands:
+        forced = {j for j in range(n) if len(shift) == n and shift[j] == g[j]}
+        if len(shift) != n:
+            failure = f"summand shift {shift} is not a length-{n} vector"
+        elif any(j < 0 or j >= n for j in zset):
+            failure = f"summand variable set {sorted(zset)} is out of range for n = {n}"
+        elif not all(0 <= x <= y for x, y in zip(shift, g)):
+            failure = f"summand shift {shift} is outside [0, g] = [0, {g}]"
+        elif not forced <= zset:
+            failure = (f"summand (Z={sorted(j + 1 for j in zset)}, shift={shift}) misses the "
+                       f"coordinates {sorted(j + 1 for j in forced - zset)} forced by shift_j = g_j")
+        else:
+            continue
+        raise hilbert.ValidationFailure("shape", None, failure)
+    columns, images = {}, {}
+    for a in dg.box(dg.zero(n), g):
+        alive = [i for i, (zset, shift) in enumerate(summands) if is_alive(zset, shift, a)]
+        if len(alive) != gm.dim(a):
+            raise hilbert.ValidationFailure(
+                "count", a, f"decomposition covers {len(alive)}, module has {gm.dim(a)}")
+        if alive:
+            columns[a] = tuple(alive)
+            images[a] = [gm.power_map(summands[i][1], a).entries for i in alive]
+    counts = Counter(
+        (i, j)
+        for a, alive in columns.items()
+        for i in alive
+        for j, column in enumerate(zip(*gm.power_map(summands[i][1], a).entries))
+        if any(column)
+    )
+    dims = tuple(gm.dim(shift) for _z, shift in summands)
+    return summands, columns, images, dims, max(counts.values(), default=0)
 
 
 # ---------------------------------------------------------------------------

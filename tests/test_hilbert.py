@@ -1,9 +1,11 @@
 import inspect
 import json
 import math
+import re
 import sys
 import time
 from collections import Counter
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -86,6 +88,29 @@ def test_partition_sorts_and_counts_multiplicity():
         HilbertPartition([((1, 1), (0, 0))])
     with pytest.raises(ShapeError):
         p.series((0, 0))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", Decimal("1"), None])
+def test_the_public_constructors_read_every_entry_as_an_int(bad):
+    # a float was truncated by int(), a string such as '2' parsed, and a
+    # bool kept; each now raises as a file entry would
+    message = f"expected an integer, got {bad!r}"
+    for intervals in ([((bad, 0), (1, 1))], [((0, 0), (1, bad))]):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            HilbertPartition(intervals)
+    for summands in ([({bad}, (0, 1))], [({0}, (1, bad))], [({0.9}, (1.7, True))]):
+        with pytest.raises(InputFormatError, match="expected an integer"):
+            HilbertDecomposition(summands)
+    with pytest.raises(InputFormatError, match=re.escape(message)):
+        HilbertDecomposition([({bad}, (0, 1))])
+
+
+def test_the_public_constructors_keep_int_entries_as_given():
+    p = HilbertPartition([([1, 0], (1, 1)), ((0, 0), [0, 1])])
+    assert p.intervals == (((0, 0), (0, 1)), ((1, 0), (1, 1)))
+    assert all(type(x) is int for iv in p.intervals for end in iv for x in end)
+    d = HilbertDecomposition([([1, 0], [0, 1]), (set(), (2, 0))])
+    assert d.summands == ((frozenset({0, 1}), (0, 1)), (frozenset(), (2, 0)))
 
 
 def test_partition_depth():
@@ -196,19 +221,37 @@ def test_alive_summands_matches_the_predicate(case):
 
 
 @given(summand_lists(), st.sampled_from([list, set, frozenset]))
-def test_alive_summands_reads_the_shape_memo_like_the_predicate(case, zform):
-    # Z as a list or set and b and g as lists, asked twice: the second call
-    # reads every admissible shape from the memo the first call filled
+def test_alive_summands_reads_the_shape_memo_like_the_predicate(free_modules, case, zform):
+    # Z as a list or set and b and g as lists give the predicate's alive
+    # map; a module's shape records, asked twice for each shape, hold the
+    # predicate's cells and power maps, the second time the record the
+    # first stored, and a bad shape fails with its text both times
     g, summands = case
     spelled = [(zform(z), list(b)) for z, b in summands]
     admissible = [s for s in spelled if _first_shape_failure([s], g) is None]
     first = _first_shape_failure(spelled, g)
-    for _ in range(2):
-        _assert_alive_like_the_predicate(alive_summands(admissible, list(g)), admissible, g)
-        if first is not None:
-            with pytest.raises(ShapeError) as raised:
-                alive_summands(spelled, list(g))
-            assert str(raised.value) == first
+    _assert_alive_like_the_predicate(alive_summands(admissible, list(g)), admissible, g)
+    if first is not None:
+        with pytest.raises(ShapeError) as raised:
+            alive_summands(spelled, list(g))
+        assert str(raised.value) == first
+    gm = free_modules(g)
+    for z, b in HilbertDecomposition(spelled).summands:
+        failure = _first_shape_failure([(z, b)], g)
+        held = gm.shapes.get((z, b))
+        for _ in range(2):
+            checked = validate_decomposition(HilbertDecomposition([(z, b)]), gm)
+            if failure is None:
+                assert checked is None or checked.kind == "count"
+                record = gm.shapes[z, b]
+                cells = tuple(a for a in dg.box(dg.zero(len(g)), g) if oracles.is_alive(z, b, a))
+                assert record.cells == cells and record.dim == gm.dim(b)
+                assert record.images == tuple(gm.power_map(b, a) for a in cells)
+                assert held in (None, record)
+                held = record
+            else:
+                assert (checked.kind, checked.detail) == ("shape", failure)
+                assert (z, b) not in gm.shapes
 
 
 @pytest.fixture(scope="module")
@@ -240,17 +283,26 @@ def test_validation_reports_the_shape_failure_of_the_first_bad_summand(free_modu
 
 
 def test_the_shape_memo_holds_at_most_its_cell_bound(monkeypatch):
-    monkeypatch.setattr(hilbert, "_SHAPES", hilbert._ShapeMemo())
-    monkeypatch.setattr(hilbert, "SHAPE_MEMO_CELLS", 10)
+    # one module's records hold at most SHAPE_MEMO_CELLS cells; a walk past
+    # the bound starts the memo over and still sees every shape's cells
+    monkeypatch.setattr(modules, "SHAPE_MEMO_CELLS", 10)
     g = (2, 2)
+    gm = modules.build(modules.free(QQ, 2, [(0, 0)]), g)
     shapes = list(hilbert.admissible_shapes(g))
     shapes.append(({0, 1}, (0, 0)))  # its 9 cells start the memo over
+    d = HilbertDecomposition(shapes)
     for _ in range(2):
-        alive = alive_summands(shapes, g)
-        assert 0 < hilbert._SHAPES.held <= 10
-        assert hilbert._SHAPES.held == sum(len(cells) for cells in hilbert._SHAPES.values())
-        for a, indices in alive.items():
-            assert indices == [i for i, (z, b) in enumerate(shapes) if oracles.is_alive(z, b, a)]
+        failure = validate_decomposition(d, gm)
+        assert (failure.kind, failure.degree) == ("count", (0, 0))
+        held = sum(len(record.cells) for record in gm.shapes.values())
+        assert 0 < held <= 10 and held == gm._shape_cells
+        for (z, b), record in gm.shapes.items():
+            assert record.cells == tuple(a for a in dg.box((0, 0), g) if oracles.is_alive(z, b, a))
+    assert list(gm.shapes) == [(frozenset({0, 1}), (0, 0))]
+    other = modules.build(modules.free(QQ, 2, [(0, 0)]), g)
+    assert not other.shapes
+    validate_decomposition(d, other)
+    assert other.shapes.keys() == gm.shapes.keys() and other.shapes[frozenset({0, 1}), (0, 0)] is not gm.shapes[frozenset({0, 1}), (0, 0)]
 
 
 def test_a_changed_alive_map_changes_no_later_answer():
@@ -290,7 +342,11 @@ def test_validate_empty_decomposition_fails_at_first_nonzero_degree(m2):
 
 
 def test_validated_alive_raises_the_first_failure(ex34, m2, ex34_dec):
-    assert validated_alive(ex34_dec, ex34) == alive_summands(ex34_dec.summands, ex34.g)
+    records, alive, images = validated_alive(ex34_dec, ex34)
+    assert alive == alive_summands(ex34_dec.summands, ex34.g)
+    assert [record.dim for record in records] == [ex34.dim(b) for _z, b in ex34_dec.summands]
+    for a, indices in alive.items():
+        assert images[a] == [ex34.power_map(ex34_dec.summands[i][1], a) for i in indices]
     with pytest.raises(ValidationFailure) as count:
         validated_alive(HilbertDecomposition([({0, 1}, (1, 0)), ({1}, (0, 1))]), ex34)
     assert (count.value.kind, count.value.degree) == ("count", (1, 1))

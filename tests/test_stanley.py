@@ -338,17 +338,114 @@ def test_check_rejects_unknown_modes(m2):
             check(m2, d, mode=mode)
 
 
+def _front_end(obj, gm):
+    """`summand_walk_front_end`'s answer by the program's own path, or the
+    first error either path raises, as (type, text)."""
+    try:
+        d = hilbert.decomposition_from_json(obj, gm.g)
+        fam = build_matrices(gm, d)
+        images = {a: [image.entries for image in fam.images[a]] for a in fam.columns}
+        return list(d.summands), fam.columns, images, fam.summand_dims, fam.exponent_bound
+    except (InputFormatError, PreconditionError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_front_end(obj, gm):
+    try:
+        return oracles.summand_walk_front_end(obj, gm)
+    except (InputFormatError, PreconditionError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_front_end_like_the_oracle(obj, gm):
+    ours = _front_end(obj, gm)
+    assert ours == _oracle_front_end(obj, gm)
+    assert _front_end(obj, gm) == ours  # read again from the module's shape records
+    return ours
+
+
+@pytest.mark.parametrize("module, decomposition", [
+    ("m2.json", "ex34_dec.json"), ("ex34.json", "ex34_dec.json"), ("ex34.json", "ex36_dec.json"),
+    ("ex36.json", "ex36_dec.json"), ("ex36.json", "ex34_dec.json"), ("m6r9.json", "m6r9_partition.json"),
+])
+@pytest.mark.parametrize("field", [None, F2, F3])
+def test_the_front_end_reads_the_shipped_files_like_the_summand_walk(module, decomposition, field):
+    gm = modules.load_module_file(data_file(module), field_override=field)
+    with open(data_file(decomposition), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    _assert_front_end_like_the_oracle(obj, gm)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_the_front_end_reads_random_partitions_like_the_summand_walk(field):
+    # each partition of M in interval form and its decomposition in summand
+    # form, read against M; its intervals doubled (mult 2), read against
+    # M + M, of which they are a partition, and against M, of which not
+    read = doubled_read = 0
+    for gm in oracles.random_modules(15, seed=33, field=field):
+        twice = modules.build(modules.direct_sum([gm.presentation] * 2), gm.g)
+        series = truncated_series(gm)
+        for s in range(gm.n + 1):
+            for partition in islice(enumerate_partitions(series, s), 3):
+                intervals = hilbert.partition_to_json(partition)
+                doubled = {"intervals": [dict(item, mult=2 * item["mult"]) for item in intervals["intervals"]]}
+                summands = hilbert.decomposition_to_json(partition_to_decomposition(partition, gm.g))
+                for obj, module in ((intervals, gm), (summands, gm), (doubled, twice), (doubled, gm)):
+                    answer = _assert_front_end_like_the_oracle(obj, module)
+                    read += not isinstance(answer[0], type)
+                    doubled_read += module is twice and not isinstance(answer[0], type)
+    assert read > 100 and doubled_read > 30
+
+
+_ENTRY_VALUES = st.one_of(st.integers(-1, 3), st.sampled_from([True, False, 1.0, 0.5, "1", None]))
+
+
+@st.composite
+def interval_files(draw):
+    """Interval files of ex34 (g = (1, 1)): mostly well-formed entries with
+    mult up to 3, some with a bool, float, string, negative or missing
+    value, a wrong length, a > b or b > g."""
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = [draw(st.integers(0, 1)) for _ in range(2)]
+        b = [draw(st.integers(x, 1)) for x in a]
+        item = {"a": a, "b": b, "mult": draw(st.integers(0, 3))}
+        if draw(st.integers(0, 3)) == 0:
+            key = draw(st.sampled_from(["a", "b", "mult"]))
+            if key == "mult" or draw(st.booleans()):
+                value = draw(_ENTRY_VALUES)
+                if key == "mult":
+                    item["mult"] = value
+                else:
+                    item[key][draw(st.integers(0, 1))] = value
+            else:
+                item[key] = item[key] + [0] if draw(st.booleans()) else item[key][:1]
+            if draw(st.integers(0, 4)) == 0:
+                del item[key]
+        items.append(item)
+    return {"intervals": items}
+
+
+@given(interval_files(), st.sampled_from([4, 8, hilbert.DECOMPOSITION_SUMMAND_LIMIT]))
+def test_the_front_end_reads_interval_files_like_the_summand_walk(ex34, case, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hilbert, "DECOMPOSITION_SUMMAND_LIMIT", limit)
+        _assert_front_end_like_the_oracle(case, ex34)
+
+
 @pytest.fixture()
 def walks(monkeypatch):
-    """The arguments of every `alive_summands` call made while the test runs."""
+    """The arguments of every shape walk (`validated_alive`, under both of
+    its names) made while the test runs."""
     calls = []
-    walk = hilbert.alive_summands
+    walk = hilbert.validated_alive
 
     def counted(*args):
         calls.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(hilbert, "alive_summands", counted)
+    monkeypatch.setattr(hilbert, "validated_alive", counted)
+    monkeypatch.setattr(stanley, "validated_alive", counted)
     return calls
 
 
