@@ -34,17 +34,26 @@ COVER_RANK_BUDGET = 10**6
 
 
 class TruncatedSeries:
-    """Coefficients dim M_a for every a in [0, g]."""
+    """Coefficients dim M_a for every a in [0, g], read by `dg.as_degree`
+    and `dg.as_int`.  `_of` takes them checked, one for every a."""
 
     __slots__ = ("g", "coefficients")
 
     def __init__(self, g: tuple, coefficients: dict):
-        self.g = tuple(g)
-        self.coefficients = {tuple(a): int(c) for a, c in coefficients.items()}
+        self.g = dg.as_degree(g)
+        self.coefficients = {
+            dg.as_degree(a): c if type(c) is int else dg.as_int(c) for a, c in coefficients.items()
+        }
         for a in dg.box(dg.zero(len(self.g)), self.g):
             self.coefficients.setdefault(a, 0)
         if len(self.coefficients) > dg.box_size(dg.zero(len(self.g)), self.g):
             raise ShapeError(f"a truncated series over [0, {self.g}] has a degree outside it")
+
+    @classmethod
+    def _of(cls, g: tuple, coefficients: dict) -> TruncatedSeries:
+        series = object.__new__(cls)
+        series.g, series.coefficients = g, coefficients
+        return series
 
     def coefficient(self, a: tuple) -> int:
         return self.coefficients.get(tuple(a), 0)
@@ -62,7 +71,7 @@ class TruncatedSeries:
 
 
 def truncated_series(gm: GradedModule) -> TruncatedSeries:
-    return TruncatedSeries(gm.g, {a: gm.dim(a) for a in dg.box(dg.zero(gm.n), gm.g)})
+    return TruncatedSeries._of(gm.g, {a: gm.dim(a) for a in dg.box(dg.zero(gm.n), gm.g)})
 
 
 class Interval(NamedTuple):
@@ -562,11 +571,14 @@ def decomposition_from_json(obj, g: tuple):
         summands = []
         for item in dg.as_list(obj["summands"], '"summands"'):
             try:
-                zset = frozenset(j - 1 for j in dg.as_degree(item["vars"]))
+                names = dg.as_degree(item["vars"])
                 shift = dg.as_degree(item["shift"])
                 mult = dg.as_int(item.get("mult", 1))
             except (KeyError, TypeError, InputFormatError) as exc:
                 raise InputFormatError(f"bad summand entry {item!r}") from exc
+            zset = frozenset(j - 1 for j in names)
+            if len(zset) < len(names):
+                raise InputFormatError(f"summand names a variable twice in {item!r}")
             if any(j < 0 for j in zset):
                 raise InputFormatError(f"summand vars must be >= 1 in {item!r}")
             if mult < 0:

@@ -26,8 +26,12 @@ itself), the rows and columns every rank question of `stanley` reads.
 
 A module also keeps one ShapeRecord per summand shape (Z, b) it is
 asked about: its alive cells, the maps X^(a-b) : M_b -> M_a into them
-and dim M_b, so a family A_a is gathered by one lookup per summand; at
-most SHAPE_MEMO_CELLS cells per module.
+and dim M_b, so a family A_a is gathered by one lookup per summand.
+Beside them it keeps one rank verdict per degree a and alive shapes:
+keyed by a and the records alive there, in column order, whether A_a has
+a full independent transversal.  The two memos share one bound,
+SHAPE_MEMO_CELLS cells per module, a verdict counting one per record,
+and start over together, so no verdict outlives its records.
 """
 
 from __future__ import annotations
@@ -196,7 +200,10 @@ class GradedModule:
         # pieces, which self.pieces keeps alive for the module's lifetime
         self._transfers: dict[tuple, Matrix] = {}
         self.shapes: dict[tuple, ShapeRecord] = {}
-        self._shape_cells = 0
+        # (a, *the records alive at a, in column order) -> whether degree a
+        # has a full independent transversal; a new dict at each start-over
+        self.verdicts: dict[tuple, bool] = {}
+        self._shape_cells = 0  # held by both memos
         self._build()
 
     def _build(self) -> None:
@@ -335,18 +342,32 @@ class GradedModule:
 
     def shape_record(self, summand: tuple, cells: tuple) -> ShapeRecord:
         """The record of summand = (Z, b), alive at `cells` (checked by the
-        caller), kept in `shapes`: a record that would take them past
-        SHAPE_MEMO_CELLS cells empties them first, and one of more cells
-        than that is not kept."""
+        caller), kept in `shapes`: a record that would take the two memos
+        past SHAPE_MEMO_CELLS cells starts them over first, and one of more
+        cells than that is not kept."""
         shift = summand[1]
         record = ShapeRecord(cells, tuple(self.power_map(shift, a) for a in cells), self.dim(shift))
         if self._shape_cells + len(cells) > SHAPE_MEMO_CELLS:
-            self.shapes.clear()
-            self._shape_cells = 0
+            self._start_over()
         if len(cells) <= SHAPE_MEMO_CELLS:
             self.shapes[summand] = record
             self._shape_cells += len(cells)
         return record
+
+    def remember_verdict(self, key: tuple, full: bool) -> None:
+        """Keep a `verdicts` entry, one cell per record in its key; one that
+        would pass SHAPE_MEMO_CELLS starts both memos over instead, so its
+        records, no longer in `shapes`, are not kept by it."""
+        if self._shape_cells + len(key) - 1 > SHAPE_MEMO_CELLS:
+            self._start_over()
+        else:
+            self.verdicts[key] = full
+            self._shape_cells += len(key) - 1
+
+    def _start_over(self) -> None:
+        self.shapes.clear()
+        self.verdicts = {}
+        self._shape_cells = 0
 
     def is_zero_module(self) -> bool:
         return all(p.dim == 0 for p in self.pieces.values())

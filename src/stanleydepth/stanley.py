@@ -91,6 +91,7 @@ class SymbolicMatrixFamily:
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
+        self._verdicts = gm.verdicts  # replaced if the walk starts the memos over
         self._records, alive, images = validated_alive(decomposition, gm)
         self.module = gm
         self.field: Field = gm.field
@@ -133,12 +134,21 @@ class SymbolicMatrixFamily:
         no other pick has: it is nonzero iff some pick is independent.
         An independent transversal decides that over every field, so no
         determinant is expanded.  It reads the integer columns of the
-        images, which span the same subspaces.
+        images, which span the same subspaces.  The verdict depends only
+        on a and the shapes alive there, so it is read from the module's
+        `verdicts` first, and kept there while every record of this
+        family is still in `shapes`.
         """
-        for a in self.degrees():
-            dim = self.module.dim(a)
-            families = [image.integral().columns for image in self.images[a]]
-            if len(max_independent_transversal(self.field, dim, families)) < dim:
+        gm, records = self.module, self._records
+        for a, alive in self.columns.items():
+            key = (a, *map(records.__getitem__, alive))
+            full = gm.verdicts.get(key)
+            if full is None:
+                families = [image.integral().columns for image in self.images[a]]
+                full = len(max_independent_transversal(self.field, len(alive), families)) == len(alive)
+                if self._verdicts is gm.verdicts:
+                    gm.remember_verdict(key, full)
+            if not full:
                 return a
         return None
 

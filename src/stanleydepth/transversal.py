@@ -14,9 +14,10 @@ independent set until maximum.
 
 A greedy seed decides most calls: family by family, it picks the first
 vector that grows an `IntegerEchelon` of the picks so far, on integer
-rows.  The augmenting-path search runs only when the seed leaves a
-family unmatched and the picks do not fill K^d.  Its exchange arcs come
-from one tagged `IntegerEchelon` of the rows [vector(x) | e_x] over the
+rows.  A seed that fills every family or K^d is the answer, and no
+ground set is built; the ground set and the augmenting-path search come
+only when the seed falls short of both.  The exchange arcs come from
+one tagged `IntegerEchelon` of the rows [vector(x) | e_x] over the
 picks x, pushed once per path.  The remainder of [vector(t) | 0], pushed,
 read and popped, leads in the vector part iff t is a sink; otherwise its
 tag part is a multiple of minus t's coordinates in the picks, and its
@@ -42,19 +43,21 @@ def max_independent_transversal(
     an empty start would make first (a family skipped once stays inside
     the growing span), so the result does not depend on the seeding.
     """
+    picks = IntegerEchelon(field, ambient_dim)
+    seed = {}
+    for i, vectors in enumerate(families):
+        for j, v in enumerate(vectors):
+            if picks.push(v):
+                seed[i] = j
+                break
+    if len(seed) in (len(families), ambient_dim):
+        return [(i, tuple(families[i][j])) for i, j in seed.items()]
     items: list[tuple[int, tuple]] = []
     selected: set[int] = set()
-    picks = IntegerEchelon(field, ambient_dim)
     for i, vectors in enumerate(families):
-        picked = False
-        for v in vectors:
-            v = tuple(v)
-            if not picked and picks.push(v):
-                selected.add(len(items))
-                picked = True
-            items.append((i, v))
-    if len(selected) in (len(families), ambient_dim):
-        return [items[t] for t in sorted(selected)]
+        if i in seed:
+            selected.add(len(items) + seed[i])
+        items.extend((i, tuple(v)) for v in vectors)
     while True:
         path = _augmenting_path(field, ambient_dim, items, selected)
         if path is None:

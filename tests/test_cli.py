@@ -204,6 +204,24 @@ def test_verify_cert_refuses_a_variable_spelled_twice(tmp_path):
     assert err == f"error: {cert}: witness assigns Y[1,1] twice, as 'Y[1,1]' and 'Y[01,1]'\n"
 
 
+def test_a_summand_that_names_a_variable_twice_exits_with_code_two(tmp_path):
+    # in a decomposition file and in a certificate's decomposition alike
+    item = {"vars": [1, 1], "shift": [0, 1]}
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps({"summands": [item]}))
+    for command in ("check", "certify"):
+        assert run(command, EX34, path) == (
+            2, "", f"error: {path}: summand names a variable twice in {item!r}\n")
+    cert = tmp_path / "cert.json"
+    assert run("certify", EX36, EX36_DEC, "--field", "F5", "--output", cert)[0] == 0
+    obj = json.loads(cert.read_text())
+    obj["decomposition"]["summands"][0]["vars"] *= 2
+    cert.write_text(json.dumps(obj))
+    code, out, err = run("verify-cert", EX36, cert, "--field", "F5")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith(f"error: {cert}: summand names a variable twice in ")
+
+
 def test_verify_cert_rejects_malformed_shapes(tmp_path):
     cert = tmp_path / "cert.json"
     run("sdepth", M2, "--output", cert)

@@ -78,6 +78,24 @@ def test_a_series_has_no_degree_outside_its_box():
         HilbertPartition([((-1,), (0,))]).series((1,))
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.9, True, "2", Decimal("1"), None])
+def test_a_truncated_series_reads_every_entry_as_an_int(bad):
+    # int() truncated 1.9 and parsed '2', and tuple() kept (True,), a key
+    # equal to (1,); each now raises as a file entry would
+    message = re.escape(f"expected an integer, got {bad!r}")
+    for g, coefficients in (((1,), {(0,): bad}), ((1,), {(bad,): 1}), ((bad,), {})):
+        with pytest.raises(InputFormatError, match=message):
+            TruncatedSeries(g, coefficients)
+    with pytest.raises(InputFormatError, match="expected an integer, got 1.9"):
+        TruncatedSeries((1,), {(0,): 1.9, (True,): "2"})
+
+
+def test_a_truncated_series_keeps_int_entries_as_given():
+    series = TruncatedSeries([1, 0], {(0, 0): 2, (1, 0): 0})
+    assert series.g == (1, 0) and series.coefficients == {(0, 0): 2, (1, 0): 0}
+    assert all(type(x) is int for a, c in series.coefficients.items() for x in (*a, c))
+
+
 def test_partition_sorts_and_counts_multiplicity():
     p = HilbertPartition([((1, 0), (1, 0)), ((0, 0), (0, 0)), ((1, 0), (1, 0))])
     assert p.intervals[0] == Interval((0, 0), (0, 0))
@@ -869,6 +887,14 @@ def test_decomposition_from_json_rejects_bad_entries():
     for obj in bad_cases:
         with pytest.raises(InputFormatError):
             decomposition_from_json(obj, (1, 1))
+
+
+@pytest.mark.parametrize("names", [[1, 1], [2, 1, 2], [1, 2, 1, 2]])
+def test_a_summand_that_names_a_variable_twice_is_refused(names):
+    # it read as the summand of the set of its names, another decomposition
+    item = {"vars": names, "shift": [0, 1]}
+    with pytest.raises(InputFormatError, match=re.escape(f"summand names a variable twice in {item!r}")):
+        decomposition_from_json({"summands": [{"vars": [1], "shift": [1, 0]}, item]}, (1, 1))
 
 
 def test_decomposition_from_json_bounds_the_summands_before_expanding(monkeypatch):

@@ -689,6 +689,108 @@ def test_the_integer_form_gives_the_matrix_based_singular_degree_and_bound(field
     assert answers[True] >= 20 and answers[False] >= 3
 
 
+def _fresh(gm):
+    """gm built again from its presentation: the same module, memos empty."""
+    return modules.build(gm.presentation, gm.g)
+
+
+def _memo_cases(field):
+    """(module, decompositions) for the shipped modules and decompositions
+    and the first partitions of random modules, over the given field."""
+    cases = []
+    for name, decomposition in (("m2.json", None), ("ex34.json", "ex34_dec.json"), ("ex36.json", "ex36_dec.json"),
+                                ("m6r9.json", "m6r9_partition.json")):
+        gm = modules.load_module_file(data_file(name), field_override=field)
+        ds = [] if decomposition is None else [hilbert.load_decomposition_file(data_file(decomposition), gm.g)]
+        if name != "m6r9.json":
+            ds += [partition_to_decomposition(p, gm.g) for p in islice(_every_partition_by_depth(gm), 30)]
+        cases.append((gm, ds))
+    for gm in _kernel_modules(field, 30, seed=17):
+        cases.append((gm, [partition_to_decomposition(p, gm.g) for p in islice(_every_partition_by_depth(gm), 20)]))
+    return cases
+
+
+@pytest.fixture()
+def transversals(monkeypatch):
+    """The arguments of every `max_independent_transversal` call a rank
+    question makes while the test runs."""
+    calls = []
+    search = stanley.max_independent_transversal
+    monkeypatch.setattr(stanley, "max_independent_transversal", lambda *args: calls.append(args) or search(*args))
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_a_warm_verdict_memo_answers_like_a_fresh_module(field, transversals):
+    # the questions are asked twice on one module, each answered by a memo
+    # every earlier question warmed, and once on a module built for each;
+    # the second round asks only keys the first one left, so it runs no
+    # transversal
+    answers = Counter()
+    for gm, ds in _memo_cases(field):
+        for again in (False, True):
+            transversals.clear()
+            warm = [build_matrices(gm, d).first_singular_degree for d in ds]
+            assert not (again and transversals)
+            assert warm == [build_matrices(_fresh(gm), d).first_singular_degree for d in ds]
+        answers.update(a is None for a in warm)
+    assert answers[True] >= 100 and answers[False] >= 5
+
+
+@functools.cache
+def _memo_modules(field):
+    """The modules of `_memo_cases`, each with its first few partitions;
+    the cache keeps their memos warm from one example to the next."""
+    return [(gm, ds[:8]) for gm, ds in _memo_cases(field) if ds and gm.n <= 2]
+
+
+@given(st.data())
+def test_a_warm_verdict_memo_answers_like_a_fresh_module_on_drawn_questions(data):
+    field = data.draw(st.sampled_from([QQ, F2, F3]))
+    gm, ds = data.draw(st.sampled_from(_memo_modules(field)))
+    for d in data.draw(st.lists(st.sampled_from(ds), min_size=1, max_size=4)):
+        assert build_matrices(gm, d).first_singular_degree == build_matrices(_fresh(gm), d).first_singular_degree
+
+
+def test_a_second_family_with_the_same_alive_shapes_runs_no_transversal_there(transversals):
+    # the verdict at a is keyed by a and the shapes alive there, in column
+    # order; a key asked before, by any family of the module, is read back
+    shared = 0
+    for gm, ds in _memo_cases(QQ)[:3]:
+        asked = set()
+        for d in ds + ds[:2]:
+            fam = build_matrices(gm, d)
+            keys = {a: (a, tuple(d.summands[i] for i in alive)) for a, alive in fam.columns.items()}
+            transversals.clear()
+            last = fam.first_singular_degree
+            now = list(keys.values())[:None if last is None else list(keys).index(last) + 1]
+            assert len(transversals) == sum(key not in asked for key in now)
+            shared += sum(key in asked for key in now)
+            asked.update(now)
+    assert shared >= 100
+
+
+def test_the_verdict_memo_shares_the_shape_memo_bound(monkeypatch):
+    # records and verdicts together hold at most SHAPE_MEMO_CELLS cells,
+    # a verdict counting one per alive column; a start-over empties both,
+    # so every verdict key holds records that `shapes` holds too.  One
+    # family of ex36 asks for about 36 cells.
+    monkeypatch.setattr(modules, "SHAPE_MEMO_CELLS", 60)
+    gm, ds = _memo_cases(QQ)[2]
+    starts = most = 0
+    for d in ds + ds:
+        before = gm.verdicts
+        assert build_matrices(gm, d).first_singular_degree == build_matrices(_fresh(gm), d).first_singular_degree
+        held = sum(len(record.cells) for record in gm.shapes.values())
+        held += sum(len(key) - 1 for key in gm.verdicts)
+        assert held == gm._shape_cells <= 60
+        kept = set(map(id, gm.shapes.values()))
+        assert all(id(record) in kept for key in gm.verdicts for record in key[1:])
+        starts += gm.verdicts is not before
+        most = max(most, len(gm.verdicts))
+    assert starts >= 3 and most >= 10
+
+
 def _entrywise_failure(fam, assignment):
     """The first degree whose entrywise-evaluated A_a(y) has rank below
     its size, by `Matrix.rank`, or None."""

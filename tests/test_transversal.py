@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -129,6 +129,55 @@ def _chain(field, length, scale):
     def unit(j):
         return tuple(scale if k == j else field.zero for k in range(length))
     return [[unit(j), unit(j + 1)] for j in range(length - 1)] + [[unit(0)]]
+
+
+@st.composite
+def _spanned_families(draw, field, entry_st):
+    """Two to five families of one to three vectors in K^3, each a
+    combination of the same two atoms: the picks span at most K^2, so a
+    seed of three families with nonzero vectors falls short."""
+    atoms = [draw(st.tuples(entry_st, entry_st, entry_st)) for _ in range(2)]
+
+    def vector():
+        c, d = draw(entry_st), draw(entry_st)
+        return tuple(field.add(field.mul(c, x), field.mul(d, y)) for x, y in zip(*atoms))
+
+    return [[vector() for _ in range(draw(st.integers(1, 3)))] for _ in range(draw(st.integers(2, 5)))]
+
+
+@given(st.one_of(
+    st.tuples(st.just(QQ), _spanned_families(QQ, st.fractions(-3, 3, max_denominator=4))),
+    st.tuples(st.just(F2), _spanned_families(F2, st.integers(0, 1))),
+    st.tuples(st.just(GF(3)), _spanned_families(GF(3), st.integers(0, 2))),
+))
+@example((QQ, _chain(QQ, 3, Fraction(1, 2))))
+@example((F2, _chain(F2, 3, 1)))
+@example((GF(3), _chain(GF(3), 3, 2)))
+def test_a_seed_that_falls_short_returns_the_unseeded_picks(case):
+    field, families = case
+    assert max_independent_transversal(field, 3, families) == (
+        oracles.unseeded_max_independent_transversal(field, 3, families)
+    )
+
+
+class _Unread:
+    """A vector the search must not read."""
+
+    def __iter__(self):
+        raise AssertionError("a vector after its family's pick was read")
+
+    __len__ = __iter__
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)])
+def test_a_full_seed_reads_no_vector_after_its_picks(field):
+    # a seed that fills every family or K^d is the answer as it is: the
+    # ground set, which would read every vector, is not built
+    e = [tuple(field.one if k == j else field.zero for k in range(3)) for j in range(3)]
+    families = [[e[0], _Unread()], [e[0], e[1], _Unread()]]
+    assert max_independent_transversal(field, 3, families) == [(0, e[0]), (1, e[1])]
+    families = [[e[2], _Unread()], [e[0], _Unread()], [e[1], _Unread()], [e[0]]]
+    assert max_independent_transversal(field, 3, families) == [(0, e[2]), (1, e[0]), (2, e[1])]
 
 
 @pytest.mark.parametrize("field, entries", [
