@@ -84,7 +84,7 @@ def _json_text(obj) -> str:
 def cmd_info(args) -> int:
     gm = _load_module(args)
     total = sum(gm.dim(a) for a in dg.box(dg.zero(gm.n), gm.g))
-    violation = gm.verify_g_determined()
+    violation = gm.g_violation
     print(f"n = {gm.n}")
     print(f"field = {gm.field!r}")
     print(f"g = {','.join(str(x) for x in gm.g)}")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import degrees as dg
 from .errors import InputFormatError, PreconditionError, ResourceLimitError, ShapeError
-from .modules import GradedModule
+from .modules import GradedModule, _alive_cells, _summand_shape_failure
 
 # Most summands a decomposition file may stand for, counted before any
 # list of them is built; an interval counts every summand it stands for.
@@ -185,22 +185,6 @@ def _induced(items, g: tuple) -> HilbertDecomposition:
     return HilbertDecomposition._of(tuple(summands))
 
 
-def _summand_shape_failure(zset, shift, g, n):
-    if len(shift) != n:
-        return f"summand shift {shift} is not a length-{n} vector"
-    if any(j < 0 or j >= n for j in zset):
-        return f"summand variable set {sorted(zset)} is out of range for n = {n}"
-    if not (all(x >= 0 for x in shift) and dg.leq(shift, g)):
-        return f"summand shift {shift} is outside [0, g] = [0, {g}]"
-    forced = dg.touching(shift, g)
-    if not forced <= zset:
-        return (
-            f"summand (Z={sorted(j + 1 for j in zset)}, shift={shift}) misses the "
-            f"coordinates {sorted(j + 1 for j in forced - zset)} forced by shift_j = g_j"
-        )
-    return None
-
-
 def admissible_shapes(g: tuple):
     """Every summand shape (Z, b) that passes `_summand_shape_failure`
     over [0, g]: shifts in lex order, and at each shift the Z sets by the
@@ -212,16 +196,6 @@ def admissible_shapes(g: tuple):
         extensions = sorted(ext for r in range(len(free) + 1) for ext in combinations(free, r))
         for ext in extensions:
             yield forced | frozenset(ext), b
-
-
-def _alive_cells(g: tuple, zset: frozenset, shift: tuple) -> tuple:
-    """The cells where (Z, b) is alive, in lexicographic order: the box from
-    b to g on Z and b elsewhere.  ShapeError unless (Z, b) is admissible."""
-    failure = _summand_shape_failure(zset, shift, g, len(g))
-    if failure is not None:
-        raise ShapeError(failure)
-    corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
-    return tuple(dg.box(shift, corner))
 
 
 def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
@@ -259,13 +233,12 @@ def validated_alive(d: HilbertDecomposition, gm: GradedModule) -> tuple[list, di
     summand checks its shape; then the summands alive at each a must be
     dim M_a many.  The dicts and lists are new on every call.
     """
-    g, shapes = gm.g, gm.shapes
-    alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(gm.n), g)}
+    alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(gm.n), gm.g)}
     images: dict[tuple, list] = {a: [] for a in alive}
     records = []
     try:
         for i, summand in enumerate(d.summands):
-            record = shapes.get(summand) or gm.shape_record(summand, _alive_cells(g, *summand))
+            record = gm.record(summand)
             records.append(record)
             for a, image in zip(record.cells, record.images):
                 alive[a].append(i)
@@ -467,11 +440,9 @@ class _CoverSearch:
 
 def require_g_determined(gm: GradedModule) -> None:
     """Raise PreconditionError unless gm is g-determined; the verdict,
-    passing or not, is computed once per module."""
-    if not hasattr(gm, "_g_determined"):
-        gm._g_determined = gm.verify_g_determined()
-    if gm._g_determined is not None:
-        a, k = gm._g_determined
+    passing or not, is computed once per module (`gm.g_violation`)."""
+    if gm.g_violation is not None:
+        a, k = gm.g_violation
         raise PreconditionError(
             f"module is not g-determined for g = {gm.g}: multiplication by "
             f"X_{k + 1} at degree {a} is not an isomorphism"

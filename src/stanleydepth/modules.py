@@ -25,13 +25,13 @@ pieces.  So is its integer form (`Matrix.integral`, kept by the map
 itself), the rows and columns every rank question of `stanley` reads.
 
 A module also keeps one ShapeRecord per summand shape (Z, b) it is
-asked about: its alive cells, the maps X^(a-b) : M_b -> M_a into them
-and dim M_b, so a family A_a is gathered by one lookup per summand.
-Beside them it keeps one rank verdict per degree a and alive shapes:
-keyed by a and the records alive there, in column order, whether A_a has
-a full independent transversal.  The two memos share one bound,
-SHAPE_MEMO_CELLS cells per module, a verdict counting one per record,
-and start over together, so no verdict outlives its records.
+asked about (`GradedModule.record`): its alive cells, the maps
+X^(a-b) : M_b -> M_a into them and dim M_b.  Beside them it keeps one
+rank verdict per degree a and alive shapes: keyed by a and the records
+alive there, in column order, whether A_a has a full independent
+transversal.  Each memo holds at most SHAPE_MEMO_CELLS cells (a verdict
+counts one per record) and empties only itself when full; a verdict
+whose records `shapes` dropped holds them, so it never matches again.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ BOX_DEGREE_LIMIT = 10**5
 # rows each distinct signature reduces times its width (see _build).
 BUILD_CELL_BUDGET = 5 * 10**6
 
-# Most cells one module's shape records hold (see `GradedModule.shape_record`).
+# Most cells each memo of one module holds (see `_keep`).
 SHAPE_MEMO_CELLS = 2**18
 
 
@@ -201,9 +201,9 @@ class GradedModule:
         self._transfers: dict[tuple, Matrix] = {}
         self.shapes: dict[tuple, ShapeRecord] = {}
         # (a, *the records alive at a, in column order) -> whether degree a
-        # has a full independent transversal; a new dict at each start-over
+        # has a full independent transversal
         self.verdicts: dict[tuple, bool] = {}
-        self._shape_cells = 0  # held by both memos
+        self._shape_cells = self._verdict_cells = 0  # held by each memo
         self._build()
 
     def _build(self) -> None:
@@ -340,37 +340,27 @@ class GradedModule:
             raise RangeError(f"power map needs src <= dst, got {src}, {dst}")
         return self._transfer(self.piece(src), self.piece(dst))
 
-    def shape_record(self, summand: tuple, cells: tuple) -> ShapeRecord:
-        """The record of summand = (Z, b), alive at `cells` (checked by the
-        caller), kept in `shapes`: a record that would take the two memos
-        past SHAPE_MEMO_CELLS cells starts them over first, and one of more
-        cells than that is not kept."""
-        shift = summand[1]
-        record = ShapeRecord(cells, tuple(self.power_map(shift, a) for a in cells), self.dim(shift))
-        if self._shape_cells + len(cells) > SHAPE_MEMO_CELLS:
-            self._start_over()
-        if len(cells) <= SHAPE_MEMO_CELLS:
-            self.shapes[summand] = record
-            self._shape_cells += len(cells)
+    def record(self, summand: tuple) -> ShapeRecord:
+        """The ShapeRecord of summand = (Z, b), built on a miss and kept in
+        `shapes` (`_keep`); ShapeError unless (Z, b) is admissible."""
+        record = self.shapes.get(summand)
+        if record is None:
+            cells, shift = _alive_cells(self.g, *summand), summand[1]
+            record = ShapeRecord(cells, tuple(self.power_map(shift, a) for a in cells), self.dim(shift))
+            self._shape_cells = _keep(self.shapes, self._shape_cells, summand, record, len(cells))
         return record
 
     def remember_verdict(self, key: tuple, full: bool) -> None:
-        """Keep a `verdicts` entry, one cell per record in its key; one that
-        would pass SHAPE_MEMO_CELLS starts both memos over instead, so its
-        records, no longer in `shapes`, are not kept by it."""
-        if self._shape_cells + len(key) - 1 > SHAPE_MEMO_CELLS:
-            self._start_over()
-        else:
-            self.verdicts[key] = full
-            self._shape_cells += len(key) - 1
-
-    def _start_over(self) -> None:
-        self.shapes.clear()
-        self.verdicts = {}
-        self._shape_cells = 0
+        """Keep a `verdicts` entry, one cell per record in its key (`_keep`)."""
+        self._verdict_cells = _keep(self.verdicts, self._verdict_cells, key, full, len(key) - 1)
 
     def is_zero_module(self) -> bool:
         return all(p.dim == 0 for p in self.pieces.values())
+
+    @functools.cached_property
+    def g_violation(self):
+        """`verify_g_determined()`, computed once per module."""
+        return self.verify_g_determined()
 
     def verify_g_determined(self):
         """None if multiplication by X_k is an isomorphism on every boundary
@@ -406,6 +396,45 @@ class GradedModule:
             for k, stride in enumerate(strides)
             if a[k] == self.g[k] and (ids[i], ids[i + stride]) in failing
         )
+
+
+def _keep(memo: dict, held: int, key, value, cells: int) -> int:
+    """Store value at key in a module memo of `held` cells; return its
+    cells then.  An entry that would take it past SHAPE_MEMO_CELLS empties
+    it first, and one of more cells than that is not kept."""
+    if held + cells > SHAPE_MEMO_CELLS:
+        memo.clear()
+        held = 0
+    if cells <= SHAPE_MEMO_CELLS:
+        memo[key] = value
+        held += cells
+    return held
+
+
+def _summand_shape_failure(zset, shift, g, n):
+    if len(shift) != n:
+        return f"summand shift {shift} is not a length-{n} vector"
+    if any(j < 0 or j >= n for j in zset):
+        return f"summand variable set {sorted(zset)} is out of range for n = {n}"
+    if not (all(x >= 0 for x in shift) and dg.leq(shift, g)):
+        return f"summand shift {shift} is outside [0, g] = [0, {g}]"
+    forced = dg.touching(shift, g)
+    if not forced <= zset:
+        return (
+            f"summand (Z={sorted(j + 1 for j in zset)}, shift={shift}) misses the "
+            f"coordinates {sorted(j + 1 for j in forced - zset)} forced by shift_j = g_j"
+        )
+    return None
+
+
+def _alive_cells(g: tuple, zset: frozenset, shift: tuple) -> tuple:
+    """The cells where (Z, b) is alive, in lexicographic order: the box from
+    b to g on Z and b elsewhere.  ShapeError unless (Z, b) is admissible."""
+    failure = _summand_shape_failure(zset, shift, g, len(g))
+    if failure is not None:
+        raise ShapeError(failure)
+    corner = tuple(g[j] if j in zset else x for j, x in enumerate(shift))
+    return tuple(dg.box(shift, corner))
 
 
 def _bits(mask: int) -> list[int]:

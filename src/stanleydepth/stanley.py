@@ -91,7 +91,6 @@ class SymbolicMatrixFamily:
     """
 
     def __init__(self, gm: GradedModule, decomposition: HilbertDecomposition):
-        self._verdicts = gm.verdicts  # replaced if the walk starts the memos over
         self._records, alive, images = validated_alive(decomposition, gm)
         self.module = gm
         self.field: Field = gm.field
@@ -136,8 +135,9 @@ class SymbolicMatrixFamily:
         determinant is expanded.  It reads the integer columns of the
         images, which span the same subspaces.  The verdict depends only
         on a and the shapes alive there, so it is read from the module's
-        `verdicts` first, and kept there while every record of this
-        family is still in `shapes`.
+        `verdicts` first and kept there on a miss.  That memo is bounded
+        apart from `shapes`: a key that holds records `shapes` has dropped
+        keeps them alive, so it matches no later family's key.
         """
         gm, records = self.module, self._records
         for a, alive in self.columns.items():
@@ -146,8 +146,7 @@ class SymbolicMatrixFamily:
             if full is None:
                 families = [image.integral().columns for image in self.images[a]]
                 full = len(max_independent_transversal(self.field, len(alive), families)) == len(alive)
-                if self._verdicts is gm.verdicts:
-                    gm.remember_verdict(key, full)
+                gm.remember_verdict(key, full)
             if not full:
                 return a
         return None
@@ -455,9 +454,9 @@ def extract_witness(
     Nullstellensatz (Alon 1999) puts a witness in the last stage; when
     q <= B+1 the one stage is the whole field, and scaling a summand's
     vector makes its first nonzero coordinate 1 without changing any
-    rank.  Each stage is one `_search`, and its witness is re-verified by
-    `_witness_failure`'s Bareiss determinants, not by the search's
-    elimination.
+    rank.  The stages are one `_search`, under one candidate budget, and
+    its witness is re-verified by `_witness_failure`'s Bareiss
+    determinants, not by the search's elimination.
     """
     if fam is None:
         fam = build_matrices(gm, d)
@@ -469,22 +468,21 @@ def extract_witness(
         raise WitnessNotFoundError("no witness exists: a determinant vanishes identically")
     bound, q = fam.exponent_bound, fam.field.cardinality
     stages = [range(1, s + 1) for s in range(1, bound + 2)] if q > bound + 1 else [range(q)]
-    for values in stages:
-        candidate = _search(fam, list(values))
-        if candidate is not None:
-            return candidate
-    raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
+    witness = _search(fam, *stages)
+    if witness is None:
+        raise WitnessNotFoundError(f"no witness exists over {fam.field!r}")
+    return witness
 
 
-def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
-    """Depth-first search over the summands' coefficient vectors, each
-    taken from values^dim in lexicographic order.
+def _search(fam: SymbolicMatrixFamily, *stages) -> StanleyWitness | None:
+    """The first witness of a depth-first search over the summands'
+    coefficient vectors, each from values^dim in lexicographic order, for
+    each stage's `values` (ints, see `extract_witness`) in turn, or None.
 
-    `values` are ints: one stage of `extract_witness`.  A summand's
-    column at a degree is the integer rows of its image there
-    (`Matrix.integral`, a column scale that keeps every rank) dotted
-    with its vector.  Every degree keeps an
-    `IntegerEchelon` of the columns fixed so far: a summand's columns are
+    A summand's column at a degree is the integer rows of its image
+    there (`Matrix.integral`, a column scale that keeps every rank)
+    dotted with its vector.  Every degree keeps an `IntegerEchelon` of
+    the columns fixed so far, new at each stage: a summand's columns are
     pushed when its vector is fixed and popped when the search backs up
     past it.  A vector is fixed only when its column at every degree
     where its summand is alive grows the echelon there; no completion
@@ -498,8 +496,8 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     nonzero coordinate is not 1 is skipped untried, over every field
     (`extract_witness` says why).  The stacks hold one iterator per
     fixed summand and one per fixed coordinate, so the depth is not
-    bounded by the recursion limit; every prefix tried counts against
-    DEFAULT_SEARCH_BUDGET.
+    bounded by the recursion limit; every prefix tried, in any stage,
+    counts against the one DEFAULT_SEARCH_BUDGET.
     """
     f = fam.field
     dims = fam.summand_dims
@@ -507,10 +505,9 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
     for k, a in enumerate(fam.degrees()):
         for i, image in zip(fam.columns[a], fam.images[a]):
             alive_at[i].append((k, image.integral().rows))
-    bases = [IntegerEchelon(f, fam.module.dim(a)) for a in fam.degrees()]
     tried = 0
 
-    def vectors(i):
+    def vectors(i, values, bases):
         """Summand i's vectors in lexicographic order that grow every
         echelon it is alive at, each yielded with its columns pushed and
         popped again when the search resumes it; at each degree that has
@@ -554,25 +551,27 @@ def _search(fam: SymbolicMatrixFamily, values: list) -> StanleyWitness | None:
                     echelon.pop()
             y.pop()
 
-    chosen: list[tuple] = []
-    stack = [vectors(0)] if dims else []
-    while stack:
-        del chosen[len(stack) - 1:]
-        y = next(stack[-1], None)
-        if y is None:
-            stack.pop()
-            continue
-        chosen.append(y)
+    for values in stages:
+        bases = [IntegerEchelon(f, fam.module.dim(a)) for a in fam.degrees()]
+        chosen: list[tuple] = []
+        stack = [vectors(0, values, bases)] if dims else []
+        while stack:
+            del chosen[len(stack) - 1:]
+            y = next(stack[-1], None)
+            if y is None:
+                stack.pop()
+                continue
+            chosen.append(y)
+            if len(chosen) == len(dims):
+                break
+            stack.append(vectors(len(chosen), values, bases))
         if len(chosen) == len(dims):
-            break
-        stack.append(vectors(len(chosen)))
-    if len(chosen) < len(dims):
-        return None
-    found = {(i, j): f.from_int(x) for i, y in enumerate(chosen) for j, x in enumerate(y)}
-    failing = _witness_failure(fam, found)
-    if failing is not None:
-        raise AssertionError(f"search returned a non-witness failing at {failing}")
-    return StanleyWitness(found)
+            found = {(i, j): f.from_int(x) for i, y in enumerate(chosen) for j, x in enumerate(y)}
+            failing = _witness_failure(fam, found)
+            if failing is not None:
+                raise AssertionError(f"search returned a non-witness failing at {failing}")
+            return StanleyWitness(found)
+    return None
 
 
 def _free_span_start(echelon: IntegerEchelon, rows: list, dim: int) -> int:

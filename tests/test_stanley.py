@@ -569,6 +569,19 @@ def test_extract_witness_search_budget(m2, monkeypatch):
         extract_witness(m2, d, check_first=False)
 
 
+def test_one_search_budget_spans_every_stage_of_an_extraction(ex36, ex36_dec, monkeypatch):
+    # over Q ex36_dec's exponent bound is 4: stage {1} tries 4 candidates
+    # and holds no witness, and stage {1, 2} finds one at its 24th, so the
+    # extraction tries 28 in all
+    monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 27)
+    with pytest.raises(ResourceLimitError, match="budget of 27 candidates"):
+        extract_witness(ex36, ex36_dec)
+    monkeypatch.setattr(stanley, "DEFAULT_SEARCH_BUDGET", 28)
+    assert extract_witness(ex36, ex36_dec).assignment == {
+        (0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1,
+        (5, 0): 1, (5, 1): 1, (6, 0): 1, (6, 1): 2, (6, 2): 1, (7, 0): 1, (7, 1): 1}
+
+
 def test_extract_witness_over_f2_prunes_zeros():
     gm = modules.build(modules.quotient_by_monomial_ideal(F2, 1, [(4,)]), (4,))
     d = HilbertDecomposition([(set(), (k,)) for k in range(4)])
@@ -771,24 +784,45 @@ def test_a_second_family_with_the_same_alive_shapes_runs_no_transversal_there(tr
 
 
 def test_the_verdict_memo_shares_the_shape_memo_bound(monkeypatch):
-    # records and verdicts together hold at most SHAPE_MEMO_CELLS cells,
-    # a verdict counting one per alive column; a start-over empties both,
-    # so every verdict key holds records that `shapes` holds too.  One
-    # family of ex36 asks for about 36 cells.
-    monkeypatch.setattr(modules, "SHAPE_MEMO_CELLS", 60)
-    gm, ds = _memo_cases(QQ)[2]
-    starts = most = 0
-    for d in ds + ds:
-        before = gm.verdicts
-        assert build_matrices(gm, d).first_singular_degree == build_matrices(_fresh(gm), d).first_singular_degree
-        held = sum(len(record.cells) for record in gm.shapes.values())
-        held += sum(len(key) - 1 for key in gm.verdicts)
-        assert held == gm._shape_cells <= 60
-        kept = set(map(id, gm.shapes.values()))
-        assert all(id(record) in kept for key in gm.verdicts for record in key[1:])
-        starts += gm.verdicts is not before
-        most = max(most, len(gm.verdicts))
-    assert starts >= 3 and most >= 10
+    # records and verdicts each hold at most SHAPE_MEMO_CELLS cells, a
+    # verdict counting one per alive column, and each empties only itself
+    # when full.  One family of ex36 asks for about 36 cells: at 60 the
+    # records (43 cells) stay while the verdicts empty; at 24 both empty,
+    # and verdicts whose records `shapes` dropped change no answer
+    ex36, ds = _memo_cases(QQ)[2]
+    for bound in (60, 24):
+        monkeypatch.setattr(modules, "SHAPE_MEMO_CELLS", bound)
+        gm = _fresh(ex36)
+        dropped = emptied = most = 0
+        for d in ds + ds:
+            records, before = dict(gm.shapes), len(gm.verdicts)
+            assert build_matrices(gm, d).first_singular_degree == build_matrices(_fresh(gm), d).first_singular_degree
+            assert sum(len(record.cells) for record in gm.shapes.values()) == gm._shape_cells <= bound
+            assert sum(len(key) - 1 for key in gm.verdicts) == gm._verdict_cells <= bound
+            dropped += any(gm.shapes.get(summand) is not record for summand, record in records.items())
+            emptied += len(gm.verdicts) < before
+            most = max(most, len(gm.verdicts))
+        assert (dropped > 0) == (bound == 24) and emptied >= 3 and most >= 10
+
+
+@pytest.mark.parametrize("bound, calls", [(40, 85), (80, 35)])
+def test_a_full_verdict_memo_leaves_the_shape_records(monkeypatch, transversals, bound, calls):
+    # ex36's first 60 partitions, asked twice: their 15 shapes hold 37
+    # record cells and their 35 distinct questions 69 verdict cells, so at
+    # 40 only the verdicts empty and at 80 neither memo does; each shape
+    # is built once either way
+    gm = modules.load_module_file(data_file("ex36.json"))
+    ds = [partition_to_decomposition(p, gm.g) for p in islice(enumerate_partitions(truncated_series(gm), 0), 60)]
+    fresh = [build_matrices(_fresh(gm), d).first_singular_degree for d in ds]
+    monkeypatch.setattr(modules, "SHAPE_MEMO_CELLS", bound)
+    built, record = [], modules.ShapeRecord
+    monkeypatch.setattr(modules, "ShapeRecord", lambda *args: built.append(args) or record(*args))
+    transversals.clear()
+    for d, expected in zip(ds + ds, fresh + fresh):
+        assert build_matrices(gm, d).first_singular_degree == expected
+        assert sum(len(record.cells) for record in gm.shapes.values()) <= bound
+        assert sum(len(key) - 1 for key in gm.verdicts) <= bound
+    assert (len(built), len(gm.shapes), len(transversals)) == (15, 15, calls)
 
 
 def _entrywise_failure(fam, assignment):
@@ -1200,6 +1234,40 @@ def test_sdepth_over_a_small_field_never_expands_the_determinant_product(monkeyp
             if dg.box_size(dg.zero(gm.n), gm.g) <= 16 and gm.verify_g_determined() is None:
                 result = sdepth(gm)
                 assert verify_witness(gm, result.decomposition, result.witness) is None
+
+
+@pytest.mark.parametrize("p, verdicts", [(5, (40, 12, 13)), (7, (27, 6, 13))], ids=["F5", "F7"])
+def test_the_expanded_product_and_the_whole_field_search_agree_on_presentations(monkeypatch, p, verdicts):
+    # non-monomial presentations over F5 and F7: where a tight partition's
+    # exponent bound reaches q, check_unified expands the determinant
+    # product and the witness search walks the whole field, and both give
+    # one verdict.  Under a term budget of 20,000 some products are too
+    # large to expand; they are counted, not compared.  Every refutation
+    # here has a singular factor: none rests on the reduced product alone
+    monkeypatch.setattr(stanley, "DEFAULT_TERM_BUDGET", 20_000)
+    field = PrimeField(p)
+    seen = Counter()
+    for pres in (pres for seed in (3, 6, 8) for pres in oracles.random_presentations(40, seed=seed, field=field)):
+        gm = modules.build(pres)
+        if gm.g_violation is not None:
+            continue
+        for _s, partition in islice(hilbert.partitions_by_depth(gm), 6):
+            d = partition_to_decomposition(partition, gm.g)
+            fam = build_matrices(gm, d)
+            if fam.exponent_bound < p:
+                continue
+            try:
+                induced = check_unified(fam).induced
+            except ResourceLimitError:
+                seen["over"] += 1
+                continue
+            try:
+                searched = verify_witness(gm, d, extract_witness(gm, d, fam=fam, check_first=False)) is None
+            except WitnessNotFoundError:
+                searched = False
+            assert searched == induced
+            seen[induced] += 1
+    assert (seen[True], seen[False], seen["over"]) == verdicts
 
 
 def test_sdepth_of_a_presentation_whose_tight_product_passes_the_term_budget():
