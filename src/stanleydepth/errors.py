@@ -20,7 +20,8 @@ class HomogeneityError(StanleyDepthError):
 
 
 class BoxError(StanleyDepthError):
-    """A degree lies outside the computable box [0, g+1]."""
+    """A generator or relation degree lies outside [0, g+1], past the
+    degrees that decide whether the module is g-determined."""
 
 
 class RangeError(StanleyDepthError):

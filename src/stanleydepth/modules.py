@@ -1,9 +1,10 @@
 """Multigraded modules presented by generators and relations.
 
 A presentation lists generator degrees and homogeneous relation rows;
-build() computes every graded piece M_a for a in the box [0, g+1] by
-exact linear algebra; the maps X^(b-a) : M_a -> M_b between them are
-formed on first use.
+build() computes the graded pieces M_a by exact linear algebra on the box
+[0, D], D the join of all generator and relation degrees, which the
+pieces on [0, g+1] repeat: M_a is M_min(a, D).  The maps X^(b-a) : M_a
+-> M_b between them are formed on first use.
 
 The degree-a piece is the span of the monomial multiples
 {X^(a - deg e_i) e_i : deg e_i <= a} (one ambient coordinate per
@@ -14,15 +15,19 @@ subspace, by ascending column, which makes every downstream certificate
 reproducible.
 
 M_a depends only on the signature of a: which generators and which
-relations have degree <= a.  The build reads each degree's signature as
-a bitmask, the AND of one precomputed mask per coordinate, and decodes
-each distinct signature once.  Degrees with one signature share one
-immutable GradedPiece, whose relation subspace extends a lower
-neighbour's by the relations new to it; the cells that asks for are
-counted first, against BUILD_CELL_BUDGET.  A map X^(b-a) depends only
-on the pieces at its two ends, so each is built once per pair of
-pieces.  So is its integer form (`Matrix.integral`, kept by the map
-itself), the rows and columns every rank question of `stanley` reads.
+relations have degree <= a, which a and min(a, D) share.  So where
+D <= g, X_k : M_a -> M_(a+e_k) is the identity wherever a_k >= g_k, and
+the module is g-determined with no map built.  The build reads each
+degree's signature as a bitmask, the AND of one precomputed mask per
+coordinate, and decodes each distinct signature once.  Degrees with one
+signature share one immutable GradedPiece, whose relation subspace
+extends a lower neighbour's by the relations new to it; the cells that
+asks for are counted first, against BUILD_CELL_BUDGET.  A map X^(b-a)
+depends only on the pieces at its two ends, so each is built once per
+pair of pieces; a piece paired with itself gets the one identity of its
+dimension.  A map's integer form (`Matrix.integral`, kept by the map
+itself), the rows and columns every rank question of `stanley` reads,
+is built once too.
 
 A module also keeps one ShapeRecord per summand shape (Z, b) it is
 asked about (`GradedModule.record`): its alive cells, the maps
@@ -53,11 +58,13 @@ from .errors import (
 from .fields import Field, field_from_json
 from .linalg import Matrix, Subspace
 
-# Largest box [0, g+1], counted in degrees, that build() will fill.
+# Largest box [0, g], counted in degrees, that a module will index: the
+# degrees its truncated series and every depth search walk.
 BOX_DEGREE_LIMIT = 10**5
 
-# Most cells build() will write for a box: its signature masks, and the
-# rows each distinct signature reduces times its width (see _build).
+# Most cells build() will write for the box [0, D] it builds: one per
+# degree, its signature masks, and the rows each distinct signature
+# reduces times its width (see _build).
 BUILD_CELL_BUDGET = 5 * 10**6
 
 # Most cells each memo of one module holds (see `_keep`).
@@ -167,15 +174,18 @@ class ShapeRecord:
 
 
 class GradedModule:
-    """A presentation together with all graded pieces on [0, g+1]."""
+    """A presentation with its graded pieces on [0, g+1]: built on [0, D],
+    D the join of the generator and relation degrees (`join`), and indexed
+    by the degrees of [0, g] in `pieces`.  g defaults to D."""
 
-    def __init__(self, presentation: ModulePresentation, g: tuple):
-        g = dg.as_degree(g)
+    def __init__(self, presentation: ModulePresentation, g: tuple | None = None):
+        self.join = presentation.default_g()  # D, at most g+1 by the checks below
+        g = self.join if g is None else dg.as_degree(g)
         if len(g) != presentation.n or any(x < 0 for x in g):
             raise InputFormatError(f"g must be a length-{presentation.n} vector over N, got {g}")
-        if any(x + 2 > BOX_DEGREE_LIMIT for x in g):  # checked before any message prints g
+        if any(x + 1 > BOX_DEGREE_LIMIT for x in g):  # checked before any message prints g
             raise ResourceLimitError(
-                f"a coordinate of g gives the box [0, g+1] more than BOX_DEGREE_LIMIT = "
+                f"a coordinate of g gives the box [0, g] more than BOX_DEGREE_LIMIT = "
                 f"{BOX_DEGREE_LIMIT} degrees"
             )
         self.presentation = presentation
@@ -189,16 +199,22 @@ class GradedModule:
         for r in presentation.relations:
             if not dg.leq(r.degree, self.top):
                 raise BoxError(f"relation degree {r.degree} exceeds the box [0, g+1] = [0, {self.top}]")
-        size = dg.box_size(dg.zero(self.n), self.top)
+        size = dg.box_size(dg.zero(self.n), g)
         if size > BOX_DEGREE_LIMIT:
             raise ResourceLimitError(
-                f"the box [0, g+1] = [0, {self.top}] has {size} degrees, "
+                f"the box [0, g] = [0, {g}] has {size} degrees, "
                 f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
             )
+        self._strides = dg.strides(self.join)
+        # the flat index in [0, D] of min(a, D), for a in [0, g+1], is the
+        # sum over k of _terms[k][a_k]
+        self._terms = [[min(v, d) * s for v in range(t + 1)] for t, d, s in zip(self.top, self.join, self._strides)]
+        self._built: list[GradedPiece] = []  # the piece of each degree of [0, D], in lexicographic order
         self.pieces: dict[tuple, GradedPiece] = {}
         # the only table of maps: X^(b-a) keyed by the ids of its two shared
-        # pieces, which self.pieces keeps alive for the module's lifetime
+        # pieces, which self._built keeps alive for the module's lifetime
         self._transfers: dict[tuple, Matrix] = {}
+        self._identities: dict[int, Matrix] = {}  # by dimension
         self.shapes: dict[tuple, ShapeRecord] = {}
         # (a, *the records alive at a, in column order) -> whether degree a
         # has a full independent transversal
@@ -208,7 +224,9 @@ class GradedModule:
 
     def _build(self) -> None:
         """One GradedPiece per signature (the generators and relations of
-        degree <= a), stored under every degree with that signature.
+        degree <= a), stored under every degree of [0, D] with that
+        signature in `_built`, and under each degree a of [0, g] in
+        `pieces`, as the piece of min(a, D).
 
         Bit i of a mask stands for generator i, and bit G + j for relation
         j, G the number of generators.  For each coordinate k and value v,
@@ -223,11 +241,13 @@ class GradedModule:
         all the relations of degree <= a.
 
         The cells this writes are counted before they are written, and
-        before any row reduction: one per 64 items in each mask, for the
-        masks[k][v] and for each new signature, and per new signature its
+        before any row reduction: one per degree of [0, D], for its
+        signature and its piece; one per 64 items in each mask, for the
+        masks[k][v] and for each new signature; and per new signature its
         width times the rows it reduces (the lower neighbour's rank,
         bounded by its generator and relation counts, plus the new
-        relations).  Past BUILD_CELL_BUDGET the build stops.
+        relations).  Past BUILD_CELL_BUDGET the build stops, so no loop
+        over [0, D] starts on a box the budget cannot hold.
         """
         pres = self.presentation
         f = self.field
@@ -235,21 +255,20 @@ class GradedModule:
         gen_bits = (1 << n_gens) - 1
         items = pres.generator_degrees + tuple(r.degree for r in pres.relations)
         words = len(items) // 64 + 1  # the cells of one mask
-        cells = (sum(self.top) + self.n) * words
+        cells = dg.box_size(dg.zero(self.n), self.join) + (sum(self.join) + self.n) * words
         if cells > BUILD_CELL_BUDGET:
             raise self._over_budget()
         masks = []
-        for k, top in enumerate(self.top):
+        for k, top in enumerate(self.join):
             at = [0] * (top + 1)
             for i, d in enumerate(items):
                 at[d[k]] |= 1 << i
             masks.append(tuple(itertools.accumulate(at, operator.or_)))
-        strides = dg.strides(self.top)
-        box = list(dg.box(dg.zero(self.n), self.top))
-        signature = []  # per degree of box: its index into new
+        strides = self._strides
+        signature = []  # per degree of [0, D]: its index into new
         new = []  # (mask, lower neighbour's mask, and index or None) per distinct signature
         index: dict[int, int] = {}
-        for i, (a, ms) in enumerate(zip(box, itertools.product(*masks))):
+        for i, (a, ms) in enumerate(zip(dg.box(dg.zero(self.n), self.join), itertools.product(*masks))):
             mask = functools.reduce(operator.and_, ms)
             s = index.get(mask)
             if s is None:
@@ -285,12 +304,15 @@ class GradedModule:
             pivot_set = set(sub.pivots)
             nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
             pieces.append(GradedPiece(gens, sub, nonpivots))
-        self.pieces.update(zip(box, map(pieces.__getitem__, signature)))
+        self._built = built = list(map(pieces.__getitem__, signature))
+        at = map(sum, itertools.product(*(t[: x + 1] for t, x in zip(self._terms, self.g))))
+        self.pieces.update(zip(dg.box(dg.zero(self.n), self.g), map(built.__getitem__, at)))
 
     def _over_budget(self) -> ResourceLimitError:
         return ResourceLimitError(
-            f"the pieces of the box [0, g+1] = [0, {self.top}] need more than "
-            f"BUILD_CELL_BUDGET = {BUILD_CELL_BUDGET} cells of masks and row reduction"
+            f"the pieces of the box [0, D] = [0, {self.join}], D the join of all generator and "
+            f"relation degrees, need more than BUILD_CELL_BUDGET = {BUILD_CELL_BUDGET} cells "
+            f"of degrees, masks and row reduction"
         )
 
     def _transfer(self, src: GradedPiece, dst: GradedPiece) -> Matrix:
@@ -300,25 +322,44 @@ class GradedModule:
         column; multiplying by the monomial keeps its generator, so the
         image is that generator's ambient coordinate in dst, reduced there.
         Reduction commutes with inclusion, so the map depends only on the
-        two pieces and is built once per pair, on first use.
+        two pieces and is built once per pair, on first use.  From a piece
+        to itself it is the identity, as a unit vector at a non-pivot
+        column is reduced already, and one identity of each dimension
+        serves every piece.
         """
         key = (id(src), id(dst))
         out = self._transfers.get(key)
         if out is None:
             f = self.field
-            position = {gen: p for p, gen in enumerate(dst.gens)}
-            columns = []
-            for c in src.nonpivot_columns:
-                image = [f.zero] * len(dst.gens)
-                image[position[src.gens[c]]] = f.one
-                columns.append(dst.coords(image))
-            out = self._transfers[key] = Matrix.from_columns(f, columns, dst.dim)
+            if src is dst:
+                out = self._identities.get(src.dim)
+                if out is None:
+                    rows = [[f.one if i == j else f.zero for j in range(src.dim)] for i in range(src.dim)]
+                    out = self._identities[src.dim] = Matrix(f, rows, src.dim)
+            else:
+                position = {gen: p for p, gen in enumerate(dst.gens)}
+                columns = []
+                for c in src.nonpivot_columns:
+                    image = [f.zero] * len(dst.gens)
+                    image[position[src.gens[c]]] = f.one
+                    columns.append(dst.coords(image))
+                out = Matrix.from_columns(f, columns, dst.dim)
+            self._transfers[key] = out
         return out
+
+    def _beyond(self, a: tuple) -> GradedPiece | None:
+        """The piece at a degree a that `pieces` lacks: that of min(a, D)
+        if a lies in [0, g+1], else None."""
+        if len(a) != self.n or not all(0 <= x <= t for x, t in zip(a, self.top)):
+            return None
+        return self._built[sum(map(operator.getitem, self._terms, a))]
 
     def piece(self, a: tuple) -> GradedPiece:
         piece = self.pieces.get(tuple(a))
         if piece is None:
-            raise RangeError(f"degree {tuple(a)} is outside the computed box [0, {self.top}]")
+            piece = self._beyond(tuple(a))
+            if piece is None:
+                raise RangeError(f"degree {tuple(a)} is outside the computed box [0, {self.top}]")
         return piece
 
     def dim(self, a: tuple) -> int:
@@ -327,11 +368,12 @@ class GradedModule:
     def mult_map(self, a: tuple, k: int) -> Matrix:
         """The map X_k : M_a -> M_(a+e_k)."""
         a = tuple(a)
-        src = self.pieces.get(a)
-        dst = self.pieces.get(a[:k] + (a[k] + 1,) + a[k + 1:]) if 0 <= k < len(a) else None
-        if src is None or dst is None:
-            raise RangeError(f"multiplication map at {(a, k)} is outside the computed box")
-        return self._transfer(src, dst)
+        if 0 <= k < len(a):
+            b = a[:k] + (a[k] + 1,) + a[k + 1:]
+            src, dst = self.pieces.get(a) or self._beyond(a), self.pieces.get(b) or self._beyond(b)
+            if src is not None and dst is not None:
+                return self._transfer(src, dst)
+        raise RangeError(f"multiplication map at {(a, k)} is outside the computed box")
 
     def power_map(self, src: tuple, dst: tuple) -> Matrix:
         """The map X^(dst-src) : M_src -> M_dst."""
@@ -355,7 +397,7 @@ class GradedModule:
         self._verdict_cells = _keep(self.verdicts, self._verdict_cells, key, full, len(key) - 1)
 
     def is_zero_module(self) -> bool:
-        return all(p.dim == 0 for p in self.pieces.values())
+        return all(p.dim == 0 for p in self._built)
 
     @functools.cached_property
     def g_violation(self):
@@ -363,21 +405,27 @@ class GradedModule:
         return self.verify_g_determined()
 
     def verify_g_determined(self):
-        """None if multiplication by X_k is an isomorphism on every boundary
-        slab a_k = g_k; otherwise the first violating (a, k) in (degree,
-        coordinate) order.
+        """None if multiplication by X_k : M_a -> M_(a+e_k) is an
+        isomorphism for every a of [0, g+1] on a boundary slab a_k = g_k;
+        otherwise the first violating (a, k) in (degree, coordinate) order.
 
-        The pieces are read by flat index in lexicographic order, where
+        M_a is M_min(a, D), so where D_k <= g_k both ends of such a map are
+        one piece and the map is the identity: a module with D <= g passes
+        with no map built.  Where D_k = g_k + 1, the map at a is the one at
+        min(a, D), which comes no later in that order, so the slabs of the
+        built box [0, D] decide alone and give the same first violation.
+        Its pieces are read by flat index in lexicographic order, where
         a + e_k lies strides[k] places after a, so each slab is a set of
-        runs of strides[k] places, one every (g_k + 2) * strides[k]; it
-        is sliced by runs or by columns, whichever takes fewer slices.
-        Degrees that share a pair of pieces share its map, so each
-        distinct pair is ranked once."""
-        pieces = list(self.pieces.values())
-        ids = list(map(id, pieces))
-        strides = dg.strides(self.top)
+        runs of strides[k] places, one every (g_k + 2) * strides[k]; it is
+        sliced by runs or by columns, whichever takes fewer slices.
+        Degrees that share a pair of pieces share its map, so each distinct
+        pair of two pieces is ranked once."""
+        slabs = [(k, x, stride) for k, (x, d, stride) in enumerate(zip(self.g, self.join, self._strides)) if d > x]
+        if not slabs:
+            return None
+        ids = list(map(id, self._built))
         pairs = set()
-        for x, stride in zip(self.g, strides):
+        for _k, x, stride in slabs:
             period = (x + 2) * stride
             if stride <= len(ids) // period:
                 for i in range(x * stride, (x + 1) * stride):
@@ -385,16 +433,16 @@ class GradedModule:
             else:
                 for i in range(x * stride, len(ids), period):
                     pairs.update(zip(ids[i : i + stride], ids[i + stride : i + 2 * stride]))
-        by_id = dict(zip(ids, pieces))
-        maps = {pair: self._transfer(by_id[pair[0]], by_id[pair[1]]) for pair in pairs}
+        by_id = dict(zip(ids, self._built))
+        maps = {pair: self._transfer(by_id[pair[0]], by_id[pair[1]]) for pair in pairs if pair[0] != pair[1]}
         failing = {pair for pair, m in maps.items() if m.nrows != m.ncols or m.rank() != m.nrows}
         if not failing:
             return None
         return next(
             (a, k)
-            for i, a in enumerate(self.pieces)
-            for k, stride in enumerate(strides)
-            if a[k] == self.g[k] and (ids[i], ids[i + stride]) in failing
+            for i, a in enumerate(dg.box(dg.zero(self.n), self.join))
+            for k, x, stride in slabs
+            if a[k] == x and (ids[i], ids[i + stride]) in failing
         )
 
 
@@ -448,9 +496,8 @@ def _bits(mask: int) -> list[int]:
 
 
 def build(presentation: ModulePresentation, g: tuple | None = None) -> GradedModule:
-    """Compute all graded pieces on [0, g+1]."""
-    if g is None:
-        g = presentation.default_g()
+    """Compute the graded pieces on [0, D], D = `default_g()`, which the
+    module reads on [0, g+1]; g defaults to D."""
     return GradedModule(presentation, g)
 
 
@@ -580,9 +627,11 @@ def load_module_json(obj, field_override: Field | None = None):
         n = dg.as_int(ring["n"])
     except (KeyError, TypeError, InputFormatError) as exc:
         raise InputFormatError('ring needs an integer "n"') from exc
-    if n >= BOX_DEGREE_LIMIT.bit_length():  # 2^n > BOX_DEGREE_LIMIT, checked before any n-tuple is built
+    # 2^n > BOX_DEGREE_LIMIT: more variable sets Z for summands (Z, b) than
+    # a box may have degrees; checked before any n-tuple is built
+    if n >= BOX_DEGREE_LIMIT.bit_length():
         raise ResourceLimitError(
-            f"a ring with {n} variables has boxes [0, g+1] of at least 2^{n} degrees, "
+            f"a ring with {n} variables has 2^{n} variable sets, "
             f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
         )
     field = field_override if field_override is not None else field_from_json(ring.get("field", "Q"))

@@ -787,11 +787,11 @@ def unshared_build(presentation, g):
 
 
 def looped_g_determined(gm):
-    """`GradedModule.verify_g_determined` as a loop over every degree and
-    coordinate, one `mult_map` per boundary (a, k) in (degree, coordinate)
-    order, each distinct map ranked once."""
+    """`GradedModule.verify_g_determined` as a loop over every degree of
+    [0, g+1] and coordinate, one `mult_map` per boundary (a, k) in
+    (degree, coordinate) order, each distinct map ranked once."""
     isomorphisms = set()
-    for a in gm.pieces:
+    for a in dg.box(dg.zero(gm.n), gm.top):
         for k in range(gm.n):
             if a[k] != gm.g[k]:
                 continue
@@ -801,6 +801,19 @@ def looped_g_determined(gm):
             if m.nrows != m.ncols or m.rank() != m.nrows:
                 return (a, k)
             isomorphisms.add(id(m))
+    return None
+
+
+def unshared_g_violation(presentation, g):
+    """The first (a, k) in (degree, coordinate) order whose boundary map
+    X_k : M_a -> M_(a+e_k), a_k = g_k, is not square of full rank, each of
+    the literal slabs of [0, g+1] read on `unshared_build`; None if every
+    one is an isomorphism."""
+    ref = unshared_build(presentation, g)
+    for (a, k), m in ref.mult_maps.items():
+        if a[k] == g[k]:
+            if m.nrows != m.ncols or rank_by_minors(presentation.field, m.entries) != m.nrows:
+                return (a, k)
     return None
 
 

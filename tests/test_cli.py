@@ -491,9 +491,44 @@ def test_an_oversized_box_exits_with_code_two_before_building():
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == (
-        "error: the box [0, g+1] = [0, (1001, 1001)] has 1004004 degrees, "
+        "error: the box [0, g] = [0, (1000, 1000)] has 1002001 degrees, "
         "more than BOX_DEGREE_LIMIT = 100000\n"
     )
+
+
+def maximal_ideal_file(tmp_path, n):
+    path = tmp_path / f"m{n}.json"
+    generators = [[int(i == k) for i in range(n)] for k in range(n)]
+    path.write_text(json.dumps({"ring": {"n": n}, "module": {"kind": "monomial_ideal", "generators": generators}}))
+    return path
+
+
+def test_hdepth_of_m12_builds_and_walks_only_the_box_up_to_g(tmp_path):
+    # [0, g] = [0, D] has 4,096 degrees; [0, g+1] would have 531,441
+    assert run("hdepth", maximal_ideal_file(tmp_path, 12)) == (0, "hdepth = 6\n", "")
+
+
+def test_info_of_m16_exits_with_code_two_on_the_cell_budget_of_its_box(tmp_path):
+    path = maximal_ideal_file(tmp_path, 16)
+    start = time.perf_counter()
+    code, out, err = run("info", path)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the pieces of the box [0, D] = [0, {(1,) * 16}], D the join of all generator")
+    assert "BUILD_CELL_BUDGET = 5000000" in err and err.count("\n") == 1
+
+
+def test_a_box_built_beyond_the_cell_budget_exits_with_code_two_before_walking_it(tmp_path, monkeypatch):
+    # [0, g] has 2^16 degrees, [0, D] = [0, (2, ..., 2)] has 3^16
+    path = tmp_path / "free16.json"
+    path.write_text(json.dumps({"ring": {"n": 16}, "g": [1] * 16, "module": {"kind": "free", "shifts": [[2] * 16]}}))
+    monkeypatch.setattr(modules.dg, "box", lambda *args: pytest.fail("walked"))
+    start = time.perf_counter()
+    code, out, err = run("info", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the pieces of the box [0, D] = [0, {(2,) * 16}], D the join of all generator")
+    assert "BUILD_CELL_BUDGET = 5000000" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("module", [
@@ -502,7 +537,7 @@ def test_an_oversized_box_exits_with_code_two_before_building():
     {"ring": {"n": 2}, "g": [10**4000, 10**4000], "module": {"kind": "free", "shifts": [[0, 0]]}},
 ], ids=["n-100000", "n-10^9", "g-10^4000"])
 def test_a_ring_or_g_too_large_for_any_box_exits_with_code_two(tmp_path, module):
-    # the box [0, g+1] has at least 2^n and at least g_j + 2 degrees
+    # a ring has 2^n variable sets, and the box [0, g] at least g_j + 1 degrees
     path = tmp_path / "module.json"
     path.write_text(json.dumps(module))
     start = time.perf_counter()

@@ -838,7 +838,14 @@ def test_a_passing_g_determined_check_runs_once_per_module(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(modules.GradedModule, "verify_g_determined", counting)
-    gm = modules.build(modules.maximal_ideal(QQ, 2))
+    # m_2 with X_1 times its syzygy as a second relation: D = (2, 1) is not
+    # <= g, so the check ranks X_1 : M_(1, 1) -> M_(2, 1), which passes
+    m2 = modules.maximal_ideal(QQ, 2)
+    syzygy = m2.relations[0].triples
+    pres = modules.ModulePresentation(2, QQ, m2.generator_degrees, [
+        syzygy, [(gen, dg.add(shift, (1, 0)), coeff) for gen, shift, coeff in syzygy]])
+    gm = modules.build(pres, (1, 1))
+    assert not dg.leq(gm.join, gm.g)
     require_g_determined(gm)
     require_g_determined(gm)
     assert hdepth(gm) == 1

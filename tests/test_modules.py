@@ -309,17 +309,17 @@ def test_shipped_data_files_parse():
 def test_box_budget_raises_before_the_build(monkeypatch):
     pres = modules.maximal_ideal(QQ, 2)
     monkeypatch.setattr(modules.GradedModule, "_build", lambda self: pytest.fail("built"))
-    with pytest.raises(ResourceLimitError, match=r"1004004 degrees, more than BOX_DEGREE_LIMIT = 100000"):
+    with pytest.raises(ResourceLimitError, match=r"1002001 degrees, more than BOX_DEGREE_LIMIT = 100000"):
         modules.build(pres, (1000, 1000))
     monkeypatch.undo()
-    monkeypatch.setattr(modules, "BOX_DEGREE_LIMIT", 9)
-    assert len(modules.build(pres, (1, 1)).pieces) == 9
-    with pytest.raises(ResourceLimitError):
-        modules.build(pres, (2, 1))
+    monkeypatch.setattr(modules, "BOX_DEGREE_LIMIT", 9)  # the limit counts [0, g], not [0, g+1]
+    assert len(modules.build(pres, (2, 2)).pieces) == 9
+    with pytest.raises(ResourceLimitError, match=r"^the box \[0, g\] = \[0, \(3, 2\)\] has 12 degrees"):
+        modules.build(pres, (3, 2))
 
 
 def test_the_cell_budget_admits_m10_and_the_40_staircase():
-    assert len(modules.load_module_file(data_file("m2.json"), g_override=(314, 314)).pieces) == 316 * 316
+    assert len(modules.load_module_file(data_file("m2.json"), g_override=(314, 314)).pieces) == 315 * 315
     assert len({id(p) for p in modules.build(modules.maximal_ideal(QQ, 10)).pieces.values()}) == 1024
     assert len({id(p) for p in modules.build(staircase(40)).pieces.values()}) == 862
 
@@ -328,20 +328,22 @@ def test_the_cell_budget_refuses_the_100_staircase_before_any_row_reduction(monk
     pres = staircase(100)
     monkeypatch.setattr(Subspace, "extended", lambda *args: pytest.fail("reduced"))
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"^the pieces of the box \[0, g\+1\] = \[0, \(101, 101\)\] "
-                       r"need more than BUILD_CELL_BUDGET = 5000000 cells of masks and row reduction$"):
+    with pytest.raises(ResourceLimitError, match=r"^the pieces of the box \[0, D\] = \[0, \(100, 100\)\], D the join "
+                       r"of all generator and relation degrees, need more than BUILD_CELL_BUDGET = 5000000 "
+                       r"cells of degrees, masks and row reduction$"):
         modules.build(pres)
     assert time.perf_counter() - start < 1
 
 
 def test_the_cell_budget_counts_rows_times_width_and_one_cell_per_mask(monkeypatch):
-    # m_2 has 3 items, so a mask is one cell: 2 coordinates x 3 values of
-    # masks, then signatures {}, {e2}, {e1} with no rows at 1 cell each and
+    # m_2 has 3 items, so a mask is one cell: one cell for each of the 4
+    # degrees of [0, D] = [0, (1, 1)], 2 coordinates x 2 values of masks,
+    # then signatures {}, {e2}, {e1} with no rows at 1 cell each and
     # {e1, e2, r}, which reduces one relation at width 2, at 2 + 1
     pres = modules.maximal_ideal(QQ, 2)
-    monkeypatch.setattr(modules, "BUILD_CELL_BUDGET", 12)
-    assert len(modules.build(pres).pieces) == 9
-    for budget in (11, 5):  # short of the last signature, and of the masks
+    monkeypatch.setattr(modules, "BUILD_CELL_BUDGET", 14)
+    assert len(modules.build(pres).pieces) == 4
+    for budget in (13, 7, 3):  # short of the last signature, of the masks, and of the degrees
         monkeypatch.setattr(modules, "BUILD_CELL_BUDGET", budget)
         monkeypatch.setattr(Subspace, "extended", lambda *args: pytest.fail("reduced"))
         with pytest.raises(ResourceLimitError, match=f"BUILD_CELL_BUDGET = {budget} "):
@@ -359,9 +361,9 @@ def piece_data(piece):
 
 def assert_matches_unshared(gm):
     ref = oracles.unshared_build(gm.presentation, gm.g)
-    assert list(gm.pieces) == list(ref.pieces)
-    for a, piece in ref.pieces.items():
-        assert piece_data(gm.pieces[a]) == piece_data(piece), a
+    assert list(gm.pieces) == list(dg.box(dg.zero(gm.n), gm.g))
+    for a, piece in ref.pieces.items():  # every degree of [0, g+1]
+        assert piece_data(gm.piece(a)) == piece_data(piece), a
     for (a, k), m in ref.mult_maps.items():
         assert gm.mult_map(a, k) == m, (a, k)
     for src in ref.pieces:
@@ -401,14 +403,24 @@ def test_shared_build_matches_the_unshared_build_on_shipped_modules(name, field)
     assert_matches_unshared(modules.load_module_file(data_file(name), field_override=field))
 
 
-@pytest.mark.parametrize("name, pieces, maps", [
+# pairs: the distinct ends (M_a, M_(a+e_k)) of the multiplication maps.  A
+# pair of two pieces has one map, and a piece paired with itself the one
+# identity of its dimension: m6r9's 255 pairs are 6 * 2^5 of variable sets
+# (S, S + {k}) and 63 of a nonempty S with itself, all of dimension 10
+@pytest.mark.parametrize("name, pieces, pairs", [
     ("m6r9.json", 64, 255), ("ex36.json", 11, 24), ("ex34.json", 4, 7), ("m2.json", 4, 7),
 ])
-def test_degrees_with_one_signature_share_one_piece_and_one_map(name, pieces, maps):
+def test_degrees_with_one_signature_share_one_piece_and_one_map(name, pieces, pairs):
     gm = modules.load_module_file(data_file(name))
     assert len({id(p) for p in gm.pieces.values()}) == pieces
-    mult_maps = [gm.mult_map(a, k) for a in gm.pieces for k in range(gm.n) if a[k] < gm.top[k]]
-    assert len({id(m) for m in mult_maps}) == maps
+    steps = [(a, k) for a in gm.pieces for k in range(gm.n) if a[k] < gm.top[k]]
+    ends = [(gm.piece(a), gm.piece(dg.add(a, dg.unit(gm.n, k)))) for a, k in steps]
+    assert len({(id(src), id(dst)) for src, dst in ends}) == pairs
+    two_pieces = {(id(src), id(dst)) for src, dst in ends if src is not dst}
+    identities = {src.dim for src, dst in ends if src is dst}
+    assert len({id(gm.mult_map(a, k)) for a, k in steps}) == len(two_pieces) + len(identities)
+    if name == "m6r9.json":
+        assert (len(two_pieces), identities) == (192, {10})
 
 
 def _fractional_module():
@@ -443,9 +455,14 @@ def test_the_integer_form_is_one_scaled_copy_of_each_map(field):
 
 
 def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
-    gm = modules.load_module_file(data_file("m6r9.json"))
-    boundary = [(a, k) for a in gm.pieces for k in range(gm.n) if a[k] == gm.g[k]]
-    assert len(boundary) == 1458
+    # g = D - e_6: the slab a_6 = 0 has 32 distinct pairs of two pieces, and
+    # the one at degree 0, from R^9 to R^9 + K, is not square
+    gm = modules.load_module_file(data_file("m6r9.json"), g_override=(1, 1, 1, 1, 1, 0))
+    boundary = [(a, k) for a in dg.box(dg.zero(gm.n), gm.top) for k in range(gm.n) if a[k] == gm.g[k]]
+    assert len(boundary) == 5 * 3**4 * 2 + 3**5
+    ends = [(gm.piece(a), gm.piece(dg.add(a, dg.unit(gm.n, k)))) for a, k in boundary]
+    pairs = {(id(src), id(dst)): src.dim == dst.dim for src, dst in ends if src is not dst}
+    assert len(pairs) == 32 and sum(pairs.values()) == 31
     calls = []
     original = Matrix.rank
 
@@ -454,8 +471,8 @@ def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Matrix, "rank", counting)
-    assert gm.verify_g_determined() is None
-    assert len(calls) == len({id(m) for m in calls}) == 63
+    assert gm.verify_g_determined() == ((0, 0, 0, 0, 0, 0), 5)
+    assert len(calls) == len({id(m) for m in calls}) == 31
 
 
 def _g_determined_like_the_loop(pres, g):
@@ -486,17 +503,6 @@ def test_g_determinedness_matches_the_loop_under_an_overridden_g():
     assert violations >= 20
 
 
-def first_unshared_violation(pres, g):
-    """The first (a, k) in (degree, coordinate) order whose boundary map,
-    built degree by degree, is not square of full rank."""
-    ref = oracles.unshared_build(pres, g)
-    for (a, k), m in ref.mult_maps.items():
-        if a[k] == g[k]:
-            if m.nrows != m.ncols or oracles.rank_by_minors(pres.field, m.entries) != m.nrows:
-                return (a, k)
-    return None
-
-
 def test_g_determinedness_reports_the_first_violation_of_the_unshared_build():
     violations = 0
     for field in (QQ, GF(2)):
@@ -509,7 +515,73 @@ def test_g_determinedness_reports_the_first_violation_of_the_unshared_build():
                     small = modules.build(gm.presentation, g)
                 except BoxError:
                     continue
-                expected = first_unshared_violation(gm.presentation, g)
+                expected = oracles.unshared_g_violation(gm.presentation, g)
                 assert small.verify_g_determined() == expected
                 violations += expected is not None
     assert violations >= 5
+
+
+# ---------------------------------------------------------------------------
+# g-determination read off the presentation
+
+
+def assert_g_violation_is_the_slab_check(pres, g):
+    """`g_violation` of a build at g is the all-slab check of the unshared
+    [0, g+1] build, and None whenever D <= g."""
+    expected = oracles.unshared_g_violation(pres, g)
+    assert modules.build(pres, g).g_violation == expected, g
+    assert expected is None or not dg.leq(pres.default_g(), g), g
+    return expected
+
+
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(0, 10**6))
+def test_g_violation_is_the_slab_check_on_random_presentations(field, seed):
+    # every g from one below D to one above it in each coordinate
+    pres = oracles.random_presentations(1, seed=seed, field=field)[0]
+    d = pres.default_g()
+    for g in dg.box(tuple(max(x - 1, 0) for x in d), dg.add(d, dg.ones(pres.n))):
+        assert_g_violation_is_the_slab_check(pres, g)
+
+
+@pytest.mark.parametrize("name", ["m2.json", "ex34.json", "ex36.json", "m6r9.json"])
+def test_g_violation_is_the_slab_check_on_shipped_modules_at_and_below_d(name):
+    pres = modules.load_module_file(data_file(name)).presentation
+    d = pres.default_g()
+    assert assert_g_violation_is_the_slab_check(pres, d) is None
+    below = [d[:k] + (d[k] - 1,) + d[k + 1:] for k in range(pres.n) if d[k]]
+    assert all(assert_g_violation_is_the_slab_check(pres, g) is not None for g in below)
+
+
+def test_a_module_with_d_at_most_g_passes_with_no_map_built(monkeypatch):
+    monkeypatch.setattr(modules.GradedModule, "_transfer", lambda *args: pytest.fail("a map was built"))
+    for gm in (modules.build(modules.maximal_ideal(QQ, 10)), modules.build(staircase(40), (50, 40))):
+        assert gm.g_violation is None
+
+
+@pytest.mark.parametrize("name", ["m2.json", "ex34.json", "ex36.json", "m6r9.json"])
+def test_a_piece_maps_to_itself_by_one_identity_per_dimension(name):
+    gm = modules.load_module_file(data_file(name))
+    f = gm.field
+    by_dim = {}
+    for a in dg.box(dg.zero(gm.n), gm.top):
+        m, d = gm.power_map(a, a), gm.dim(a)
+        assert m == Matrix(f, [[f.one if i == j else f.zero for j in range(d)] for i in range(d)], d), a
+        assert by_dim.setdefault(d, m) is m, a
+
+
+def test_recording_a_shape_reduces_nothing_in_the_piece_of_its_shift(monkeypatch):
+    reduced = []
+    original = modules.GradedPiece.coords
+    monkeypatch.setattr(modules.GradedPiece, "coords", lambda self, v: reduced.append(self) or original(self, v))
+    gm = modules.load_module_file(data_file("m6r9.json"))
+    for b in dg.box(dg.zero(gm.n), gm.g):
+        # alive at b alone, so its one map is that of b's piece to itself
+        assert gm.record((dg.touching(b, gm.g), b)).cells == (b,)
+    assert reduced == []
+    images = 0
+    for b in dg.box(dg.zero(gm.n), gm.g):
+        reduced.clear()
+        gm.record((frozenset(range(gm.n)), b))
+        assert all(piece is not gm.piece(b) for piece in reduced), b
+        images += len(reduced)
+    assert images  # the maps to other pieces reduce their images there
