@@ -151,7 +151,7 @@ def box(lo: tuple, hi: tuple) -> Iterator[tuple]:
 
 def strides(hi: tuple) -> list[int]:
     """c + e_k lies strides[k] degrees after c in `box(zero, hi)`."""
-    return [math.prod(x + 1 for x in hi[k + 1:]) for k in range(len(hi))]
+    return list(itertools.accumulate((x + 1 for x in reversed(hi)), operator.mul, initial=1))[-2::-1]
 
 
 def box_size(lo: tuple, hi: tuple) -> int:

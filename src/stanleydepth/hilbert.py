@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import degrees as dg
 from .errors import InputFormatError, PreconditionError, ResourceLimitError, ShapeError
-from .modules import GradedModule, _alive_cells, _summand_shape_failure
+from .modules import GradedModule, _alive_cells
 
 # Most summands a decomposition file may stand for, counted before any
 # list of them is built; an interval counts every summand it stands for.
@@ -186,9 +186,10 @@ def _induced(items, g: tuple) -> HilbertDecomposition:
 
 
 def admissible_shapes(g: tuple):
-    """Every summand shape (Z, b) that passes `_summand_shape_failure`
-    over [0, g]: shifts in lex order, and at each shift the Z sets by the
-    sorted tuple of their coordinates beyond the forced ones."""
+    """Every summand shape (Z, b) that passes
+    `modules._summand_shape_failure` over [0, g]: shifts in lex order, and
+    at each shift the Z sets by the sorted tuple of their coordinates
+    beyond the forced ones."""
     n = len(g)
     for b in dg.box(dg.zero(n), g):
         forced = dg.touching(b, g)
@@ -203,8 +204,8 @@ def alive_summands(summands, g: tuple) -> dict[tuple, list[int]]:
     (Z, b) alive at a: b <= a and a - b is supported in Z.
 
     Every summand must be admissible; the first that is not raises
-    ShapeError with `_summand_shape_failure`'s text.  Z and b may be any
-    iterables; the dict and its lists are new on every call.
+    ShapeError with `modules._summand_shape_failure`'s text.  Z and b may
+    be any iterables; the dict and its lists are new on every call.
     """
     g = tuple(g)
     alive: dict[tuple, list[int]] = {a: [] for a in dg.box(dg.zero(len(g)), g)}

@@ -62,6 +62,12 @@ from .linalg import Matrix, Subspace
 # degrees its truncated series and every depth search walk.
 BOX_DEGREE_LIMIT = 10**5
 
+# Most cells n x (|[0, g]| + n) a module in n variables may ask for: the
+# n coordinates of each degree of [0, g], and about as many integers in
+# `hilbert.z_graded_hdepth`'s (n+1) x (|g|+n+1) table.  16 variables with
+# BOX_DEGREE_LIMIT degrees fit, and R in up to 1,264 variables.
+COORDINATE_LIMIT = 16 * (BOX_DEGREE_LIMIT + 16)
+
 # Most cells build() will write for the box [0, D] it builds: one per
 # degree, its signature masks, and the rows each distinct signature
 # reduces times its width (see _build).
@@ -205,6 +211,9 @@ class GradedModule:
                 f"the box [0, g] = [0, {g}] has {size} degrees, "
                 f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
             )
+        if self.n * (size + self.n) > COORDINATE_LIMIT:
+            raise ResourceLimitError(f"the box [0, g] has {size} degrees of {self.n} coordinates: more than "
+                                     f"COORDINATE_LIMIT = {COORDINATE_LIMIT} cells of n x (degrees + n)")
         self._strides = dg.strides(self.join)
         # the flat index in [0, D] of min(a, D), for a in [0, g+1], is the
         # sum over k of _terms[k][a_k]
@@ -413,37 +422,31 @@ class GradedModule:
         one piece and the map is the identity: a module with D <= g passes
         with no map built.  Where D_k = g_k + 1, the map at a is the one at
         min(a, D), which comes no later in that order, so the slabs of the
-        built box [0, D] decide alone and give the same first violation.
-        Its pieces are read by flat index in lexicographic order, where
-        a + e_k lies strides[k] places after a, so each slab is a set of
-        runs of strides[k] places, one every (g_k + 2) * strides[k]; it is
-        sliced by runs or by columns, whichever takes fewer slices.
-        Degrees that share a pair of pieces share its map, so each distinct
-        pair of two pieces is ranked once."""
-        slabs = [(k, x, stride) for k, (x, d, stride) in enumerate(zip(self.g, self.join, self._strides)) if d > x]
-        if not slabs:
-            return None
-        ids = list(map(id, self._built))
-        pairs = set()
-        for _k, x, stride in slabs:
-            period = (x + 2) * stride
-            if stride <= len(ids) // period:
-                for i in range(x * stride, (x + 1) * stride):
-                    pairs.update(zip(ids[i::period], ids[i + stride :: period]))
-            else:
-                for i in range(x * stride, len(ids), period):
-                    pairs.update(zip(ids[i : i + stride], ids[i + stride : i + 2 * stride]))
-        by_id = dict(zip(ids, self._built))
-        maps = {pair: self._transfer(by_id[pair[0]], by_id[pair[1]]) for pair in pairs if pair[0] != pair[1]}
-        failing = {pair for pair, m in maps.items() if m.nrows != m.ncols or m.rank() != m.nrows}
-        if not failing:
-            return None
-        return next(
-            (a, k)
-            for i, a in enumerate(dg.box(dg.zero(self.n), self.join))
-            for k, x, stride in slabs
-            if a[k] == x and (ids[i], ids[i + stride]) in failing
-        )
+        built box [0, D] decide alone.  By flat index in lexicographic
+        order, where a + e_k lies strides[k] places after a, the slab
+        a_k = g_k is a run of strides[k] places every (g_k + 2) *
+        strides[k].  The slabs are scanned in turn, run by run, each up to
+        the first failure found so far.  A piece paired with itself passes,
+        and each distinct pair of two pieces is ranked once."""
+        built, failing = self._built, {}  # by the ids of two pieces: whether their map fails
+
+        def fails(i: int, stride: int) -> bool:
+            src, dst = built[i], built[i + stride]
+            key = (id(src), id(dst))
+            if key not in failing:
+                m = self._transfer(src, dst)
+                failing[key] = m.nrows != m.ncols or m.rank() != m.nrows
+            return failing[key]
+
+        first = (len(built), None)  # the least failing (place, k) so far
+        for k, (x, d, stride) in enumerate(zip(self.g, self.join, self._strides)):
+            if d > x:
+                end = first[0]
+                runs = range(x * stride, end, (x + 2) * stride)
+                places = (i for start in runs for i in range(start, min(start + stride, end)))
+                first = next(((i, k) for i in places if built[i] is not built[i + stride] and fails(i, stride)), first)
+        place, k = first
+        return None if k is None else (tuple(place // s % (d + 1) for s, d in zip(self._strides, self.join)), k)
 
 
 def _keep(memo: dict, held: int, key, value, cells: int) -> int:
@@ -627,13 +630,9 @@ def load_module_json(obj, field_override: Field | None = None):
         n = dg.as_int(ring["n"])
     except (KeyError, TypeError, InputFormatError) as exc:
         raise InputFormatError('ring needs an integer "n"') from exc
-    # 2^n > BOX_DEGREE_LIMIT: more variable sets Z for summands (Z, b) than
-    # a box may have degrees; checked before any n-tuple is built
-    if n >= BOX_DEGREE_LIMIT.bit_length():
-        raise ResourceLimitError(
-            f"a ring with {n} variables has 2^{n} variable sets, "
-            f"more than BOX_DEGREE_LIMIT = {BOX_DEGREE_LIMIT}"
-        )
+    if n * (1 + n) > COORDINATE_LIMIT:  # as for a box of one degree, before any n-tuple is built
+        raise ResourceLimitError(f"a ring with {n} variables needs more than COORDINATE_LIMIT = "
+                                 f"{COORDINATE_LIMIT} cells of n x (degrees + n)")
     field = field_override if field_override is not None else field_from_json(ring.get("field", "Q"))
     try:
         pres = _parse_module_obj(obj["module"], n, field)

@@ -834,6 +834,23 @@ def monomial_dims(kind, n, gens, g):
     return dims
 
 
+def complete_intersections(count, seed, max_n=6):
+    """Deterministic stream of (n, exponents): m monomials in n <= max_n
+    variables with pairwise disjoint supports, so the ideal they generate
+    is a complete intersection, of sdepth n - floor(m/2) (Shen, J. Algebra
+    2009).  m is drawn from 1..n, each variable lies in one support or in
+    none, each support is nonempty, and each exponent is 1 or 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        m = rng.randint(1, n)
+        owner = list(range(m)) + [rng.randrange(-1, m) for _ in range(n - m)]  # -1: no support
+        rng.shuffle(owner)
+        out.append((n, [tuple(rng.randint(1, 2) if o == i else 0 for o in owner) for i in range(m)]))
+    return out
+
+
 def random_modules(count, seed, max_total_dim=6, max_box=20, allow_sums=True, field=QQ):
     """Deterministic stream of small monomial-ideal and quotient modules
     (optionally direct sums of two of them), over the rationals unless a

@@ -537,7 +537,8 @@ def test_a_box_built_beyond_the_cell_budget_exits_with_code_two_before_walking_i
     {"ring": {"n": 2}, "g": [10**4000, 10**4000], "module": {"kind": "free", "shifts": [[0, 0]]}},
 ], ids=["n-100000", "n-10^9", "g-10^4000"])
 def test_a_ring_or_g_too_large_for_any_box_exits_with_code_two(tmp_path, module):
-    # a ring has 2^n variable sets, and the box [0, g] at least g_j + 1 degrees
+    # a box of one degree in n variables asks for n x (1 + n) cells, past
+    # COORDINATE_LIMIT here, and [0, g] has at least g_j + 1 degrees
     path = tmp_path / "module.json"
     path.write_text(json.dumps(module))
     start = time.perf_counter()
@@ -545,7 +546,36 @@ def test_a_ring_or_g_too_large_for_any_box_exits_with_code_two(tmp_path, module)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "BOX_DEGREE_LIMIT = 100000" in err and len(err) < 200
+    assert ("BOX_DEGREE_LIMIT = 100000" if "g" in module else "COORDINATE_LIMIT = 1600256") in err and len(err) < 200
+
+
+@pytest.mark.parametrize("n", [17, 1024])
+def test_a_ring_within_the_coordinate_limit_answers(tmp_path, n):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"ring": {"n": n}, "module": {"kind": "free", "shifts": [[0] * n]}}))
+    assert run("hdepth", path) == (0, f"hdepth = {n}\n", "")
+
+
+def test_a_ring_past_the_coordinate_limit_exits_with_code_two(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"ring": {"n": 1265}, "module": {"kind": "free", "shifts": [[0] * 1265]}}))
+    assert run("hdepth", path) == (2, "", (
+        "error: a ring with 1265 variables needs more than COORDINATE_LIMIT = 1600256 cells of n x (degrees + n)\n"
+    ))
+
+
+def test_a_box_of_many_degrees_in_many_variables_exits_with_code_two_before_building(tmp_path, monkeypatch):
+    # K[X_1..X_128]/(X_1^99999): 10^5 degrees of 128 coordinates each
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"ring": {"n": 128}, "module": {
+        "kind": "quotient_by_monomial_ideal", "generators": [[99999] + [0] * 127]}}))
+    monkeypatch.setattr(modules.GradedModule, "_build", lambda self: pytest.fail("built"))
+    start = time.perf_counter()
+    code, out, err = run("hdepth", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the box [0, g] has 100000 degrees of 128 coordinates: more than "
+                   "COORDINATE_LIMIT = 1600256 cells of n x (degrees + n)\n")
 
 
 def test_rational_scalars_with_huge_exponents_exit_with_code_two(tmp_path):

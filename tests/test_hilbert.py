@@ -214,7 +214,7 @@ def summand_lists(draw):
 
 def _first_shape_failure(summands, g):
     """`_summand_shape_failure`'s text for the first non-admissible summand, or None."""
-    failures = (hilbert._summand_shape_failure(frozenset(z), tuple(b), g, len(g)) for z, b in summands)
+    failures = (modules._summand_shape_failure(frozenset(z), tuple(b), g, len(g)) for z, b in summands)
     return next((f for f in failures if f is not None), None)
 
 

@@ -318,6 +318,27 @@ def test_box_budget_raises_before_the_build(monkeypatch):
         modules.build(pres, (3, 2))
 
 
+def test_the_coordinate_limit_counts_n_cells_per_degree_and_n_more(monkeypatch):
+    # K[X_1..X_n]/(X_1^99999): [0, g] has 10^5 degrees of n coordinates;
+    # n = 16 asks for 16 x (10^5 + 16) cells, exactly COORDINATE_LIMIT
+    def chain(n):
+        return modules.quotient_by_monomial_ideal(QQ, n, [(99999,) + (0,) * (n - 1)])
+
+    assert modules.COORDINATE_LIMIT == 16 * (10**5 + 16)
+    monkeypatch.setattr(modules.GradedModule, "_build", lambda self: None)
+    modules.build(chain(16))
+    monkeypatch.setattr(modules.GradedModule, "_build", lambda self: pytest.fail("built"))
+    with pytest.raises(ResourceLimitError, match=re.escape(
+        "the box [0, g] has 100000 degrees of 17 coordinates: more than COORDINATE_LIMIT = 1600256 cells"
+    )):
+        modules.build(chain(17))
+    monkeypatch.undo()
+    # R in 1,264 variables asks for 1,264 x 1,265 cells, R in 1,265 for more
+    assert modules.build(modules.free(QQ, 1264, [(0,) * 1264])).g == (0,) * 1264
+    with pytest.raises(ResourceLimitError, match="1 degrees of 1265 coordinates"):
+        modules.build(modules.free(QQ, 1265, [(0,) * 1265]))
+
+
 def test_the_cell_budget_admits_m10_and_the_40_staircase():
     assert len(modules.load_module_file(data_file("m2.json"), g_override=(314, 314)).pieces) == 315 * 315
     assert len({id(p) for p in modules.build(modules.maximal_ideal(QQ, 10)).pieces.values()}) == 1024
@@ -454,15 +475,34 @@ def test_the_integer_form_is_one_scaled_copy_of_each_map(field):
     assert field.is_finite() or {3, 5, 15} <= scales
 
 
+def maximal_ideal_with_redundant_syzygies(n):
+    """m_n with its syzygies and, redundantly, X_k times the syzygy of
+    X_k and X_(k+1), k + 1 taken mod n: D = (2, ..., 2), and the module is
+    still m_n, g-determined at g = (1, ..., 1)."""
+    base = modules.maximal_ideal(QQ, n)
+    gen = {k: base.generator_degrees.index(dg.unit(n, k)) for k in range(n)}
+    rows = [list(r.triples) for r in base.relations]
+    for k in range(n):
+        j = (k + 1) % n
+        ek, ej = dg.unit(n, k), dg.unit(n, j)
+        rows.append([(gen[k], dg.add(ek, ej), QQ.one), (gen[j], dg.add(ek, ek), QQ.neg(QQ.one))])
+    return modules.ModulePresentation(n, QQ, base.generator_degrees, rows)
+
+
+def boundary_pairs(gm):
+    """The distinct pairs of two pieces (M_a, M_(a+e_k)) over every a of
+    [0, g+1] with a_k = g_k, by their ids."""
+    pairs = {}
+    for a in dg.box(dg.zero(gm.n), gm.top):
+        for k in range(gm.n):
+            if a[k] == gm.g[k]:
+                src, dst = gm.piece(a), gm.piece(dg.add(a, dg.unit(gm.n, k)))
+                if src is not dst:
+                    pairs[(id(src), id(dst))] = (src, dst)
+    return pairs
+
+
 def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
-    # g = D - e_6: the slab a_6 = 0 has 32 distinct pairs of two pieces, and
-    # the one at degree 0, from R^9 to R^9 + K, is not square
-    gm = modules.load_module_file(data_file("m6r9.json"), g_override=(1, 1, 1, 1, 1, 0))
-    boundary = [(a, k) for a in dg.box(dg.zero(gm.n), gm.top) for k in range(gm.n) if a[k] == gm.g[k]]
-    assert len(boundary) == 5 * 3**4 * 2 + 3**5
-    ends = [(gm.piece(a), gm.piece(dg.add(a, dg.unit(gm.n, k)))) for a, k in boundary]
-    pairs = {(id(src), id(dst)): src.dim == dst.dim for src, dst in ends if src is not dst}
-    assert len(pairs) == 32 and sum(pairs.values()) == 31
     calls = []
     original = Matrix.rank
 
@@ -471,8 +511,22 @@ def test_g_determinedness_ranks_each_distinct_boundary_map_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Matrix, "rank", counting)
+    # g = D - e_6: the slab a_6 = 0 has 32 distinct pairs of two pieces, 31
+    # square, and the scan stops at the first, at degree 0, from R^9 to
+    # R^9 + K, which is not square: nothing is ranked
+    gm = modules.load_module_file(data_file("m6r9.json"), g_override=(1, 1, 1, 1, 1, 0))
+    pairs = boundary_pairs(gm)
+    assert len(pairs) == 32 and sum(src.dim == dst.dim for src, dst in pairs.values()) == 31
     assert gm.verify_g_determined() == ((0, 0, 0, 0, 0, 0), 5)
-    assert len(calls) == len({id(m) for m in calls}) == 31
+    assert calls == []
+    # a passing module with D not <= g: the scan walks every slab to its
+    # end and ranks each distinct pair of two pieces exactly once
+    gm = modules.build(maximal_ideal_with_redundant_syzygies(4), (1, 1, 1, 1))
+    assert not dg.leq(gm.join, gm.g)
+    pairs = boundary_pairs(gm)
+    assert gm.verify_g_determined() is None
+    assert len(calls) == len({id(m) for m in calls}) == len(pairs) == 52
+    assert {id(m) for m in calls} == {id(gm._transfer(src, dst)) for src, dst in pairs.values()}
 
 
 def _g_determined_like_the_loop(pres, g):
@@ -556,6 +610,46 @@ def test_a_module_with_d_at_most_g_passes_with_no_map_built(monkeypatch):
     monkeypatch.setattr(modules.GradedModule, "_transfer", lambda *args: pytest.fail("a map was built"))
     for gm in (modules.build(modules.maximal_ideal(QQ, 10)), modules.build(staircase(40), (50, 40))):
         assert gm.g_violation is None
+
+
+def shifted_free(n):
+    """R(-(2, ..., 2)) in n variables at g = (1, ..., 1): every piece of
+    [0, D] but the one at D is zero."""
+    return modules.free(QQ, n, [(2,) * n]), (1,) * n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_scan_finds_the_first_violation_of_a_shifted_free_module(n):
+    pres, g = shifted_free(n)
+    expected = oracles.unshared_g_violation(pres, g)
+    assert expected == ((1,) + (2,) * (n - 1), 0)
+    assert modules.build(pres, g).verify_g_determined() == expected
+
+
+@pytest.mark.parametrize("parts, expected", [
+    # K = R/(X_1, X_2, X_3) fails along X_1, X_2 and X_3 at degree 0: the
+    # lower k wins the tie
+    ([modules.quotient_by_monomial_ideal(QQ, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])], ((0, 0, 0), 0)),
+    # R/(X_2) + R(-(1, 1)) fails along X_2 at (0, 0) and along X_1 first at
+    # (0, 1): the later slab holds the first degree
+    ([modules.quotient_by_monomial_ideal(QQ, 2, [(0, 1)]), modules.free(QQ, 2, [(1, 1)])], ((0, 0), 1)),
+    # R(-(1, 0, 1)) + R(-(0, 1, 1)) fails along X_1 and X_2 first at (0, 0, 1)
+    ([modules.free(QQ, 3, [(1, 0, 1), (0, 1, 1)])], ((0, 0, 1), 0)),
+], ids=["tie-at-zero", "later-slab-first", "tie-past-zero"])
+def test_the_scan_reports_the_first_degree_then_the_lower_coordinate(parts, expected):
+    pres = modules.direct_sum(parts)
+    g = dg.zero(pres.n)
+    assert oracles.unshared_g_violation(pres, g) == expected
+    assert modules.build(pres, g).verify_g_determined() == expected
+
+
+def test_the_scan_of_a_box_far_past_g_walks_no_degree_tuples(monkeypatch):
+    # [0, D] has 3^12 degrees, and the first failure lies at (1, 2, ..., 2)
+    gm = modules.build(*shifted_free(12))
+    monkeypatch.setattr(modules.dg, "box", lambda *args: pytest.fail("walked"))
+    start = time.perf_counter()
+    assert gm.verify_g_determined() == ((1,) + (2,) * 11, 0)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("name", ["m2.json", "ex34.json", "ex36.json", "m6r9.json"])

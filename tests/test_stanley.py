@@ -1321,6 +1321,43 @@ def test_hdepth_and_sdepth_of_the_maximal_ideal_in_six_variables():
     assert sdepth(gm, with_witness=False).value == 3
 
 
+def assert_complete_intersection_depths(n, exponents):
+    # m monomials with pairwise disjoint supports: sdepth = n - floor(m/2)
+    # (Shen, J. Algebra 2009), and hdepth agrees
+    gm = modules.build(modules.monomial_ideal(QQ, n, exponents))
+    result = sdepth(gm)
+    assert hdepth(gm) == result.value == n - len(exponents) // 2, exponents
+    assert verify_witness(gm, result.decomposition, result.witness) is None
+    return gm
+
+
+@given(st.integers(0, 10**6))
+def test_complete_intersections_have_depth_n_minus_half_their_generators(seed):
+    for n, exponents in oracles.complete_intersections(3, seed, max_n=5):
+        assert_complete_intersection_depths(n, exponents)
+
+
+@pytest.mark.parametrize("exponents", [
+    [(1, 1, 1, 1, 1, 1)],
+    [(1, 1, 1, 0, 0, 0), (0, 0, 0, 2, 1, 2)],
+    [(2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 2)],
+    [(1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 2, 2)],
+    [(2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)],
+    [dg.unit(6, k) for k in range(6)],
+    [dg.add(dg.unit(6, k), dg.unit(6, k)) for k in range(6)],
+], ids=["m1", "m2", "m3", "m4", "m5", "m6-linear", "m6-squares"])
+def test_complete_intersections_in_six_variables(exponents):
+    assert_complete_intersection_depths(6, exponents)
+
+
+def test_a_complete_intersection_below_its_z_graded_bound_is_refuted_there():
+    # X_1^2, X_2, ..., X_6: the Z-graded bound is 4, so depth 4 must be
+    # refuted before depth 3 answers.  With two or three squares in place
+    # of one, that refutation exceeds PARTITION_STATE_BUDGET.
+    gm = assert_complete_intersection_depths(6, [(2, 0, 0, 0, 0, 0)] + [dg.unit(6, k) for k in range(1, 6)])
+    assert hilbert.z_graded_hdepth(truncated_series(gm)) == 4
+
+
 def test_sdepth_respects_finite_fields():
     gm = modules.build(modules.maximal_ideal(F2, 2))
     result = sdepth(gm)
